@@ -12,6 +12,7 @@ use sol_ml::cost_sensitive::{CostSensitiveClassifier, CostSensitiveExample};
 use sol_ml::features::DistributionalFeatures;
 use sol_ml::qlearning::{QConfig, QLearner};
 use sol_ml::thompson::ThompsonSampler;
+use sol_node_sim::memory_node::{MemoryNode, MemoryWorkloadKind};
 use sol_node_sim::shared::Shared;
 
 fn ml_kernels(c: &mut Criterion) {
@@ -278,6 +279,35 @@ fn shared_lock_traffic(c: &mut Criterion) {
     });
 }
 
+/// The three-agent node's memory substrate (`ThreeAgentConfig::default()`:
+/// 128 batches, 40k accesses/s) at the fleet's 1 ms tick, with its 30 s recent
+/// window already full: one `advance_to` per tick, and the O(1) read three
+/// callers make of the window (actuator safeguard, barrier telemetry, the
+/// per-tick memory-pressure coupling).
+fn memory_substrate(c: &mut Criterion) {
+    let tick = SimDuration::from_millis(1);
+    let config = sol_agents::colocation::ThreeAgentConfig::default().memory_node;
+    let mut node = MemoryNode::new(MemoryWorkloadKind::ObjectStore, config);
+    // Tick by tick: one `advance_to` over the whole span would take the
+    // config's 100 ms steps and leave the window 100x shorter.
+    let mut now = Timestamp::ZERO;
+    while now < Timestamp::from_secs(31) {
+        now += tick;
+        node.advance_to(now);
+    }
+
+    c.bench_function("memory_node_advance_1ms_128_batches", |b| {
+        b.iter(|| {
+            now += tick;
+            node.advance_to(now);
+        });
+    });
+
+    c.bench_function("memory_node_recent_remote_fraction_30s_window", |b| {
+        b.iter(|| std::hint::black_box(&node).recent_remote_fraction());
+    });
+}
+
 /// A minimal hosting environment: a bin of placeable cores and nothing else,
 /// so the packer-churn bench measures barrier machinery rather than
 /// substrate simulation.
@@ -416,6 +446,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(50);
     targets = ml_kernels, runtime_event_queue, scheduler_queue, shared_lock_traffic,
-        view_construction, barrier_overhead
+        memory_substrate, view_construction, barrier_overhead
 }
 criterion_main!(benches);

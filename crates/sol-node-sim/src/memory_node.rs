@@ -39,11 +39,12 @@ pub struct ScanResult {
     pub last_access: Option<Timestamp>,
 }
 
+/// Per-batch state the hit pass and the agent-facing calls touch. The
+/// fractional carry lives apart from it, in [`MemoryNode::carry`].
 #[derive(Debug, Clone)]
 struct MemBatch {
     tier: Tier,
     accesses_since_scan: f64,
-    carry: f64,
     last_access: Option<Timestamp>,
     total_accesses: f64,
 }
@@ -53,10 +54,36 @@ impl MemBatch {
         MemBatch {
             tier: Tier::Local,
             accesses_since_scan: 0.0,
-            carry: 0.0,
             last_access: None,
             total_accesses: 0.0,
         }
+    }
+}
+
+/// Batches per hit mask in [`MemoryNode::apply_accesses`].
+const MASK_BITS: usize = u64::BITS as usize;
+
+/// Adds each batch's share to its carry and returns the batches whose carry
+/// reached a whole access, one bit each (at most [`MASK_BITS`] batches).
+fn add_shares(carry: &mut [f64], expected: &[f64]) -> u64 {
+    let mut due = 0u64;
+    for (bit, (c, e)) in carry.iter_mut().zip(expected).enumerate() {
+        *c += e;
+        due |= u64::from(*c >= 1.0) << bit;
+    }
+    due
+}
+
+/// `x.floor()` for `x >= 0.0`, without the libm call baseline x86-64 (no
+/// `roundsd`) makes of it. Below 2^52 the value fits an `i64` and the cast
+/// truncates toward zero, which is the floor of a non-negative; from 2^52 up
+/// every `f64` is an integer and its own floor.
+fn floor_non_negative(x: f64) -> f64 {
+    const INTEGERS_FROM: f64 = (1u64 << (f64::MANTISSA_DIGITS - 1)) as f64;
+    if x < INTEGERS_FROM {
+        x as i64 as f64
+    } else {
+        x
     }
 }
 
@@ -179,6 +206,16 @@ pub struct MemoryNode {
     config: MemoryNodeConfig,
     kind: MemoryWorkloadKind,
     batches: Vec<MemBatch>,
+    /// Fractional accesses each batch carries into the next step, by batch
+    /// index; never negative. A dense table of its own so the per-step
+    /// add-and-compare pass streams over plain `f64`s.
+    carry: Vec<f64>,
+    /// Each batch's share of a step's accesses, by batch index:
+    /// `expected[permutation[rank]] == expected_total * zipf.probability(rank)`.
+    expected: Vec<f64>,
+    /// The step total `expected` holds the shares of, compared by bits. `0.0`
+    /// marks the table stale: accesses are only applied for a total above it.
+    expected_total: f64,
     zipf: Zipf,
     permutation: Vec<usize>,
     now: Timestamp,
@@ -191,7 +228,15 @@ pub struct MemoryNode {
     migrations: u64,
     local_accesses: f64,
     remote_accesses: f64,
+    /// `(step start, local hits, remote hits)` of every step inside the recent
+    /// window; kept for expiry only.
     window: std::collections::VecDeque<(Timestamp, f64, f64)>,
+    /// Running sums of `window`'s hit columns. Hit counts are integer-valued
+    /// `f64`s whose sums stay far below 2^53, so adding on push and
+    /// subtracting on expiry is exact: the sums equal a fresh pass over the
+    /// deque bit for bit, and drain to exactly `0.0`.
+    window_local: f64,
+    window_remote: f64,
     second_local: f64,
     second_remote: f64,
     next_second: Timestamp,
@@ -216,12 +261,21 @@ impl MemoryNode {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is degenerate (zero batches/pages, zero
-    /// step, or probabilities out of range).
+    /// Panics if the configuration is degenerate (zero batches/pages, an
+    /// access rate that is negative or not finite, a step of zero or longer
+    /// than the one-second buckets of the remote-fraction series, or
+    /// probabilities out of range).
     pub fn new(kind: MemoryWorkloadKind, config: MemoryNodeConfig) -> Self {
         assert!(config.batches > 0, "need at least one batch");
         assert!(config.pages_per_batch > 0, "need at least one page per batch");
+        assert!(
+            config.accesses_per_sec.is_finite() && config.accesses_per_sec >= 0.0,
+            "access rate must be finite and non-negative"
+        );
         assert!(!config.step.is_zero(), "step must be non-zero");
+        // A step closes at most one per-second sample, so a longer one would
+        // drop seconds from the series and skew `slo_attainment`.
+        assert!(config.step <= SimDuration::from_secs(1), "step must not exceed one second");
         assert!(
             (0.0..=1.0).contains(&config.scan_failure_probability),
             "scan failure probability must be in [0, 1]"
@@ -238,6 +292,9 @@ impl MemoryNode {
         let next_shift = kind.hot_set_shift_period().map(|p| Timestamp::ZERO + p);
         MemoryNode {
             batches: vec![MemBatch::new(); config.batches],
+            carry: vec![0.0; config.batches],
+            expected: vec![0.0; config.batches],
+            expected_total: 0.0,
             zipf,
             permutation,
             now: Timestamp::ZERO,
@@ -249,6 +306,8 @@ impl MemoryNode {
             local_accesses: 0.0,
             remote_accesses: 0.0,
             window: std::collections::VecDeque::new(),
+            window_local: 0.0,
+            window_remote: 0.0,
             second_local: 0.0,
             second_remote: 0.0,
             next_second: Timestamp::from_secs(1),
@@ -414,12 +473,7 @@ impl MemoryNode {
     /// (the Actuator safeguard signal). Returns 0 when there were no recent
     /// accesses.
     pub fn recent_remote_fraction(&self) -> f64 {
-        let mut local = 0.0;
-        let mut remote = 0.0;
-        for &(_, l, r) in &self.window {
-            local += l;
-            remote += r;
-        }
+        let (local, remote) = (self.window_local, self.window_remote);
         if local + remote == 0.0 {
             0.0
         } else {
@@ -495,12 +549,20 @@ impl MemoryNode {
         // different subset becomes hot.
         let n = self.permutation.len();
         self.permutation.rotate_right(n / 4);
+        self.expected_total = 0.0;
     }
 
     fn step_once(&mut self, dt: SimDuration) {
-        let now = self.now;
-        let active = self.is_active_at(now);
+        let total = self.begin_step(dt);
+        let (step_local, step_remote) =
+            if total > 0.0 { self.apply_accesses(total) } else { (0.0, 0.0) };
+        self.finish_step(dt, step_local, step_remote);
+    }
 
+    /// Applies the hot-set shifts due at the step's start and returns the
+    /// number of accesses the workload issues over the step.
+    fn begin_step(&mut self, dt: SimDuration) -> f64 {
+        let now = self.now;
         // Hot-set shifts: periodic for SQL/SpecJBB, on every activation for
         // the oscillating workload.
         if let Some(at) = self.next_shift {
@@ -520,40 +582,78 @@ impl MemoryNode {
             }
         }
 
-        let rate = if active { self.config.accesses_per_sec * self.bandwidth_factor } else { 0.0 };
-        let total = rate * dt.as_secs_f64();
+        let rate = if self.is_active_at(now) {
+            self.config.accesses_per_sec * self.bandwidth_factor
+        } else {
+            0.0
+        };
+        rate * dt.as_secs_f64()
+    }
+
+    /// Spreads a step's `total > 0` accesses over the batches by popularity
+    /// and returns the `(local, remote)` hits. Fractional accesses carry
+    /// between steps so low-rate batches are still touched occasionally
+    /// (deterministically).
+    ///
+    /// Two passes per 64-batch chunk: a branch-free one over the dense tables
+    /// that adds each batch's share to its carry and collects `carry >= 1` in
+    /// a mask, then the hit bookkeeping for the set bits only — on a Zipf
+    /// tail most batches get a hit once in many steps. Each batch sees the
+    /// same float operations on the same operands as a walk by rank would
+    /// give it, and the hit sums are order-free (integer-valued, far below
+    /// 2^53), so the results are those of that walk to the bit; the tests pin
+    /// it against one.
+    fn apply_accesses(&mut self, total: f64) -> (f64, f64) {
+        let now = self.now;
+        if total.to_bits() != self.expected_total.to_bits() {
+            for (rank, &batch) in self.permutation.iter().enumerate() {
+                self.expected[batch] = total * self.zipf.probability(rank);
+            }
+            self.expected_total = total;
+        }
         let mut step_local = 0.0;
         let mut step_remote = 0.0;
-        if total > 0.0 {
-            for rank in 0..self.batches.len() {
-                let expected = total * self.zipf.probability(rank);
-                let idx = self.permutation[rank];
-                let b = &mut self.batches[idx];
-                // Carry fractional accesses between steps so low-rate batches
-                // are still touched occasionally (deterministically).
-                b.carry += expected;
-                let hits = b.carry.floor();
-                b.carry -= hits;
-                if hits > 0.0 {
-                    b.accesses_since_scan += hits;
-                    b.total_accesses += hits;
-                    b.last_access = Some(now);
-                    match b.tier {
-                        Tier::Local => step_local += hits,
-                        Tier::Remote => step_remote += hits,
-                    }
+        let chunks = self
+            .carry
+            .chunks_mut(MASK_BITS)
+            .zip(self.expected.chunks(MASK_BITS))
+            .zip(self.batches.chunks_mut(MASK_BITS));
+        for ((carry, expected), batches) in chunks {
+            let mut due = add_shares(carry, expected);
+            while due != 0 {
+                let i = due.trailing_zeros() as usize;
+                due &= due - 1;
+                let hits = floor_non_negative(carry[i]);
+                carry[i] -= hits;
+                let b = &mut batches[i];
+                b.accesses_since_scan += hits;
+                b.total_accesses += hits;
+                b.last_access = Some(now);
+                match b.tier {
+                    Tier::Local => step_local += hits,
+                    Tier::Remote => step_remote += hits,
                 }
             }
         }
+        (step_local, step_remote)
+    }
+
+    /// Books a step's hits into the totals, the recent window and the
+    /// per-second series, and moves the clock to the step's end.
+    fn finish_step(&mut self, dt: SimDuration, step_local: f64, step_remote: f64) {
+        let now = self.now;
         self.local_accesses += step_local;
         self.remote_accesses += step_remote;
 
         // Recent-window bookkeeping.
         self.window.push_back((now, step_local, step_remote));
-        let horizon = now.saturating_add(SimDuration::ZERO);
-        while let Some(&(t, _, _)) = self.window.front() {
-            if horizon.duration_since(t) > self.config.recent_window {
+        self.window_local += step_local;
+        self.window_remote += step_remote;
+        while let Some(&(t, local, remote)) = self.window.front() {
+            if now.duration_since(t) > self.config.recent_window {
                 self.window.pop_front();
+                self.window_local -= local;
+                self.window_remote -= remote;
             } else {
                 break;
             }
@@ -598,6 +698,7 @@ impl MemoryFootprint for MemoryNode {
     fn mem_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.batches.capacity() * std::mem::size_of::<MemBatch>()
+            + (self.carry.capacity() + self.expected.capacity()) * std::mem::size_of::<f64>()
             + self.permutation.capacity() * std::mem::size_of::<usize>()
             + self.window.capacity() * std::mem::size_of::<(Timestamp, f64, f64)>()
             + self.series.capacity() * std::mem::size_of::<RemoteFractionSample>()
@@ -718,5 +819,300 @@ mod tests {
         let series = node.remote_fraction_series();
         assert!(series.iter().any(|s| s.active));
         assert!(series.iter().any(|s| !s.active));
+    }
+
+    #[test]
+    fn window_sums_drain_to_exact_zero_when_a_sleep_outlasts_the_window() {
+        let mut node = MemoryNode::new(MemoryWorkloadKind::OscillatingSpecJbb, small_config());
+        node.advance_to(Timestamp::from_secs(10));
+        for batch in node.hottest_batches().into_iter().take(8) {
+            node.migrate_to_remote(batch);
+        }
+        node.advance_to(Timestamp::from_secs(150));
+        assert!(node.window_local > 0.0 && node.window_remote > 0.0);
+        assert!(node.recent_remote_fraction() > 0.0);
+        // Asleep from 150 s; by 181 s every step with a hit has left the 30 s
+        // window, and what was added has been subtracted again, exactly.
+        node.advance_to(Timestamp::from_secs(181));
+        assert!(!node.is_active());
+        assert!(!node.window.is_empty());
+        assert_eq!(node.window_local.to_bits(), 0.0f64.to_bits());
+        assert_eq!(node.window_remote.to_bits(), 0.0f64.to_bits());
+        assert_eq!(node.recent_remote_fraction(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "access rate must be finite and non-negative")]
+    fn negative_access_rate_is_rejected() {
+        let config = MemoryNodeConfig { accesses_per_sec: -1.0, ..small_config() };
+        let _ = MemoryNode::new(MemoryWorkloadKind::ObjectStore, config);
+    }
+
+    #[test]
+    #[should_panic(expected = "access rate must be finite and non-negative")]
+    fn nan_access_rate_is_rejected() {
+        let config = MemoryNodeConfig { accesses_per_sec: f64::NAN, ..small_config() };
+        let _ = MemoryNode::new(MemoryWorkloadKind::ObjectStore, config);
+    }
+
+    #[test]
+    #[should_panic(expected = "step must not exceed one second")]
+    fn step_longer_than_a_series_bucket_is_rejected() {
+        let config = MemoryNodeConfig { step: SimDuration::from_millis(1_001), ..small_config() };
+        let _ = MemoryNode::new(MemoryWorkloadKind::ObjectStore, config);
+    }
+
+    #[test]
+    fn one_second_steps_record_every_second() {
+        let config = MemoryNodeConfig { step: SimDuration::from_secs(1), ..small_config() };
+        let mut node = MemoryNode::new(MemoryWorkloadKind::ObjectStore, config);
+        node.advance_to(Timestamp::from_secs(12));
+        let seconds: Vec<Timestamp> = node.remote_fraction_series().iter().map(|s| s.at).collect();
+        assert_eq!(seconds, (1..=12).map(Timestamp::from_secs).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_carry_of_exactly_one_is_a_hit() {
+        // One batch takes every access: 0.25 a step, exactly 1.0 on the fourth.
+        let config = MemoryNodeConfig {
+            batches: 1,
+            accesses_per_sec: 0.25,
+            step: SimDuration::from_secs(1),
+            ..MemoryNodeConfig::default()
+        };
+        let mut node = MemoryNode::new(MemoryWorkloadKind::ObjectStore, config);
+        node.advance_to(Timestamp::from_secs(3));
+        assert_eq!((node.carry[0], node.local_accesses()), (0.75, 0.0));
+        node.advance_to(Timestamp::from_secs(4));
+        assert_eq!((node.carry[0], node.local_accesses()), (0.0, 1.0));
+        assert_eq!(node.batches[0].last_access, Some(Timestamp::from_secs(3)));
+    }
+
+    #[test]
+    fn floor_by_truncation_is_floor_for_non_negatives() {
+        let integers_from = 4_503_599_627_370_496.0; // 2^52
+        let cases = [
+            0.0,
+            0.25,
+            1.0,
+            1.5,
+            7.999_999_999,
+            1e9 + 0.5,
+            integers_from - 0.5,
+            integers_from,
+            integers_from + 1.0,
+            1e300,
+            f64::INFINITY,
+        ];
+        for x in cases {
+            assert_eq!(floor_non_negative(x).to_bits(), x.floor().to_bits(), "x = {x}");
+        }
+    }
+
+    /// The access loop this module had before `apply_accesses`: a walk by
+    /// popularity rank through `zipf.probability`, the permutation and libm's
+    /// `floor`. Kept as the reference the table-driven kernel is held to.
+    fn reference_apply_accesses(node: &mut MemoryNode, total: f64) -> (f64, f64) {
+        let now = node.now;
+        let mut step_local = 0.0;
+        let mut step_remote = 0.0;
+        for rank in 0..node.batches.len() {
+            let expected = total * node.zipf.probability(rank);
+            let idx = node.permutation[rank];
+            node.carry[idx] += expected;
+            let hits = node.carry[idx].floor();
+            node.carry[idx] -= hits;
+            if hits > 0.0 {
+                let b = &mut node.batches[idx];
+                b.accesses_since_scan += hits;
+                b.total_accesses += hits;
+                b.last_access = Some(now);
+                match b.tier {
+                    Tier::Local => step_local += hits,
+                    Tier::Remote => step_remote += hits,
+                }
+            }
+        }
+        (step_local, step_remote)
+    }
+
+    /// `Environment::advance_to` with the reference loop in the kernel's place.
+    fn reference_advance_to(node: &mut MemoryNode, to: Timestamp) {
+        while node.now < to {
+            let dt = to.duration_since(node.now).min(node.config.step);
+            let total = node.begin_step(dt);
+            let (step_local, step_remote) =
+                if total > 0.0 { reference_apply_accesses(node, total) } else { (0.0, 0.0) };
+            node.finish_step(dt, step_local, step_remote);
+        }
+    }
+
+    /// `recent_remote_fraction` by a fresh pass over the window, as it was
+    /// computed before the running sums.
+    fn resummed_remote_fraction(node: &MemoryNode) -> f64 {
+        let mut local = 0.0;
+        let mut remote = 0.0;
+        for &(_, l, r) in &node.window {
+            local += l;
+            remote += r;
+        }
+        if local + remote == 0.0 {
+            0.0
+        } else {
+            remote / (local + remote)
+        }
+    }
+
+    /// Everything the kernel writes, floats by their bits.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        batches: Vec<(u64, u64, u64, Option<Timestamp>, Tier)>,
+        accesses: (u64, u64),
+        series: Vec<(Timestamp, u64, bool)>,
+        recent_remote_fraction: u64,
+    }
+
+    fn observe(node: &MemoryNode, recent_remote_fraction: f64) -> Observed {
+        Observed {
+            batches: node
+                .batches
+                .iter()
+                .zip(&node.carry)
+                .map(|(b, carry)| {
+                    (
+                        carry.to_bits(),
+                        b.accesses_since_scan.to_bits(),
+                        b.total_accesses.to_bits(),
+                        b.last_access,
+                        b.tier,
+                    )
+                })
+                .collect(),
+            accesses: (node.local_accesses.to_bits(), node.remote_accesses.to_bits()),
+            series: node
+                .series
+                .iter()
+                .map(|s| (s.at, s.remote_fraction.to_bits(), s.active))
+                .collect(),
+            recent_remote_fraction: recent_remote_fraction.to_bits(),
+        }
+    }
+
+    mod equivalence {
+        use proptest::prelude::*;
+
+        use super::*;
+
+        const KINDS: [MemoryWorkloadKind; 4] = [
+            MemoryWorkloadKind::ObjectStore,
+            MemoryWorkloadKind::Sql,
+            MemoryWorkloadKind::SpecJbb,
+            MemoryWorkloadKind::OscillatingSpecJbb,
+        ];
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            /// Advance by this many thousandths of the configured step.
+            Advance(u64),
+            Bandwidth(f64),
+            ToRemote(usize),
+            ToLocal(usize),
+            Scan(usize),
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                // Less than a step, a few uneven steps, and spans long enough
+                // to cross the sleep at 150 s, the activation at 230 s and
+                // SQL's shift at 300 s when the step is 100 ms or 1 s.
+                3 => (1u64..1_000).prop_map(Op::Advance),
+                3 => (1_000u64..20_000).prop_map(Op::Advance),
+                3 => (20_000u64..600_000).prop_map(Op::Advance),
+                2 => (0.25f64..4.0).prop_map(Op::Bandwidth),
+                3 => any::<usize>().prop_map(Op::ToRemote),
+                1 => any::<usize>().prop_map(Op::ToLocal),
+                2 => any::<usize>().prop_map(Op::Scan),
+            ]
+        }
+
+        fn config() -> impl Strategy<Value = MemoryNodeConfig> {
+            let rate = prop_oneof![
+                1 => Just(0.0),
+                2 => 0.0f64..200.0,
+                4 => 0.0f64..200_000.0,
+            ];
+            // 7 ms does not divide a second: series buckets close mid-step.
+            let step_ms = prop_oneof![
+                1 => Just(1u64),
+                1 => Just(7u64),
+                3 => Just(100u64),
+                3 => Just(1_000u64),
+            ];
+            ((1usize..300, rate, step_ms), (1u64..60, any::<u64>())).prop_map(
+                |((batches, accesses_per_sec, step_ms), (window_steps, seed))| MemoryNodeConfig {
+                    batches,
+                    accesses_per_sec,
+                    step: SimDuration::from_millis(step_ms),
+                    recent_window: SimDuration::from_millis(step_ms * window_steps),
+                    seed,
+                    ..MemoryNodeConfig::default()
+                },
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// The table-driven kernel and the running window sums are
+            /// observationally identical, to the bit, to the per-rank loop
+            /// and the per-call window pass they replaced — for every
+            /// workload kind, batch counts on both sides of one 64-bit mask
+            /// with ragged tails, and arbitrary interleavings of uneven
+            /// advances with everything that touches the kernel's inputs:
+            /// rate changes, migrations, scans and hot-set shifts.
+            #[test]
+            fn kernel_matches_reference_loop(
+                kind in 0usize..KINDS.len(),
+                config in config(),
+                ops in proptest::collection::vec(op(), 1..60),
+            ) {
+                let mut node = MemoryNode::new(KINDS[kind], config.clone());
+                let mut reference = MemoryNode::new(KINDS[kind], config.clone());
+                let mut to = Timestamp::ZERO;
+                for op in ops {
+                    match op {
+                        Op::Advance(thousandths) => {
+                            to += SimDuration::from_nanos(
+                                config.step.as_nanos() / 1_000 * thousandths,
+                            );
+                            node.advance_to(to);
+                            reference_advance_to(&mut reference, to);
+                        }
+                        Op::Bandwidth(factor) => {
+                            node.set_bandwidth_factor(factor);
+                            reference.set_bandwidth_factor(factor);
+                        }
+                        Op::ToRemote(batch) => {
+                            node.migrate_to_remote(batch % config.batches);
+                            reference.migrate_to_remote(batch % config.batches);
+                        }
+                        Op::ToLocal(batch) => {
+                            node.migrate_to_local(batch % config.batches);
+                            reference.migrate_to_local(batch % config.batches);
+                        }
+                        Op::Scan(batch) => {
+                            prop_assert_eq!(
+                                node.scan_batch(batch % config.batches).unwrap(),
+                                reference.scan_batch(batch % config.batches).unwrap()
+                            );
+                        }
+                    }
+                    prop_assert_eq!(
+                        observe(&node, node.recent_remote_fraction()),
+                        observe(&reference, resummed_remote_fraction(&reference))
+                    );
+                }
+            }
+        }
     }
 }

@@ -237,6 +237,36 @@ fn three_agent_runs_are_byte_identical_per_agent() {
     assert_eq!(run(), run());
 }
 
+/// 64-bit FNV-1a over a value's `Debug` rendering.
+fn debug_digest<T: std::fmt::Debug>(value: &T) -> u64 {
+    debug_bytes(value).iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every other test here compares a run with itself, which a substrate that
+/// is fast and slightly wrong passes. This one compares the default
+/// three-agent node against a constant recorded before `MemoryNode`'s access
+/// loop became a table-driven kernel (PR 12): the whole report plus the
+/// memory substrate's counters. A change that moves it changed what is
+/// simulated, and has to say so.
+#[test]
+fn three_agent_run_matches_the_pinned_digest() {
+    let agents = three_agents(ThreeAgentConfig::default());
+    let report = agents.runtime.run_for(SimDuration::from_secs(10)).unwrap();
+    let memory = agents.memory_node.with(|n| {
+        (
+            n.scans(),
+            n.migrations(),
+            n.access_bit_resets(),
+            n.local_accesses(),
+            n.remote_accesses(),
+            n.slo_attainment(0.8),
+        )
+    });
+    assert_eq!(debug_digest(&(report, memory)), 0x2875_fdf1_2641_f5b3, "memory = {memory:?}");
+}
+
 // ---------------------------------------------------------------------------
 // Fleet determinism: a FleetReport is a pure function of (recipe, config,
 // horizon) — the worker-thread count must never leak into the results.
