@@ -23,6 +23,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 pub mod colocation_experiments;
 pub mod fleet_experiments;

@@ -7,10 +7,12 @@
 //! [`ScenarioRecipe`] — a replayable closure over the
 //! [`ScenarioBuilder`](crate::runtime::builder::ScenarioBuilder), seeded per
 //! node through [`NodeSeed`] so nodes are heterogeneous but deterministic —
-//! spreads the nodes across a work-stealing worker-thread pool (each worker
-//! owns a task deque and steals from its siblings once its own runs dry, so
-//! one slow node never idles a barrier), synchronizes all of them on
-//! epoch boundaries of one virtual clock, and aggregates every node's
+//! spreads the nodes across a worker-thread pool (every barrier's live nodes
+//! form one shared task list that the workers claim in chunks through an
+//! atomic cursor, so a worker that runs dry takes over what its siblings
+//! have not reached and one slow node never idles a barrier), synchronizes
+//! all of them on epoch boundaries of one virtual clock, and aggregates
+//! every node's
 //! [`AgentStats`] into a [`FleetReport`] of fleet-level safety dashboards:
 //! safeguard-activation rates, environment metric summaries (SLO violations,
 //! tail latencies), and per-agent-role percentiles, keyed by the same
@@ -42,6 +44,12 @@
 //! [`FaultPlan`] injects the same events without controller cooperation via
 //! [`FleetRuntime::run_with_faults`].
 //!
+//! The coordinator thread walks every barrier through the same phases, one
+//! private method each: *collect* (advance the nodes, patch the view),
+//! the controller's plan, *lifecycle*, *learn*, *place* — and one *fold* of
+//! all node reports into the [`FleetReport`] when the last barrier is
+//! through.
+//!
 //! The barrier is also the fleet's model-exchange point: with a
 //! [`LearningPlane`] configured ([`FleetConfig::learning`]), nodes piggyback
 //! changed [`LearnedState`] snapshots of their learners on the `EpochDone`
@@ -66,10 +74,10 @@
 //!   depend on scheduling;
 //! * every node advances through the same epoch grid
 //!   (`epoch, 2·epoch, …, horizon`) regardless of which worker claims it —
-//!   a node is a pure function of its seed and the grid, so work stealing
-//!   can rebalance freely without affecting any result; and
+//!   a node is a pure function of its seed and the grid, so claims can
+//!   rebalance freely without affecting any result; and
 //! * aggregation and every barrier fold are keyed by node index, never by
-//!   completion or steal order.
+//!   completion or claim order.
 //!
 //! The resulting [`FleetReport`] is byte-identical for 1, 2, or 64 worker
 //! threads, including under forced load imbalance and seeded fault plans
@@ -131,22 +139,23 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
-
-use crossbeam::channel::{self, Receiver, Sender};
-use crossbeam::deque::{Steal, Stealer, Worker as TaskQueue};
 
 use sol_ml::exchange::LearnedState;
 
 use crate::error::{ReportError, RuntimeError};
 use crate::runtime::builder::ScenarioRecipe;
 use crate::runtime::learning::{LearningExchange, LearningPlane, LearningStats, NodeLearnedExport};
-use crate::runtime::lifecycle::{FaultPlan, LifecycleEvent, NodeRecord, NodeRegistry, NodeState};
+use crate::runtime::lifecycle::{
+    FaultPlan, LifecycleError, LifecycleEvent, NodeRecord, NodeRegistry, NodeState,
+};
 use crate::runtime::node::{AgentId, NodeRuntime};
 use crate::runtime::placement::{
     AgentTelemetry, FleetCommand, FleetController, FleetView, NodeDelta, NodeInit, NodePlacement,
-    NodeView, NullController, PlacementPlan, WorkloadId, WorkloadUnit,
+    NodeView, NullController, WorkloadId, WorkloadUnit,
 };
 use crate::runtime::trust::{NodeTrustRecord, TrustAction, TrustPlane, TrustPolicy, TrustStats};
 use crate::runtime::Environment;
@@ -526,49 +535,70 @@ impl FleetReport {
 /// lives inside the slot (in its seed), so a task is just the `Arc`.
 type NodeTask<E> = Arc<NodeSlot<E>>;
 
-/// What a worker sends back to the coordinator.
-enum WorkerMsg {
-    /// Every task of the current epoch this worker executed (claimed from
-    /// its own deque or stolen) reached the boundary; carries the deltas of
-    /// the nodes whose observable state changed, plus — on exchange rounds —
-    /// the learned states that changed since the nodes' last exports.
-    EpochDone {
-        /// Observation deltas of the changed nodes.
-        deltas: Vec<NodeDelta>,
-        /// Learning-plane exports (empty unless the epoch's `learn` flag was
-        /// set and some node had changed learned state).
-        exports: Vec<NodeLearnedExport>,
-    },
-    /// Final per-node outcomes (sent once, in response to `Finish`).
-    Finished(Vec<FleetNodeReport>),
+/// One barrier's tasks, shared by every worker: each claims contiguous chunks
+/// through the one atomic cursor until none is left, so a worker that runs
+/// out of work takes over what a slower sibling has not reached yet and one
+/// slow node never idles the barrier.
+struct TaskList<T> {
+    tasks: Vec<T>,
+    /// Index of the first unclaimed task (past the end once all are claimed).
+    next: AtomicUsize,
+    /// Tasks handed out per claim.
+    chunk: usize,
 }
 
-/// What the coordinator sends to a worker: one message per epoch (the entire
+impl<T> TaskList<T> {
+    /// A list `claimants` workers will share. A chunk is an eighth of one
+    /// worker's even share: large enough that light nodes (~100 ns of work
+    /// an epoch) do not pay one contended atomic each, small enough that the
+    /// tail of the list rebalances whatever imbalance its head hid.
+    fn new(tasks: Vec<T>, claimants: usize) -> Self {
+        let chunk = (tasks.len() / (8 * claimants)).max(1);
+        TaskList { tasks, next: AtomicUsize::new(0), chunk }
+    }
+
+    /// Claims the next chunk, or `None` once every task is claimed. Every
+    /// task is handed out exactly once: `fetch_add` gives each caller a
+    /// distinct start.
+    fn claim(&self) -> Option<&[T]> {
+        // Relaxed: the cursor publishes nothing but itself. The list reaches
+        // the workers through the command channel and their results return
+        // through the reply channel, which order everything else.
+        let start = self.next.fetch_add(self.chunk, Ordering::Relaxed);
+        let end = (start + self.chunk).min(self.tasks.len());
+        (start < end).then(|| &self.tasks[start..end])
+    }
+}
+
+/// What one barrier asks of the workers.
+#[derive(Clone, Copy)]
+enum Work {
+    /// Run every claimed node to `boundary`. `collect` asks for full barrier
+    /// observations (agent stats + telemetry deltas) — without it only each
+    /// node's first observation is shipped; `learn` marks a learning-plane
+    /// exchange round (nodes piggyback changed learned state).
+    Epoch { boundary: Timestamp, collect: bool, learn: bool },
+    /// Summarize every claimed node and ship the reports home.
+    Finish,
+}
+
+/// What the coordinator sends to every worker, once per barrier (the entire
 /// lifecycle/placement phase runs coordinator-side against the shared
-/// arena), and one final summarize request.
-enum CoordMsg<E: Environment + 'static> {
-    /// Advance the epoch: push `tasks` onto the worker's own deque, then
-    /// claim tasks (own deque first, stealing when dry) until no work is
-    /// left anywhere, running each claimed node to `boundary`. `collect`
-    /// asks for full barrier observations (agent stats + telemetry deltas);
-    /// without it only each node's first observation is shipped.
-    Epoch {
-        /// The virtual time every node must reach.
-        boundary: Timestamp,
-        /// Whether the controller reads agent stats and telemetry.
-        collect: bool,
-        /// Whether this barrier is a learning-plane exchange round (nodes
-        /// piggyback changed learned state on their `EpochDone`).
-        learn: bool,
-        /// This worker's share of the epoch's tasks.
-        tasks: Vec<NodeTask<E>>,
-    },
-    /// Summarize the surviving nodes (same claiming discipline) and ship
-    /// their reports home. Terminates the worker.
-    Finish {
-        /// This worker's share of the summarize tasks.
-        tasks: Vec<NodeTask<E>>,
-    },
+/// arena) and once more to summarize: the work and the barrier's task list.
+struct CoordMsg<E: Environment + 'static> {
+    work: Work,
+    tasks: Arc<TaskList<NodeTask<E>>>,
+}
+
+/// What a worker sends back once the task list ran dry.
+enum WorkerMsg {
+    /// Every node this worker claimed reached the boundary; carries the
+    /// deltas of the nodes whose observable state changed, plus — on
+    /// exchange rounds — the learned states that changed since the nodes'
+    /// last exports.
+    EpochDone { deltas: Vec<NodeDelta>, exports: Vec<NodeLearnedExport> },
+    /// Final outcomes of the nodes this worker claimed (answers `Finish`).
+    Finished(Vec<FleetNodeReport>),
 }
 
 /// Drives *N* recipe-stamped [`NodeRuntime`]s under one virtual clock. See
@@ -664,7 +694,7 @@ impl<E: Environment + 'static> FleetRuntime<E> {
     /// Because [`NullController`] declines the per-node view
     /// ([`FleetController::wants_view`]), barriers skip agent-stat and
     /// telemetry extraction entirely: the per-epoch fixed cost is one task
-    /// hand-off per live node.
+    /// list entry per live node.
     ///
     /// # Errors
     ///
@@ -680,15 +710,16 @@ impl<E: Environment + 'static> FleetRuntime<E> {
     /// [`FleetController`]: stamps every node out of the recipe into a
     /// shared slot arena and advances all of them epoch by epoch (no node
     /// enters epoch `k+1` before every node finished epoch `k`). Epoch work
-    /// is distributed by work stealing — each worker thread owns a task
-    /// deque and steals from its siblings once its own runs dry — so barrier
-    /// wall time tracks the total work of the epoch, not the slowest static
-    /// shard. Which thread advances a node never affects results: a node's
+    /// is one shared task list per barrier that the worker threads claim in
+    /// chunks until it runs dry, so barrier wall time tracks the total work
+    /// of the epoch, not the slowest static shard. Which thread advances a
+    /// node never affects results: a node's
     /// trajectory is a pure function of its seed and the shared epoch grid,
     /// and all barrier folds are keyed by node index.
     ///
     /// At every epoch boundary the controller receives a [`FleetView`] of
-    /// per-node telemetry and placement and returns a [`PlacementPlan`]; the
+    /// per-node telemetry and placement and returns a
+    /// [`PlacementPlan`](crate::runtime::placement::PlacementPlan); the
     /// plan is applied before the barrier is released — departures and
     /// migration-detaches first, then admissions, then migration-attaches,
     /// each phase stable-sorted by target node index — so freed capacity is
@@ -734,629 +765,7 @@ impl<E: Environment + 'static> FleetRuntime<E> {
     where
         E: Send,
     {
-        self.check_horizon(horizon)?;
-        let boundaries = epoch_boundaries(horizon, self.config.epoch);
-        let threads = self.config.threads.min(self.config.nodes);
-        // Sampled once per run: whether barriers must extract agent stats
-        // and telemetry at all.
-        let collect = controller.wants_view();
-        // The learning plane's coordinator half: the per-node learned-state
-        // mirror, the latest per-role aggregates, and the run's counters.
-        let mut exchange =
-            self.config.learning.map(|plane| LearningExchange::new(plane, self.config.nodes));
-        // The trust plane's engine (config validation guarantees it never
-        // exists without the exchange it scores), plus the quarantine
-        // hand-off: drains issued by round `k`'s scoring are applied in
-        // barrier `k+1`'s lifecycle phase, because scoring runs after the
-        // current barrier's lifecycle phase already completed.
-        let mut trust = self.config.trust.map(|policy| TrustPlane::new(policy, self.config.nodes));
-        let mut trust_drains: Vec<usize> = Vec::new();
-
-        // The slot arena: one persistent, mutex-guarded slot per node index,
-        // shared between the coordinator and whichever worker claims the
-        // node each epoch. Slots are stamped lazily (`Vacant`) and die in
-        // place (`Retired`), so a node's state never moves between
-        // allocations for the lifetime of the run, and the coordinator can
-        // apply lifecycle and placement phases directly — no per-phase
-        // message round trips.
-        let mut arena: Vec<Arc<NodeSlot<E>>> = (0..self.config.nodes)
-            .map(|index| NodeSlot::vacant(self.node_seed(index), Timestamp::ZERO))
-            .collect();
-
-        // Work-stealing pool: each worker owns a FIFO deque and steals from
-        // every sibling once its own runs dry, so one slow node no longer
-        // idles the whole barrier.
-        let queues: Vec<TaskQueue<NodeTask<E>>> =
-            (0..threads).map(|_| TaskQueue::new_fifo()).collect();
-        let stealers: Vec<Stealer<NodeTask<E>>> = queues.iter().map(|q| q.stealer()).collect();
-        let mut links = Vec::with_capacity(threads);
-        let mut handles = Vec::with_capacity(threads);
-        for (w, queue) in queues.into_iter().enumerate() {
-            let (cmd_tx, cmd_rx) = channel::unbounded::<CoordMsg<E>>();
-            let (done_tx, done_rx) = channel::unbounded::<WorkerMsg>();
-            links.push((cmd_tx, done_rx));
-            let recipe = Arc::clone(&self.recipe);
-            let siblings: Vec<Stealer<NodeTask<E>>> = stealers
-                .iter()
-                .enumerate()
-                .filter(|&(s, _)| s != w)
-                .map(|(_, stealer)| stealer.clone())
-                .collect();
-            let handle = thread::Builder::new()
-                .name("sol-fleet-worker".into())
-                .spawn(move || worker(recipe, queue, siblings, cmd_rx, done_tx))
-                .expect("spawn fleet worker");
-            handles.push(handle);
-        }
-
-        // The coordinator-held base view, patched in place from worker
-        // deltas at every barrier; the crash-displaced pool lives inside it.
-        // Initial entries are placeholders — every node ships a full first
-        // observation at its first barrier, before any controller looks.
-        let mut base = FleetView {
-            now: Timestamp::ZERO,
-            epoch: 0,
-            nodes: (0..self.config.nodes)
-                .map(|index| NodeView {
-                    node: index,
-                    agents: Vec::new(),
-                    telemetry: Vec::new(),
-                    placement: NodePlacement::none(),
-                    state: NodeState::Active,
-                })
-                .collect(),
-            displaced: Vec::new(),
-        };
-
-        let mut node_reports: Vec<Option<FleetNodeReport>> = Vec::new();
-        // Reports of nodes retired mid-run, folded in with the survivors'.
-        let mut early_reports: Vec<FleetNodeReport> = Vec::new();
-        let mut registry = NodeRegistry::new(self.config.nodes);
-        let mut placement = PlacementStats::default();
-        let mut occupancy_sums = vec![0.0f64; self.config.nodes];
-        let mut packing_sum = 0.0f64;
-        let mut error: Option<RuntimeError> = None;
-        let died = || RuntimeError::WorkerPanicked("fleet worker");
-
-        // Epoch barrier: fan the live nodes out as tasks, collect one
-        // EpochDone (with per-node deltas) per worker, invoke the controller
-        // on the patched base view, and apply its plan — lifecycle events
-        // first, then the placement phases — directly on the arena. A worker
-        // death (recv error) aborts the protocol; dropping our command
-        // senders unblocks the remaining workers.
-        'protocol: {
-            for (k, &boundary) in boundaries.iter().enumerate() {
-                let epoch = k as u64;
-                let learn = exchange.as_ref().is_some_and(|e| e.plane().is_learn_epoch(epoch));
-                // Round-robin over live nodes as the initial assignment;
-                // stealing rebalances whatever this gets wrong.
-                let mut tasks: Vec<Vec<NodeTask<E>>> = (0..threads).map(|_| Vec::new()).collect();
-                for (position, index) in (0..registry.len())
-                    .filter(|&index| registry.records()[index].state.is_live())
-                    .enumerate()
-                {
-                    tasks[position % threads].push(Arc::clone(&arena[index]));
-                }
-                for ((cmd_tx, _), batch) in links.iter().zip(tasks) {
-                    let msg = CoordMsg::Epoch { boundary, collect, learn, tasks: batch };
-                    if cmd_tx.send(msg).is_err() {
-                        error = Some(died());
-                        break 'protocol;
-                    }
-                }
-                let mut barrier_failed = false;
-                let mut barrier_exports: Vec<NodeLearnedExport> = Vec::new();
-                for (_, done_rx) in &links {
-                    match done_rx.recv() {
-                        Ok(WorkerMsg::EpochDone { deltas, exports }) => {
-                            for delta in deltas {
-                                delta.apply(&mut base.nodes[delta.node]);
-                            }
-                            barrier_exports.extend(exports);
-                        }
-                        _ => {
-                            barrier_failed = true;
-                        }
-                    }
-                }
-                if barrier_failed {
-                    error = Some(died());
-                    break 'protocol;
-                }
-                if learn {
-                    if let Some(exchange) = exchange.as_mut() {
-                        // Patch the learned-state mirror before lifecycle
-                        // events retire anyone: the exports describe the
-                        // boundary every node just reached.
-                        exchange.absorb(barrier_exports);
-                    }
-                }
-
-                // Registry bookkeeping from the fresh observations, before
-                // the controller sees the view: nodes that joined at an
-                // earlier boundary have run a full epoch and become Active;
-                // draining nodes observed empty retire as Drained this
-                // boundary.
-                let mut drain_retires: Vec<usize> = Vec::new();
-                for index in 0..registry.len() {
-                    let record = registry.records()[index];
-                    match record.state {
-                        NodeState::Joining if record.joined_epoch < epoch => {
-                            registry
-                                .transition(index, NodeState::Active, epoch)
-                                .expect("joining -> active is legal");
-                        }
-                        NodeState::Draining if base.nodes[index].placement.resident.is_empty() => {
-                            registry
-                                .transition(index, NodeState::Drained, epoch)
-                                .expect("draining -> drained is legal");
-                            drain_retires.push(index);
-                        }
-                        _ => {}
-                    }
-                }
-
-                // Stamp the barrier position and every node's registry state
-                // onto the base view (retired nodes were tombstoned when
-                // they retired).
-                base.now = boundary;
-                base.epoch = epoch;
-                for (index, view) in base.nodes.iter_mut().enumerate() {
-                    view.state = registry.records()[index].state;
-                }
-
-                // Occupancy bookkeeping from the (pre-plan) base view.
-                let mut used_total = 0.0;
-                let mut capacity_total = 0.0;
-                for node in &base.nodes {
-                    occupancy_sums[node.node] += node.placement.occupancy();
-                    used_total += node.placement.used();
-                    capacity_total += node.placement.capacity;
-                }
-                if capacity_total > 0.0 {
-                    packing_sum += used_total / capacity_total;
-                }
-
-                let plan = controller.plan(&base);
-                placement.commands += plan.len() as u64;
-                let (commands, lifecycle_events) = plan.into_parts();
-
-                // Lifecycle phase, applied directly on the arena: the plan's
-                // events update the registry in issue order — an illegal
-                // transition is a loud error, never a silent repair — then
-                // completed drains and fresh crashes retire together, in
-                // node order, so the displaced pool's layout is independent
-                // of issue order.
-                let mut retiring: Vec<usize> = drain_retires;
-                let mut crash_retires: Vec<usize> = Vec::new();
-                let mut joined: Vec<usize> = Vec::new();
-                for event in lifecycle_events {
-                    let outcome = match event {
-                        LifecycleEvent::Crash { node } => {
-                            registry.transition(node, NodeState::Crashed, epoch).map(|()| {
-                                crash_retires.push(node);
-                                retiring.push(node);
-                            })
-                        }
-                        LifecycleEvent::Drain { node } => {
-                            registry.transition(node, NodeState::Draining, epoch)
-                        }
-                        LifecycleEvent::Join => {
-                            let index = registry.join(epoch);
-                            arena.push(NodeSlot::vacant(
-                                NodeSeed::derive(self.config.seed, index as u64),
-                                boundary,
-                            ));
-                            base.nodes.push(NodeView {
-                                node: index,
-                                agents: Vec::new(),
-                                telemetry: Vec::new(),
-                                placement: NodePlacement::none(),
-                                state: NodeState::Joining,
-                            });
-                            joined.push(index);
-                            Ok(())
-                        }
-                    };
-                    if let Err(e) = outcome {
-                        error = Some(RuntimeError::InvalidConfig(e.to_string()));
-                        break 'protocol;
-                    }
-                }
-                // Trust-plane quarantines flow through the same lifecycle
-                // machinery as controller drains, one barrier after the
-                // round that issued them (scoring runs after this phase).
-                // The indices were collected in ascending node order. A node
-                // the controller crashed or drained in the meantime is
-                // skipped: the quarantine's intent — get the node out of the
-                // fleet — is already satisfied, and its exports stay
-                // excluded either way.
-                for node in trust_drains.drain(..) {
-                    if registry.records()[node].state == NodeState::Active {
-                        registry
-                            .transition(node, NodeState::Draining, epoch)
-                            .expect("active -> draining is legal");
-                    }
-                }
-                occupancy_sums.resize(registry.len(), 0.0);
-                if let Some(exchange) = exchange.as_mut() {
-                    exchange.grow(registry.len());
-                }
-                if let Some(trust) = trust.as_mut() {
-                    trust.grow(registry.len());
-                }
-
-                retiring.sort_unstable();
-                for &node in &retiring {
-                    let (report, residents) = arena[node].retire(&self.recipe);
-                    early_reports.push(report);
-                    if let Some(exchange) = exchange.as_mut() {
-                        // Retired nodes stop contributing to aggregates from
-                        // this barrier on: a crashed node's final export was
-                        // absorbed above, and dropping its row here removes
-                        // it before this barrier's exchange round folds.
-                        exchange.forget(node);
-                    }
-                    // Tombstone the base entry; its state stamp comes off
-                    // the registry at the next barrier, like every node's.
-                    let view = &mut base.nodes[node];
-                    view.agents = Vec::new();
-                    view.telemetry = Vec::new();
-                    view.placement = NodePlacement::none();
-                    if crash_retires.contains(&node) {
-                        // Crashed: residents are displaced and must be
-                        // re-placed by the controller.
-                        placement.displaced += residents.len() as u64;
-                        base.displaced.extend(residents);
-                    } else if !residents.is_empty() {
-                        // A node only retires as Drained after a barrier
-                        // observation showed it empty, and nothing may
-                        // attach in between; resident units here mean the
-                        // protocol is broken.
-                        error = Some(RuntimeError::InvalidConfig(format!(
-                            "drained node {node} still hosts {} workload unit(s)",
-                            residents.len()
-                        )));
-                        break 'protocol;
-                    }
-                }
-
-                // Learning phase, between lifecycle and placement: on
-                // exchange rounds, fold the live nodes' mirrored states into
-                // per-role aggregates and import the blended aggregate back
-                // into every live node. Everything runs coordinator-side,
-                // keyed by node index in ascending order, so the learning
-                // plane inherits the thread-count determinism of the rest of
-                // the barrier. Nodes that joined at this barrier warm-start
-                // from the latest aggregates (whether or not this barrier
-                // was an exchange round) instead of learning from scratch.
-                if let Some(exchange) = exchange.as_mut() {
-                    if learn {
-                        let live: Vec<usize> = (0..registry.len())
-                            .filter(|&index| registry.records()[index].state.is_live())
-                            .collect();
-                        // Trust gate: suspects' and quarantined nodes'
-                        // exports are withheld from the fold. Verdicts are
-                        // the ones standing at the start of the round, so
-                        // exclusion is a pure function of earlier rounds.
-                        let participants: Vec<usize> = match trust.as_mut() {
-                            Some(trust) => trust.participants(&live),
-                            None => live.clone(),
-                        };
-                        exchange.round(&participants);
-                        // Score the round: every live node's mirrored export
-                        // (withheld ones included — measured against the
-                        // consensus they no longer vote on) against the
-                        // fresh aggregates, in node-index order. Quarantine
-                        // verdicts queue a Drain for the next barrier's
-                        // lifecycle phase.
-                        if let Some(trust) = trust.as_mut() {
-                            for action in trust.evaluate(epoch, &live, exchange) {
-                                if let TrustAction::Quarantine { node, .. } = action {
-                                    trust_drains.push(node);
-                                }
-                            }
-                        }
-                        let blend = exchange.plane().blend;
-                        let aggregates: Vec<Option<LearnedState>> = exchange.aggregates().to_vec();
-                        for &node in &live {
-                            for (slot, aggregate) in aggregates.iter().enumerate() {
-                                let Some(aggregate) = aggregate else { continue };
-                                // A node whose state was rejected from the
-                                // round (or that never exported this slot)
-                                // keeps its local state untouched.
-                                let Some(local) = exchange.local(node, slot) else { continue };
-                                if local.compatible_with(aggregate).is_err() {
-                                    continue;
-                                }
-                                let Ok(blended) = blend.blend(local, aggregate) else {
-                                    exchange.record_rejected();
-                                    continue;
-                                };
-                                if blended == *local {
-                                    // Nothing to ship — the common case for
-                                    // `Replace` on a converged (or one-node)
-                                    // fleet, and what keeps a learning fleet
-                                    // of one byte-identical to `run_node`.
-                                    continue;
-                                }
-                                let imported = arena[node]
-                                    .with_live(|shard| shard.import_learned(slot, &blended))
-                                    .unwrap_or(false);
-                                if imported {
-                                    exchange.record_import(node, slot, blended);
-                                } else {
-                                    exchange.record_rejected();
-                                }
-                            }
-                        }
-                    }
-                    for &node in &joined {
-                        let aggregates: Vec<Option<LearnedState>> = exchange.aggregates().to_vec();
-                        let mut warmed = false;
-                        for (slot, aggregate) in aggregates.iter().enumerate() {
-                            let Some(aggregate) = aggregate else { continue };
-                            // Stamping here is byte-identical to the lazy
-                            // stamp a worker would perform at the node's
-                            // first epoch — it is a pure function of the
-                            // recipe and the slot's seed.
-                            let imported = arena[node]
-                                .with_stamped(&self.recipe, |shard| {
-                                    shard.import_learned(slot, aggregate)
-                                })
-                                .unwrap_or(false);
-                            if imported {
-                                exchange.record_import(node, slot, aggregate.clone());
-                                warmed = true;
-                            }
-                        }
-                        if warmed {
-                            exchange.record_warm_start();
-                        }
-                    }
-                }
-
-                // Partition the placement commands into the detach and attach
-                // phases, each stable-sorted by target node.
-                // `detach_targets[tag]` remembers where a successfully
-                // detached unit migrates to. Commands are validated against
-                // the registry: an out-of-range index is a loud error, while
-                // a command against a node in the wrong lifecycle state
-                // (admissions and migration targets need `Active`; sources
-                // need a live node) counts as a failed placement — this is
-                // how draining and joining nodes reject admissions, and how
-                // commands racing a same-plan crash fail instead of
-                // resurrecting a dead node.
-                let mut detaches: Vec<(usize, WorkloadId)> = Vec::new();
-                let mut detach_targets: Vec<Option<usize>> = Vec::new();
-                let mut admissions: Vec<(usize, WorkloadUnit)> = Vec::new();
-                let fleet_size = registry.len();
-                for command in commands {
-                    let check = |node: usize| -> Result<usize, RuntimeError> {
-                        if node < fleet_size {
-                            Ok(node)
-                        } else {
-                            Err(RuntimeError::InvalidConfig(format!(
-                                "controller addressed node {node} of a {fleet_size}-node fleet"
-                            )))
-                        }
-                    };
-                    let state = |node: usize| registry.records()[node].state;
-                    let outcome = (|| match command {
-                        FleetCommand::Admit { node, unit } => {
-                            let node = check(node)?;
-                            if state(node).is_active() {
-                                admissions.push((node, unit));
-                            } else {
-                                placement.failed_placements += 1;
-                            }
-                            Ok(())
-                        }
-                        FleetCommand::Depart { node, workload } => {
-                            let node = check(node)?;
-                            if state(node).is_live() {
-                                detaches.push((node, workload));
-                                detach_targets.push(None);
-                            } else {
-                                placement.failed_placements += 1;
-                            }
-                            Ok(())
-                        }
-                        FleetCommand::Migrate { from, to, workload } => {
-                            let to = check(to)?;
-                            let from = check(from)?;
-                            if state(from).is_live() && state(to).is_active() {
-                                detaches.push((from, workload));
-                                detach_targets.push(Some(to));
-                            } else {
-                                placement.failed_placements += 1;
-                            }
-                            Ok(())
-                        }
-                    })();
-                    if let Err(e) = outcome {
-                        error = Some(e);
-                        break 'protocol;
-                    }
-                }
-
-                // Detach phase (departures + migration sources), applied on
-                // the arena in (node, tag) order — the same order the
-                // sharded protocol produced. `touched` collects every node
-                // whose placement the phases may have changed, for the
-                // mirror refresh below.
-                let mut touched: Vec<usize> = Vec::new();
-                let detach_sources: Vec<usize> = detaches.iter().map(|&(node, _)| node).collect();
-                let mut tagged: Vec<(usize, usize, WorkloadId)> = detaches
-                    .into_iter()
-                    .enumerate()
-                    .map(|(tag, (node, workload))| (tag, node, workload))
-                    .collect();
-                tagged.sort_by_key(|&(tag, node, _)| (node, tag));
-                let mut recovered: Vec<Option<WorkloadUnit>> = vec![None; detach_targets.len()];
-                for &(tag, node, workload) in &tagged {
-                    touched.push(node);
-                    recovered[tag] = arena[node]
-                        .with_live(|shard| shard.runtime.detach_workload(workload).ok())
-                        .flatten();
-                }
-                for (tag, target) in detach_targets.iter().enumerate() {
-                    match (&recovered[tag], target) {
-                        (None, _) => placement.failed_placements += 1,
-                        (Some(_), None) => placement.departed += 1,
-                        (Some(_), Some(_)) => {} // counted when the attach lands
-                    }
-                }
-
-                // Attach phase: admissions (plan order), then migration
-                // re-attaches (plan order), applied stable-sorted by target
-                // node. `attach_table[tag]` keeps the migration source so a
-                // failed attach can be rolled back.
-                let mut attach_table: Vec<(usize, WorkloadUnit, Option<usize>)> = Vec::new();
-                for (node, unit) in admissions {
-                    attach_table.push((node, unit, None));
-                }
-                for (tag, target) in detach_targets.iter().enumerate() {
-                    if let (Some(to), Some(unit)) = (target, recovered[tag]) {
-                        attach_table.push((*to, unit, Some(detach_sources[tag])));
-                    }
-                }
-                let mut order: Vec<usize> = (0..attach_table.len()).collect();
-                order.sort_by_key(|&tag| (attach_table[tag].0, tag));
-                let mut failed_tags: Vec<usize> = Vec::new();
-                for &tag in &order {
-                    let (node, unit, source) = attach_table[tag];
-                    touched.push(node);
-                    let attached = arena[node]
-                        .with_live(|shard| shard.runtime.attach_workload(unit).is_ok())
-                        .unwrap_or(false);
-                    match (attached, source.is_some()) {
-                        (true, false) => placement.admitted += 1,
-                        (true, true) => placement.migrated += 1,
-                        (false, _) => failed_tags.push(tag),
-                    }
-                }
-
-                // Rollback phase: a migration whose attach half failed must
-                // not destroy the unit — it goes back to its source node
-                // (which just freed the capacity). The failed migration
-                // still counts as a failed placement; failed admissions
-                // only count (the unit never entered the fleet).
-                failed_tags.sort_unstable();
-                let mut restores: Vec<(usize, WorkloadUnit)> = Vec::new();
-                for &tag in &failed_tags {
-                    placement.failed_placements += 1;
-                    let (_, unit, source) = attach_table[tag];
-                    if let Some(source) = source {
-                        restores.push((source, unit));
-                    }
-                }
-
-                // Displaced units whose re-admission landed leave the pool.
-                for (tag, (_, unit, source)) in attach_table.iter().enumerate() {
-                    if source.is_none() && failed_tags.binary_search(&tag).is_err() {
-                        if let Some(pos) = base.displaced.iter().position(|u| u.id == unit.id) {
-                            base.displaced.remove(pos);
-                            placement.replaced += 1;
-                        }
-                    }
-                }
-                for &(node, unit) in &restores {
-                    touched.push(node);
-                    let restored = arena[node]
-                        .with_live(|shard| shard.runtime.attach_workload(unit).is_ok())
-                        .unwrap_or(false);
-                    if !restored {
-                        // A unit that could not even return home is
-                        // genuinely lost; make that loud in the stats.
-                        placement.failed_placements += 1;
-                    }
-                }
-
-                // Placement changes only through the hooks above, so the
-                // mirror refresh re-reads truth for the touched nodes alone;
-                // every other node's mirrored placement is already exact.
-                touched.sort_unstable();
-                touched.dedup();
-                for &node in &touched {
-                    if let Some(now) = arena[node].with_live(|shard| shard.runtime.placement()) {
-                        base.nodes[node].placement = now;
-                    }
-                }
-            }
-
-            // Finish: surviving nodes summarize through the same stealing
-            // pool (summaries are independent; reports re-sort by index).
-            let mut tasks: Vec<Vec<NodeTask<E>>> = (0..threads).map(|_| Vec::new()).collect();
-            for (position, index) in (0..registry.len())
-                .filter(|&index| registry.records()[index].state.is_live())
-                .enumerate()
-            {
-                tasks[position % threads].push(Arc::clone(&arena[index]));
-            }
-            for ((cmd_tx, _), batch) in links.iter().zip(tasks) {
-                if cmd_tx.send(CoordMsg::Finish { tasks: batch }).is_err() {
-                    error = Some(died());
-                    break 'protocol;
-                }
-            }
-            node_reports.resize_with(registry.len(), || None);
-            for (_, done_rx) in &links {
-                match done_rx.recv() {
-                    Ok(WorkerMsg::Finished(reports)) => {
-                        for report in reports {
-                            let index = report.node;
-                            node_reports[index] = Some(report);
-                        }
-                    }
-                    _ => {
-                        error = Some(died());
-                        break 'protocol;
-                    }
-                }
-            }
-            for report in early_reports.drain(..) {
-                let index = report.node;
-                node_reports[index] = Some(report);
-            }
-        }
-
-        drop(links);
-        let mut worker_died = false;
-        for handle in handles {
-            if handle.join().is_err() {
-                worker_died = true;
-            }
-        }
-        if worker_died {
-            // A panic inside a worker is the root cause; report it even if
-            // the protocol error surfaced first.
-            return Err(RuntimeError::WorkerPanicked("fleet worker"));
-        }
-        if let Some(e) = error {
-            return Err(e);
-        }
-
-        let epochs = boundaries.len() as f64;
-        placement.occupancy =
-            Percentiles::of(&occupancy_sums.iter().map(|s| s / epochs).collect::<Vec<f64>>());
-        placement.packing_efficiency = packing_sum / epochs;
-        // Displaced units nobody re-placed did not survive the run; that must
-        // be loud in the stats, not silently forgotten with the pool.
-        placement.failed_placements += base.displaced.len() as u64;
-
-        let mut nodes: Vec<FleetNodeReport> =
-            node_reports.into_iter().map(|r| r.expect("every node reported")).collect();
-        for node in &mut nodes {
-            node.lifecycle = registry.records()[node.node];
-            if let Some(trust) = &trust {
-                node.trust = trust.record(node.node);
-            }
-        }
-        let ended_at = *boundaries.last().expect("non-empty epoch grid");
-        let learning = exchange.map(|e| e.stats()).unwrap_or_default();
-        let trust = trust.map(|t| t.stats()).unwrap_or_default();
-        aggregate(nodes, boundaries.len() as u64, placement, learning, trust, ended_at)
+        self.run_with_faults(controller, FaultPlan::empty(), horizon)
     }
 
     /// Runs the fleet under a [`FleetController`] while a seeded
@@ -1364,27 +773,64 @@ impl<E: Environment + 'static> FleetRuntime<E> {
     /// epoch boundaries, without the controller's cooperation: at every
     /// boundary the plan's due events are appended after the controller's
     /// own lifecycle events. An empty fault plan makes this byte-identical
-    /// to [`run_with`](Self::run_with).
+    /// to [`run_with`](Self::run_with), which is this with
+    /// [`FaultPlan::empty`].
     ///
     /// # Errors
     ///
-    /// See [`run_with`](Self::run_with). A fault plan event that lands on a
-    /// node in an incompatible state (e.g. crashing a node the controller
-    /// already drained to completion) is an
-    /// [`RuntimeError::InvalidConfig`] — generate plans with
-    /// [`FaultPlan::generate`], which samples crash/drain targets without
-    /// replacement, to avoid this.
+    /// See [`run_with`](Self::run_with). A fault plan cannot know which
+    /// nodes the controller or the trust plane will have removed by the time
+    /// an event comes due, so a plan event the [`NodeRegistry`] rejects as an
+    /// illegal transition (crashing or draining a node that already left) is
+    /// skipped — a machine that has left cannot crash — exactly as the
+    /// coordinator skips its own quarantine drain for such a node. A plan
+    /// event addressing a node index outside the fleet is still an
+    /// [`RuntimeError::InvalidConfig`], as is every illegal transition the
+    /// *controller* issues.
     pub fn run_with_faults(
         &self,
         controller: &mut dyn FleetController,
-        faults: FaultPlan,
+        mut faults: FaultPlan,
         horizon: SimDuration,
     ) -> Result<FleetReport, RuntimeError>
     where
         E: Send,
     {
-        let mut injector = FaultInjector { inner: controller, faults };
-        self.run_with(&mut injector, horizon)
+        self.check_horizon(horizon)?;
+        let boundaries = epoch_boundaries(horizon, self.config.epoch);
+        let (mut coordinator, workers) = Coordinator::start(self, controller.wants_view());
+
+        // The barrier protocol, one phase after another: advance every live
+        // node to the boundary and fold what they ship into the base view,
+        // let the controller plan on it, then apply the plan — lifecycle
+        // events first, the learning round between, placement last — on the
+        // arena. The closure owns the coordinator, so on every way out — the
+        // final fold or an early `?` — its command senders drop, which is
+        // what releases the workers for the join below.
+        let report = (move || {
+            for (epoch, &boundary) in (0u64..).zip(&boundaries) {
+                let drained = coordinator.collect(epoch, boundary)?;
+                let plan = controller.plan(&coordinator.base);
+                coordinator.placement.commands += plan.len() as u64;
+                let (commands, events) = plan.into_parts();
+                let joined =
+                    coordinator.lifecycle(epoch, boundary, drained, events, &mut faults)?;
+                coordinator.learn(epoch, &joined);
+                coordinator.place(commands)?;
+            }
+            coordinator.fold(&boundaries)
+        })();
+
+        let mut worker_died = false;
+        for worker in workers {
+            worker_died |= worker.join().is_err();
+        }
+        if worker_died {
+            // A panic inside a worker is the root cause; report it even if
+            // the protocol error surfaced first.
+            return Err(died());
+        }
+        report
     }
 
     /// Runs a single node of the fleet inline on the calling thread, with the
@@ -1430,28 +876,549 @@ impl<E: Environment + 'static> FleetRuntime<E> {
     }
 }
 
-/// Appends a [`FaultPlan`]'s due events to the wrapped controller's plan at
-/// every boundary — the adapter behind
-/// [`FleetRuntime::run_with_faults`].
-struct FaultInjector<'c> {
-    inner: &'c mut dyn FleetController,
-    faults: FaultPlan,
+fn died() -> RuntimeError {
+    RuntimeError::WorkerPanicked("fleet worker")
 }
 
-impl FleetController for FaultInjector<'_> {
-    fn plan(&mut self, view: &FleetView) -> PlacementPlan {
-        let mut plan = self.inner.plan(view);
-        for event in self.faults.due(view.now) {
-            plan.lifecycle(event);
+/// The base-view entry of a node nothing is known about yet — before its
+/// first observation ships — or any more, once it retired.
+fn placeholder_view(node: usize, state: NodeState) -> NodeView {
+    NodeView {
+        node,
+        agents: Vec::new(),
+        telemetry: Vec::new(),
+        placement: NodePlacement::none(),
+        state,
+    }
+}
+
+/// The coordinator's learning state. The trust engine scores the exchange's
+/// rounds, so it never exists without one (config validation guarantees it).
+struct LearningPhase {
+    /// The per-node learned-state mirror, the latest per-role aggregates,
+    /// and the run's counters.
+    exchange: LearningExchange,
+    trust: Option<TrustPlane>,
+    /// The quarantine hand-off, in ascending node order: drains issued by
+    /// round `k`'s scoring are applied in barrier `k+1`'s lifecycle phase,
+    /// because scoring runs after the current barrier's lifecycle phase
+    /// already completed.
+    quarantine_drains: Vec<usize>,
+}
+
+/// `(source node, unit, migration target)`; a departure has no target.
+type Detach = (usize, WorkloadId, Option<usize>);
+/// `(target node, unit, migration source)`; an admission has no source.
+type Attach = (usize, WorkloadUnit, Option<usize>);
+
+/// Everything the coordinator thread holds across the barriers of one run.
+/// [`FleetRuntime::run_with_faults`] calls its phases in order — `collect`,
+/// `lifecycle`, `learn`, `place` at every barrier, `fold` once at the end.
+struct Coordinator<'f, E: Environment + 'static> {
+    fleet: &'f FleetRuntime<E>,
+    /// Whether the controller reads the per-node view, i.e. whether barriers
+    /// extract agent stats and telemetry at all. Sampled once per run.
+    wants_view: bool,
+    /// One command sender and one reply receiver per worker. A closed
+    /// channel either way means the worker died; dropping the senders is
+    /// what tells the workers to exit.
+    links: Vec<(Sender<CoordMsg<E>>, Receiver<WorkerMsg>)>,
+    /// The slot arena: one persistent, mutex-guarded slot per node index,
+    /// shared between the coordinator and whichever worker claims the node
+    /// each epoch. Slots are stamped lazily (`Vacant`) and die in place
+    /// (`Retired`), so a node's state never moves between allocations for
+    /// the lifetime of the run, and the coordinator can apply lifecycle and
+    /// placement phases directly — no per-phase message round trips.
+    arena: Vec<NodeTask<E>>,
+    registry: NodeRegistry,
+    /// The base view, patched in place from worker deltas at every barrier;
+    /// the crash-displaced pool lives inside it. Entries start as
+    /// placeholders — every node ships a full first observation at its
+    /// first barrier, before any controller looks.
+    base: FleetView,
+    learning: Option<LearningPhase>,
+    placement: PlacementStats,
+    occupancy_sums: Vec<f64>,
+    packing_sum: f64,
+    /// Reports of nodes retired mid-run, folded in with the survivors'.
+    early_reports: Vec<FleetNodeReport>,
+}
+
+impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
+    /// Spawns the worker pool and sets up an all-`Active`, all-vacant fleet.
+    /// The handles come back separately so the caller can join the workers
+    /// after the coordinator (and with it the command senders) is gone.
+    fn start(fleet: &'f FleetRuntime<E>, wants_view: bool) -> (Self, Vec<thread::JoinHandle<()>>) {
+        let config = &fleet.config;
+        let mut links = Vec::new();
+        let mut workers = Vec::new();
+        for _ in 0..config.threads.min(config.nodes) {
+            let (cmd_tx, cmd_rx) = mpsc::channel::<CoordMsg<E>>();
+            let (done_tx, done_rx) = mpsc::channel::<WorkerMsg>();
+            links.push((cmd_tx, done_rx));
+            let recipe = Arc::clone(&fleet.recipe);
+            let handle = thread::Builder::new()
+                .name("sol-fleet-worker".into())
+                .spawn(move || worker(recipe, cmd_rx, done_tx))
+                .expect("spawn fleet worker");
+            workers.push(handle);
         }
-        plan
+        let coordinator = Coordinator {
+            fleet,
+            wants_view,
+            links,
+            arena: (0..config.nodes)
+                .map(|index| NodeSlot::vacant(fleet.node_seed(index), Timestamp::ZERO))
+                .collect(),
+            registry: NodeRegistry::new(config.nodes),
+            base: FleetView {
+                now: Timestamp::ZERO,
+                epoch: 0,
+                nodes: (0..config.nodes)
+                    .map(|index| placeholder_view(index, NodeState::Active))
+                    .collect(),
+                displaced: Vec::new(),
+            },
+            learning: config.learning.map(|plane| LearningPhase {
+                exchange: LearningExchange::new(plane, config.nodes),
+                trust: config.trust.map(|policy| TrustPlane::new(policy, config.nodes)),
+                quarantine_drains: Vec::new(),
+            }),
+            placement: PlacementStats::default(),
+            occupancy_sums: vec![0.0; config.nodes],
+            packing_sum: 0.0,
+            early_reports: Vec::new(),
+        };
+        (coordinator, workers)
     }
 
-    fn wants_view(&self) -> bool {
-        self.inner.wants_view()
+    /// Hands every live node's slot to the workers as one shared task list
+    /// and waits for one reply per worker.
+    fn dispatch(&self, work: Work) -> Result<Vec<WorkerMsg>, RuntimeError> {
+        let live = self.registry.records().iter().filter(|record| record.state.is_live());
+        let tasks = live.map(|record| Arc::clone(&self.arena[record.node])).collect();
+        let tasks = Arc::new(TaskList::new(tasks, self.links.len()));
+        for (cmd_tx, _) in &self.links {
+            cmd_tx.send(CoordMsg { work, tasks: Arc::clone(&tasks) }).map_err(|_| died())?;
+        }
+        // The workers hold the only handles from here on: whichever finishes
+        // last frees the list, off the coordinator's serial path.
+        drop(tasks);
+        self.links.iter().map(|(_, done_rx)| done_rx.recv().map_err(|_| died())).collect()
+    }
+
+    /// Collect phase: advances every live node to `boundary`, patches what
+    /// the workers ship into the base view (and, on exchange rounds, the
+    /// learned-state mirror), and brings the registry and the view's stamps
+    /// up to date before the controller looks. Returns the draining nodes
+    /// observed empty, which retire in this barrier's lifecycle phase.
+    fn collect(&mut self, epoch: u64, boundary: Timestamp) -> Result<Vec<usize>, RuntimeError> {
+        let learn = self
+            .learning
+            .as_ref()
+            .is_some_and(|phase| phase.exchange.plane().is_learn_epoch(epoch));
+        let mut exports = Vec::new();
+        for reply in self.dispatch(Work::Epoch { boundary, collect: self.wants_view, learn })? {
+            let WorkerMsg::EpochDone { deltas, exports: shipped } = reply else {
+                return Err(died());
+            };
+            for delta in deltas {
+                delta.apply(&mut self.base.nodes[delta.node]);
+            }
+            exports.extend(shipped);
+        }
+        if let (true, Some(phase)) = (learn, self.learning.as_mut()) {
+            // Patch the learned-state mirror before lifecycle events retire
+            // anyone: the exports describe the boundary every node just
+            // reached.
+            phase.exchange.absorb(exports);
+        }
+
+        // Registry bookkeeping from the fresh observations: nodes that
+        // joined at an earlier boundary have run a full epoch and become
+        // Active; draining nodes observed empty retire as Drained this
+        // boundary.
+        let mut drained = Vec::new();
+        for index in 0..self.registry.len() {
+            let record = self.registry.records()[index];
+            match record.state {
+                NodeState::Joining if record.joined_epoch < epoch => {
+                    self.registry
+                        .transition(index, NodeState::Active, epoch)
+                        .expect("joining -> active is legal");
+                }
+                NodeState::Draining if self.base.nodes[index].placement.resident.is_empty() => {
+                    self.registry
+                        .transition(index, NodeState::Drained, epoch)
+                        .expect("draining -> drained is legal");
+                    drained.push(index);
+                }
+                _ => {}
+            }
+        }
+
+        // Stamp the barrier position and every node's registry state onto
+        // the base view (retired nodes were tombstoned when they retired),
+        // and book occupancy from this pre-plan view.
+        self.base.now = boundary;
+        self.base.epoch = epoch;
+        let mut used_total = 0.0;
+        let mut capacity_total = 0.0;
+        for (index, view) in self.base.nodes.iter_mut().enumerate() {
+            view.state = self.registry.records()[index].state;
+            self.occupancy_sums[index] += view.placement.occupancy();
+            used_total += view.placement.used();
+            capacity_total += view.placement.capacity;
+        }
+        if capacity_total > 0.0 {
+            self.packing_sum += used_total / capacity_total;
+        }
+        Ok(drained)
+    }
+
+    /// Lifecycle phase, applied directly on the arena: the controller's
+    /// `events`, then the fault plan's due ones, update the registry in
+    /// issue order; then completed drains (`drained`) and fresh crashes
+    /// retire together, in node order, so the displaced pool's layout is
+    /// independent of issue order. Returns the nodes that joined.
+    fn lifecycle(
+        &mut self,
+        epoch: u64,
+        boundary: Timestamp,
+        drained: Vec<usize>,
+        events: Vec<LifecycleEvent>,
+        faults: &mut FaultPlan,
+    ) -> Result<Vec<usize>, RuntimeError> {
+        let due = faults.due(boundary);
+        self.placement.commands += due.len() as u64;
+        let mut retiring = drained;
+        let mut crashed = Vec::new();
+        let mut joined = Vec::new();
+        let issued = events.into_iter().map(|event| (event, false));
+        for (event, from_plan) in issued.chain(due.into_iter().map(|event| (event, true))) {
+            let outcome = match event {
+                LifecycleEvent::Crash { node } => {
+                    self.registry.transition(node, NodeState::Crashed, epoch).map(|()| {
+                        crashed.push(node);
+                        retiring.push(node);
+                    })
+                }
+                LifecycleEvent::Drain { node } => {
+                    self.registry.transition(node, NodeState::Draining, epoch)
+                }
+                LifecycleEvent::Join => {
+                    let index = self.registry.join(epoch);
+                    self.arena.push(NodeSlot::vacant(self.fleet.node_seed(index), boundary));
+                    self.base.nodes.push(placeholder_view(index, NodeState::Joining));
+                    joined.push(index);
+                    Ok(())
+                }
+            };
+            match outcome {
+                Ok(()) => {}
+                // The plan's author cannot know which nodes the controller
+                // or the trust plane removed first, and a machine that has
+                // left cannot crash: the event's intent is already met.
+                Err(LifecycleError::IllegalTransition { .. }) if from_plan => {}
+                // From the controller, an illegal transition is a loud
+                // error, never a silent repair.
+                Err(e) => return Err(RuntimeError::InvalidConfig(e.to_string())),
+            }
+        }
+        if let Some(phase) = self.learning.as_mut() {
+            // Trust-plane quarantines flow through the same lifecycle
+            // machinery as controller drains, one barrier after the round
+            // that issued them. A node crashed or drained in the meantime is
+            // skipped: the quarantine's intent — get the node out of the
+            // fleet — is already satisfied, and its exports stay excluded
+            // either way.
+            for node in phase.quarantine_drains.drain(..) {
+                if self.registry.records()[node].state == NodeState::Active {
+                    self.registry
+                        .transition(node, NodeState::Draining, epoch)
+                        .expect("active -> draining is legal");
+                }
+            }
+            phase.exchange.grow(self.registry.len());
+            if let Some(trust) = phase.trust.as_mut() {
+                trust.grow(self.registry.len());
+            }
+        }
+        self.occupancy_sums.resize(self.registry.len(), 0.0);
+
+        retiring.sort_unstable();
+        for &node in &retiring {
+            // A vacant slot (a node crashed at its own join boundary) is
+            // stamped first, so it reports like any zero-advancement node.
+            let shard = self.arena[node]
+                .take(&self.fleet.recipe)
+                .expect("a retiring node is live or vacant");
+            let report = summarize(&self.fleet.recipe, shard.seed, shard.runtime);
+            if crashed.contains(&node) {
+                // Crashed: residents are displaced and must be re-placed by
+                // the controller.
+                self.placement.displaced += report.workloads.len() as u64;
+                self.base.displaced.extend(&report.workloads);
+            } else if !report.workloads.is_empty() {
+                // A node only retires as Drained after a barrier observation
+                // showed it empty, and nothing may attach in between;
+                // resident units here mean the protocol is broken.
+                return Err(RuntimeError::InvalidConfig(format!(
+                    "drained node {node} still hosts {} workload unit(s)",
+                    report.workloads.len()
+                )));
+            }
+            self.early_reports.push(report);
+            if let Some(phase) = self.learning.as_mut() {
+                // Retired nodes stop contributing to aggregates from this
+                // barrier on: a crashed node's final export was absorbed in
+                // the collect phase, and dropping its row here removes it
+                // before this barrier's exchange round folds.
+                phase.exchange.forget(node);
+            }
+            // Tombstone the base entry; its state stamp comes off the
+            // registry at the next barrier, like every node's.
+            let view = &mut self.base.nodes[node];
+            *view = placeholder_view(node, view.state);
+        }
+        Ok(joined)
+    }
+
+    /// Learning phase, between lifecycle and placement: on exchange rounds,
+    /// fold the live nodes' mirrored states into per-role aggregates, score
+    /// the round, and import the blended aggregate back into every live
+    /// node; nodes that `joined` at this barrier warm-start from the latest
+    /// aggregates either way. Everything runs coordinator-side, keyed by
+    /// node index in ascending order, so the learning plane inherits the
+    /// thread-count determinism of the rest of the barrier.
+    fn learn(&mut self, epoch: u64, joined: &[usize]) {
+        let Some(phase) = self.learning.as_mut() else { return };
+        let (arena, recipe) = (&self.arena, &self.fleet.recipe);
+        if phase.exchange.plane().is_learn_epoch(epoch) {
+            let records = self.registry.records().iter();
+            let live: Vec<usize> =
+                records.filter(|record| record.state.is_live()).map(|record| record.node).collect();
+            // Trust gate: suspects' and quarantined nodes' exports are
+            // withheld from the fold. Verdicts are the ones standing at the
+            // start of the round, so exclusion is a pure function of earlier
+            // rounds.
+            match phase.trust.as_mut() {
+                Some(trust) => phase.exchange.round(&trust.participants(&live)),
+                None => phase.exchange.round(&live),
+            }
+            // Score the round: every live node's mirrored export (withheld
+            // ones included — measured against the consensus they no longer
+            // vote on) against the fresh aggregates, in node-index order.
+            // Quarantine verdicts queue a Drain for the next barrier's
+            // lifecycle phase.
+            if let Some(trust) = phase.trust.as_mut() {
+                for action in trust.evaluate(epoch, &live, &phase.exchange) {
+                    if let TrustAction::Quarantine { node, .. } = action {
+                        phase.quarantine_drains.push(node);
+                    }
+                }
+            }
+            phase.exchange.redistribute(&live, |node, slot, state| {
+                arena[node].with_live(|shard| shard.import_learned(slot, state)).unwrap_or(false)
+            });
+        }
+        for &node in joined {
+            // Stamping here is byte-identical to the lazy stamp a worker
+            // would perform at the node's first epoch — it is a pure
+            // function of the recipe and the slot's seed.
+            phase.exchange.warm_start(node, |slot, state| {
+                arena[node]
+                    .with_stamped(recipe, |shard| shard.import_learned(slot, state))
+                    .unwrap_or(false)
+            });
+        }
+    }
+
+    /// Validates the plan's commands against the registry and splits them
+    /// into the detach and attach lists, each in plan order. An out-of-range
+    /// index is a loud error, while a command against a node in the wrong
+    /// lifecycle state (admissions and migration targets need `Active`;
+    /// sources need a live node) counts as a failed placement — this is how
+    /// draining and joining nodes reject admissions, and how commands racing
+    /// a same-plan crash fail instead of resurrecting a dead node.
+    fn partition(
+        &mut self,
+        commands: Vec<FleetCommand>,
+    ) -> Result<(Vec<Detach>, Vec<Attach>), RuntimeError> {
+        let records = self.registry.records();
+        let state = |node: usize| match records.get(node) {
+            Some(record) => Ok(record.state),
+            None => Err(RuntimeError::InvalidConfig(format!(
+                "controller addressed node {node} of a {}-node fleet",
+                records.len()
+            ))),
+        };
+        let mut detaches = Vec::new();
+        let mut attaches = Vec::new();
+        for command in commands {
+            let accepted = match command {
+                FleetCommand::Admit { node, unit } => {
+                    let accepted = state(node)?.is_active();
+                    if accepted {
+                        attaches.push((node, unit, None));
+                    }
+                    accepted
+                }
+                FleetCommand::Depart { node, workload } => {
+                    let accepted = state(node)?.is_live();
+                    if accepted {
+                        detaches.push((node, workload, None));
+                    }
+                    accepted
+                }
+                FleetCommand::Migrate { from, to, workload } => {
+                    let (target, source) = (state(to)?, state(from)?);
+                    let accepted = source.is_live() && target.is_active();
+                    if accepted {
+                        detaches.push((from, workload, Some(to)));
+                    }
+                    accepted
+                }
+            };
+            if !accepted {
+                self.placement.failed_placements += 1;
+            }
+        }
+        Ok((detaches, attaches))
+    }
+
+    /// Attaches `unit` to `node`; `false` if the node's environment refuses
+    /// it or the slot is not live.
+    fn attach(&self, node: usize, unit: WorkloadUnit) -> bool {
+        self.arena[node]
+            .with_live(|shard| shard.runtime.attach_workload(unit).is_ok())
+            .unwrap_or(false)
+    }
+
+    /// Placement phase: departures and migration-detaches first, then
+    /// admissions and migration-attaches, each stable-sorted by target node
+    /// index — so freed capacity is available to the same barrier's
+    /// admissions — then the rollback of migrations whose attach half
+    /// failed. A command's tag is its position in its list.
+    fn place(&mut self, commands: Vec<FleetCommand>) -> Result<(), RuntimeError> {
+        let (detaches, mut attaches) = self.partition(commands)?;
+        // Every node whose placement the phases may have changed, for the
+        // mirror refresh at the end.
+        let mut touched: Vec<usize> = Vec::new();
+
+        let mut order: Vec<usize> = (0..detaches.len()).collect();
+        order.sort_by_key(|&tag| (detaches[tag].0, tag));
+        let mut recovered: Vec<Option<WorkloadUnit>> = vec![None; detaches.len()];
+        for tag in order {
+            let (node, workload, _) = detaches[tag];
+            touched.push(node);
+            recovered[tag] = self.arena[node]
+                .with_live(|shard| shard.runtime.detach_workload(workload).ok())
+                .flatten();
+        }
+        // Migration re-attaches queue behind the admissions, in plan order.
+        for (&(from, _, to), unit) in detaches.iter().zip(recovered) {
+            match (unit, to) {
+                (None, _) => self.placement.failed_placements += 1,
+                (Some(_), None) => self.placement.departed += 1,
+                (Some(unit), Some(to)) => attaches.push((to, unit, Some(from))),
+            }
+        }
+
+        let mut order: Vec<usize> = (0..attaches.len()).collect();
+        order.sort_by_key(|&tag| (attaches[tag].0, tag));
+        let mut failed_tags: Vec<usize> = Vec::new();
+        for tag in order {
+            let (node, unit, source) = attaches[tag];
+            touched.push(node);
+            match (self.attach(node, unit), source) {
+                (true, None) => self.placement.admitted += 1,
+                (true, Some(_)) => self.placement.migrated += 1,
+                (false, _) => failed_tags.push(tag),
+            }
+        }
+        failed_tags.sort_unstable();
+
+        // Displaced units whose re-admission landed leave the pool.
+        for (tag, &(_, unit, source)) in attaches.iter().enumerate() {
+            if source.is_none() && failed_tags.binary_search(&tag).is_err() {
+                if let Some(pos) = self.base.displaced.iter().position(|u| u.id == unit.id) {
+                    self.base.displaced.remove(pos);
+                    self.placement.replaced += 1;
+                }
+            }
+        }
+
+        // Rollback: a migration whose attach half failed must not destroy
+        // the unit — it goes back to its source node (which just freed the
+        // capacity). The failed migration still counts as a failed
+        // placement; failed admissions only count (the unit never entered
+        // the fleet).
+        for &tag in &failed_tags {
+            self.placement.failed_placements += 1;
+            let (_, unit, source) = attaches[tag];
+            if let Some(source) = source {
+                touched.push(source);
+                if !self.attach(source, unit) {
+                    // A unit that could not even return home is genuinely
+                    // lost; make that loud in the stats.
+                    self.placement.failed_placements += 1;
+                }
+            }
+        }
+
+        // Placement changes only through the hooks above, so the mirror
+        // refresh re-reads truth for the touched nodes alone; every other
+        // node's mirrored placement is already exact.
+        touched.sort_unstable();
+        touched.dedup();
+        for node in touched {
+            if let Some(now) = self.arena[node].with_live(|shard| shard.runtime.placement()) {
+                self.base.nodes[node].placement = now;
+            }
+        }
+        Ok(())
+    }
+
+    /// Fold phase, once the last barrier is through: the surviving nodes
+    /// summarize through the same task list (summaries are independent;
+    /// reports re-sort by index), the retired nodes' reports join them, and
+    /// everything folds into the fleet dashboard.
+    fn fold(mut self, boundaries: &[Timestamp]) -> Result<FleetReport, RuntimeError> {
+        let mut nodes = std::mem::take(&mut self.early_reports);
+        for reply in self.dispatch(Work::Finish)? {
+            let WorkerMsg::Finished(reports) = reply else { return Err(died()) };
+            nodes.extend(reports);
+        }
+        nodes.sort_by_key(|report| report.node);
+        assert_eq!(nodes.len(), self.registry.len(), "every node reports exactly once");
+        for node in &mut nodes {
+            node.lifecycle = self.registry.records()[node.node];
+            if let Some(trust) = self.learning.as_ref().and_then(|phase| phase.trust.as_ref()) {
+                node.trust = trust.record(node.node);
+            }
+        }
+
+        let epochs = boundaries.len() as f64;
+        let mut placement = self.placement;
+        placement.occupancy =
+            Percentiles::of(&self.occupancy_sums.iter().map(|s| s / epochs).collect::<Vec<f64>>());
+        placement.packing_efficiency = self.packing_sum / epochs;
+        // Displaced units nobody re-placed did not survive the run; that must
+        // be loud in the stats, not silently forgotten with the pool.
+        placement.failed_placements += self.base.displaced.len() as u64;
+
+        let ended_at = *boundaries.last().expect("non-empty epoch grid");
+        let (learning, trust) = match &self.learning {
+            Some(phase) => (
+                phase.exchange.stats(),
+                phase.trust.as_ref().map(|trust| trust.stats()).unwrap_or_default(),
+            ),
+            None => Default::default(),
+        };
+        aggregate(nodes, boundaries.len() as u64, placement, learning, trust, ended_at)
     }
 }
-
 /// The epoch grid: `epoch, 2·epoch, …` clamped to the horizon, ending
 /// exactly at the horizon.
 fn epoch_boundaries(horizon: SimDuration, epoch: SimDuration) -> Vec<Timestamp> {
@@ -1641,9 +1608,9 @@ enum Slot<E: Environment + 'static> {
 
 /// One arena slot, shared between the coordinator and the workers. The
 /// protocol keeps their accesses in disjoint phases (workers only between
-/// `Epoch`/`Finish` send and `EpochDone`/`Finished` receive, the coordinator
-/// only outside them), so the mutex is never contended — it exists to make
-/// the sharing sound, not to arbitrate races.
+/// receiving a `CoordMsg` and answering it, the coordinator only outside
+/// that), so the mutex is never contended — it exists to make the sharing
+/// sound, not to arbitrate races.
 struct NodeSlot<E: Environment + 'static>(Mutex<Slot<E>>);
 
 impl<E: Environment + 'static> NodeSlot<E> {
@@ -1652,10 +1619,22 @@ impl<E: Environment + 'static> NodeSlot<E> {
     }
 
     fn lock(&self) -> MutexGuard<'_, Slot<E>> {
-        // A worker that panicked never sends its EpochDone, so the
-        // coordinator aborts before touching the slots it poisoned; this
-        // expect is a backstop, not a code path.
+        // A worker that panicked never answers, so the coordinator aborts
+        // before touching the slots it poisoned; this expect is a backstop,
+        // not a code path.
         self.0.lock().expect("fleet node slot poisoned")
+    }
+
+    /// Locks the slot, stamping the node first if it is still vacant.
+    /// Stamping is a pure function of the recipe and the slot's seed, so
+    /// whoever gets here first — the worker advancing the node, or the
+    /// coordinator warm-starting or retiring it — stamps the same node.
+    fn stamped(&self, recipe: &ScenarioRecipe<E>) -> MutexGuard<'_, Slot<E>> {
+        let mut guard = self.lock();
+        if let Slot::Vacant { seed, start } = *guard {
+            *guard = Slot::Live(ShardNode::stamp(recipe, seed, start));
+        }
+        guard
     }
 
     /// Stamps the node if needed, advances it to the epoch boundary, and
@@ -1669,10 +1648,7 @@ impl<E: Environment + 'static> NodeSlot<E> {
         collect: bool,
         learn: bool,
     ) -> (Option<NodeDelta>, Option<NodeLearnedExport>) {
-        let mut guard = self.lock();
-        if let Slot::Vacant { seed, start } = *guard {
-            *guard = Slot::Live(ShardNode::stamp(recipe, seed, start));
-        }
+        let mut guard = self.stamped(recipe);
         let Slot::Live(node) = &mut *guard else { return (None, None) };
         let until = node.local(boundary);
         node.runtime.run_until(until);
@@ -1681,145 +1657,80 @@ impl<E: Environment + 'static> NodeSlot<E> {
         (delta, export)
     }
 
-    /// Finishes the node and takes its report, leaving the slot `Retired`.
-    /// A still-vacant slot (a node that joined at the final boundary) is
-    /// stamped first so it reports like any zero-advancement node.
-    fn summarize_slot(&self, recipe: &ScenarioRecipe<E>) -> Option<FleetNodeReport> {
-        let mut guard = self.lock();
-        if let Slot::Vacant { seed, start } = *guard {
-            *guard = Slot::Live(ShardNode::stamp(recipe, seed, start));
-        }
-        match std::mem::replace(&mut *guard, Slot::Retired) {
-            Slot::Live(node) => Some(summarize(recipe, node.seed, node.runtime)),
+    /// Takes the node out for good, leaving the slot `Retired` (`None` if it
+    /// already was). A still-vacant slot — a node that joined at the final
+    /// boundary, or crashed at its own join boundary — is stamped first so
+    /// it reports like any zero-advancement node.
+    fn take(&self, recipe: &ScenarioRecipe<E>) -> Option<ShardNode<E>> {
+        match std::mem::replace(&mut *self.stamped(recipe), Slot::Retired) {
+            Slot::Live(node) => Some(node),
             _ => None,
-        }
-    }
-
-    /// Retires the node mid-run: reports it and surfaces the workload units
-    /// still resident on it (the coordinator displaces a crashed node's,
-    /// and treats a drained node's as a protocol violation). A vacant slot
-    /// (a node crashed at its own join boundary) is stamped first, matching
-    /// the eager-instantiation behaviour of the sharded protocol.
-    fn retire(&self, recipe: &ScenarioRecipe<E>) -> (FleetNodeReport, Vec<WorkloadUnit>) {
-        let mut guard = self.lock();
-        if let Slot::Vacant { seed, start } = *guard {
-            *guard = Slot::Live(ShardNode::stamp(recipe, seed, start));
-        }
-        match std::mem::replace(&mut *guard, Slot::Retired) {
-            Slot::Live(node) => {
-                let residents = node.runtime.placement().resident;
-                (summarize(recipe, node.seed, node.runtime), residents)
-            }
-            _ => unreachable!("retired node is live or vacant"),
         }
     }
 
     /// Runs `f` on the live node, if the slot is live. The coordinator's
     /// placement hooks go through this: a command addressed to a node whose
-    /// slot is vacant (joined this very barrier) or retired fails, exactly
-    /// as it did against the sharded protocol's position lookup.
+    /// slot is vacant (joined this very barrier) or retired fails.
     fn with_live<R>(&self, f: impl FnOnce(&mut ShardNode<E>) -> R) -> Option<R> {
-        let mut guard = self.lock();
-        match &mut *guard {
+        match &mut *self.lock() {
             Slot::Live(node) => Some(f(node)),
             _ => None,
         }
     }
 
-    /// Stamps the node if still vacant, then runs `f` on it (`None` only
-    /// for a retired slot). The learning plane's join warm-start goes
-    /// through this: importing the fleet aggregate needs a live runtime,
-    /// and stamping is a pure function of the recipe and the slot's seed,
-    /// so stamping here is byte-identical to the lazy stamp the first
-    /// advancing worker would otherwise perform.
+    /// Like [`with_live`](Self::with_live), but stamps a vacant node first
+    /// (`None` only for a retired slot). The learning plane's join
+    /// warm-start goes through this: importing the fleet aggregate needs a
+    /// live runtime.
     fn with_stamped<R>(
         &self,
         recipe: &ScenarioRecipe<E>,
         f: impl FnOnce(&mut ShardNode<E>) -> R,
     ) -> Option<R> {
-        let mut guard = self.lock();
-        if let Slot::Vacant { seed, start } = *guard {
-            *guard = Slot::Live(ShardNode::stamp(recipe, seed, start));
-        }
-        match &mut *guard {
+        match &mut *self.stamped(recipe) {
             Slot::Live(node) => Some(f(node)),
             _ => None,
         }
     }
 }
 
-/// Claims the next task: the worker's own queue first (FIFO, preserving the
-/// coordinator's assignment order), then steals from siblings. Returns
-/// `None` only once the own queue is drained and every sibling reported
-/// `Empty` in a full sweep with no `Retry` — at which point every task of
-/// the barrier is claimed by someone.
-fn claim<T>(queue: &TaskQueue<T>, stealers: &[Stealer<T>]) -> Option<T> {
-    if let Some(task) = queue.pop() {
-        return Some(task);
-    }
-    loop {
-        let mut retry = false;
-        for stealer in stealers {
-            match stealer.steal() {
-                Steal::Success(task) => return Some(task),
-                Steal::Retry => retry = true,
-                Steal::Empty => {}
-            }
-        }
-        if !retry {
-            return None;
-        }
-    }
-}
-
-/// Worker body: on each `Epoch` command, push the assigned slots onto the
-/// own deque, then claim-and-advance (own queue first, stealing once it
-/// runs dry) until no task is left anywhere, and ship the observation
-/// deltas home in one message. `Finish` summarizes the surviving nodes the
-/// same way. A closed channel at any point means the run was aborted
-/// (another worker died, or the controller erred) — exit quietly.
+/// Worker body: on each command, claim chunks of the barrier's task list
+/// until it runs dry — advancing (or, for `Finish`, summarizing) every node
+/// claimed — and ship the results home in one message. A closed channel
+/// either way means the run is over or was aborted (another worker died, or
+/// the controller erred): exit quietly.
 fn worker<E: Environment + Send + 'static>(
     recipe: Arc<ScenarioRecipe<E>>,
-    queue: TaskQueue<NodeTask<E>>,
-    stealers: Vec<Stealer<NodeTask<E>>>,
     cmd_rx: Receiver<CoordMsg<E>>,
     done_tx: Sender<WorkerMsg>,
 ) {
-    loop {
-        match cmd_rx.recv() {
-            Ok(CoordMsg::Epoch { boundary, collect, learn, tasks }) => {
-                for task in tasks {
-                    queue.push(task);
-                }
+    while let Ok(CoordMsg { work, tasks }) = cmd_rx.recv() {
+        let reply = match work {
+            Work::Epoch { boundary, collect, learn } => {
                 let mut deltas = Vec::new();
                 let mut exports = Vec::new();
-                while let Some(slot) = claim(&queue, &stealers) {
-                    let (delta, export) = slot.advance(&recipe, boundary, collect, learn);
-                    if let Some(delta) = delta {
-                        deltas.push(delta);
-                    }
-                    if let Some(export) = export {
-                        exports.push(export);
+                while let Some(chunk) = tasks.claim() {
+                    for slot in chunk {
+                        let (delta, export) = slot.advance(&recipe, boundary, collect, learn);
+                        deltas.extend(delta);
+                        exports.extend(export);
                     }
                 }
-                if done_tx.send(WorkerMsg::EpochDone { deltas, exports }).is_err() {
-                    return;
-                }
+                WorkerMsg::EpochDone { deltas, exports }
             }
-            Ok(CoordMsg::Finish { tasks }) => {
-                for task in tasks {
-                    queue.push(task);
-                }
+            Work::Finish => {
                 let mut finished = Vec::new();
-                while let Some(slot) = claim(&queue, &stealers) {
-                    if let Some(report) = slot.summarize_slot(&recipe) {
-                        finished.push(report);
+                while let Some(chunk) = tasks.claim() {
+                    for slot in chunk {
+                        let node = slot.take(&recipe);
+                        finished.extend(node.map(|n| summarize(&recipe, n.seed, n.runtime)));
                     }
                 }
-                let _ = done_tx.send(WorkerMsg::Finished(finished));
-                return;
+                WorkerMsg::Finished(finished)
             }
-            Err(_) => return,
+        };
+        if done_tx.send(reply).is_err() {
+            return;
         }
     }
 }
@@ -2090,6 +2001,37 @@ mod tests {
         // An epoch equal to the horizon is the single-epoch case.
         let grid = epoch_boundaries(SimDuration::from_secs(2), SimDuration::from_secs(2));
         assert_eq!(grid, vec![Timestamp::from_secs(2)]);
+    }
+
+    /// The contract the worker pool rests on: however many claimants race
+    /// for a list, every task is handed out exactly once — whether the
+    /// length divides into chunks, leaves a short last chunk, or is shorter
+    /// than the claimant count.
+    #[test]
+    fn every_task_is_claimed_exactly_once() {
+        for len in [1000usize, 1003, 5, 0] {
+            let list = Arc::new(TaskList::new((0..len).collect(), 8));
+            let start = Arc::new(std::sync::Barrier::new(8));
+            let claimants: Vec<thread::JoinHandle<Vec<usize>>> = (0..8)
+                .map(|_| {
+                    let (list, start) = (Arc::clone(&list), Arc::clone(&start));
+                    thread::spawn(move || {
+                        // Release all eight at once so the claims do race.
+                        start.wait();
+                        let mut mine = Vec::new();
+                        while let Some(chunk) = list.claim() {
+                            mine.extend_from_slice(chunk);
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            let mut all: Vec<usize> =
+                claimants.into_iter().flat_map(|claimant| claimant.join().unwrap()).collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..len).collect::<Vec<usize>>(), "{len} tasks");
+            assert!(list.claim().is_none(), "a drained list stays drained");
+        }
     }
 
     #[test]

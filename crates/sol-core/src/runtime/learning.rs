@@ -167,8 +167,8 @@ pub(crate) struct NodeLearnedExport {
 ///
 /// All methods are deterministic functions of their inputs; callers must
 /// feed them node indices in ascending order where order matters (`round`
-/// and the redistribution loop do), which the fleet coordinator guarantees
-/// by iterating the registry in index order.
+/// and `redistribute` do), which the fleet coordinator guarantees by
+/// iterating the registry in index order.
 pub(crate) struct LearningExchange {
     plane: LearningPlane,
     /// `mirror[node][slot]` is the last state node `node`'s agent `slot`
@@ -272,10 +272,73 @@ impl LearningExchange {
         self.mirror.get(node)?.get(slot)?.as_ref()
     }
 
-    /// Records a successful import of a blended aggregate into a running
-    /// node, updating the mirror so the next diff baselines against what the
-    /// node now actually holds.
-    pub(crate) fn record_import(&mut self, node: usize, slot: usize, state: LearnedState) {
+    /// Redistributes the latest aggregates to `live` (node indices in
+    /// ascending order): every mirrored local state is blended with its
+    /// slot's aggregate under the plane's [`BlendPolicy`] and offered to
+    /// `import(node, slot, blended)`, which hands it to the node's model and
+    /// reports whether the model took it. The exchange never touches a node
+    /// itself — the closure is the only way in — so it stays a pure function
+    /// of its inputs.
+    pub(crate) fn redistribute(
+        &mut self,
+        live: &[usize],
+        mut import: impl FnMut(usize, usize, &LearnedState) -> bool,
+    ) {
+        for &node in live {
+            for slot in 0..self.aggregates.len() {
+                let Some(aggregate) = &self.aggregates[slot] else { continue };
+                // A node whose state was rejected from the round (or that
+                // never exported this slot) keeps its local state untouched.
+                let Some(local) = self.local(node, slot) else { continue };
+                if local.compatible_with(aggregate).is_err() {
+                    continue;
+                }
+                let Ok(blended) = self.plane.blend.blend(local, aggregate) else {
+                    self.stats.rejected += 1;
+                    continue;
+                };
+                if blended == *local {
+                    // Nothing to ship — the common case for `Replace` on a
+                    // converged (or one-node) fleet, and what keeps a
+                    // learning fleet of one byte-identical to `run_node`.
+                    continue;
+                }
+                if import(node, slot, &blended) {
+                    self.imported(node, slot, blended);
+                } else {
+                    // The receiving model refused the state: dropped, loudly.
+                    self.stats.rejected += 1;
+                }
+            }
+        }
+    }
+
+    /// Warm-starts joiner `node` from the latest aggregates (whether or not
+    /// this barrier was an exchange round) instead of leaving it to learn
+    /// from scratch: each aggregate is offered to `import(slot, aggregate)`.
+    /// Counted once per node, however many of its slots took an aggregate.
+    pub(crate) fn warm_start(
+        &mut self,
+        node: usize,
+        mut import: impl FnMut(usize, &LearnedState) -> bool,
+    ) {
+        let mut warmed = false;
+        for slot in 0..self.aggregates.len() {
+            let Some(aggregate) = &self.aggregates[slot] else { continue };
+            if import(slot, aggregate) {
+                let state = aggregate.clone();
+                self.imported(node, slot, state);
+                warmed = true;
+            }
+        }
+        if warmed {
+            self.stats.warm_starts += 1;
+        }
+    }
+
+    /// Books a successful import into a running node, updating the mirror so
+    /// the next diff baselines against what the node now actually holds.
+    fn imported(&mut self, node: usize, slot: usize, state: LearnedState) {
         self.stats.redistributed += 1;
         self.stats.bytes_exchanged += state.byte_len() as u64;
         self.stats.bytes_redistributed += state.byte_len() as u64;
@@ -284,18 +347,6 @@ impl LearningExchange {
             row.resize(slot + 1, None);
         }
         row[slot] = Some(state);
-    }
-
-    /// Records an import the receiving model refused (or a blend that could
-    /// not be formed): the state is dropped, loudly.
-    pub(crate) fn record_rejected(&mut self) {
-        self.stats.rejected += 1;
-    }
-
-    /// Records one warm-started joiner (counted per node, however many of
-    /// its agent slots imported an aggregate).
-    pub(crate) fn record_warm_start(&mut self) {
-        self.stats.warm_starts += 1;
     }
 
     /// The run's cumulative counters.
@@ -398,15 +449,47 @@ mod tests {
 
     #[test]
     fn imports_update_the_mirror_and_count_bytes_both_ways() {
-        let mut exchange = LearningExchange::new(LearningPlane::default(), 1);
-        exchange.absorb(vec![export(0, 0, &[1.0, 2.0])]);
-        exchange.record_import(0, 0, state(&[5.0, 6.0]));
-        assert_eq!(exchange.local(0, 0).unwrap().values(), &[5.0, 6.0]);
+        let plane = LearningPlane { rule: AggregationRule::Mean, ..LearningPlane::default() };
+        let mut exchange = LearningExchange::new(plane, 2);
+        exchange.absorb(vec![export(0, 0, &[1.0, 2.0]), export(1, 0, &[5.0, 6.0])]);
+        exchange.round(&[0, 1]);
+        let mut offered = Vec::new();
+        exchange.redistribute(&[0, 1], |node, slot, state| {
+            offered.push((node, slot, state.values().to_vec()));
+            // Node 1's model refuses the state.
+            node == 0
+        });
+        assert_eq!(offered, vec![(0, 0, vec![3.0, 4.0]), (1, 0, vec![3.0, 4.0])]);
+        assert_eq!(exchange.local(0, 0).unwrap().values(), &[3.0, 4.0]);
+        assert_eq!(
+            exchange.local(1, 0).unwrap().values(),
+            &[5.0, 6.0],
+            "a refusal changes nothing"
+        );
         let stats = exchange.stats();
-        assert_eq!(stats.redistributed, 1);
-        assert_eq!(stats.bytes_exchanged, 2 * 2 * 8);
+        assert_eq!((stats.redistributed, stats.rejected), (1, 1));
+        assert_eq!(stats.bytes_exchanged, 3 * 2 * 8);
         // Only the import direction counts as redistribution traffic.
         assert_eq!(stats.bytes_redistributed, 2 * 8);
+
+        // Node 0 now holds the aggregate: a second pass has nothing to ship it.
+        exchange.round(&[0]);
+        exchange.redistribute(&[0], |_, _, _| panic!("an unchanged blend is never offered"));
+    }
+
+    #[test]
+    fn joiners_warm_start_from_the_latest_aggregates() {
+        let mut exchange = LearningExchange::new(LearningPlane::default(), 1);
+        exchange.warm_start(0, |_, _| panic!("no aggregate exists before the first round"));
+        exchange.absorb(vec![export(0, 1, &[7.0])]);
+        exchange.round(&[0]);
+        exchange.grow(3);
+        exchange.warm_start(1, |slot, state| slot == 1 && state.values() == [7.0]);
+        exchange.warm_start(2, |_, _| false);
+        assert_eq!(exchange.local(1, 1).unwrap().values(), &[7.0]);
+        assert!(exchange.local(2, 1).is_none());
+        let stats = exchange.stats();
+        assert_eq!((stats.warm_starts, stats.redistributed, stats.bytes_redistributed), (1, 1, 8));
     }
 
     #[test]

@@ -305,8 +305,9 @@ impl Default for FaultPlanConfig {
 ///
 /// Crash and drain targets are sampled *without replacement* from the initial
 /// node population, so a generated plan never asks the same node to both
-/// crash and drain (which would be an illegal transition once the first event
-/// lands). The plan is a pure function of `(seed, nodes, FaultPlanConfig)`.
+/// crash and drain (the second event would be an illegal transition, which
+/// the fleet skips for plan events: the node has already left). The plan is
+/// a pure function of `(seed, nodes, FaultPlanConfig)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,

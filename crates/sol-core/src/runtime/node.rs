@@ -52,7 +52,7 @@ use crate::runtime::wheel::TimeWheel;
 use crate::runtime::Environment;
 use crate::schedule::Schedule;
 use crate::stats::AgentStats;
-use crate::time::{Clock, SimDuration, Timestamp, VirtualClock};
+use crate::time::{SimDuration, Timestamp};
 
 /// Upper clamp applied to the default per-agent environment step.
 const MAX_DEFAULT_ENV_STEP: SimDuration = SimDuration::from_secs(1);
@@ -449,7 +449,8 @@ impl<E: Environment + 'static> NodeReport<E> {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct NodeRuntime<E: Environment + 'static> {
-    clock: VirtualClock,
+    /// The node's virtual time: moved only by the tick loop, forwards.
+    now: Timestamp,
     environment: E,
     agents: Vec<AgentSlot<E>>,
     events: TimeWheel<EventKind<E>>,
@@ -480,7 +481,7 @@ impl<E: Environment + 'static> NodeRuntime<E> {
     /// zero.
     pub fn new(environment: E) -> Self {
         NodeRuntime {
-            clock: VirtualClock::new(),
+            now: Timestamp::ZERO,
             environment,
             agents: Vec::new(),
             events: TimeWheel::new(),
@@ -526,7 +527,7 @@ impl<E: Environment + 'static> NodeRuntime<E> {
                 .min(MAX_DEFAULT_ENV_STEP);
             self.max_env_step = self.max_env_step.min(step);
         }
-        let start = self.clock.now();
+        let start = self.now;
         self.register_driver(name, Box::new(LoopAgent::new(model, actuator, schedule, start)))
     }
 
@@ -726,7 +727,7 @@ impl<E: Environment + 'static> NodeRuntime<E> {
 
     /// The current virtual time.
     pub fn now(&self) -> Timestamp {
-        self.clock.now()
+        self.now
     }
 
     fn push_event(&mut self, at: Timestamp, kind: EventKind<E>) {
@@ -770,7 +771,7 @@ impl<E: Environment + 'static> NodeRuntime<E> {
         if horizon.is_zero() {
             return Err(RuntimeError::EmptyHorizon);
         }
-        let end = self.clock.now() + horizon;
+        let end = self.now + horizon;
         self.run_until(end);
         Ok(self.finish())
     }
@@ -786,7 +787,7 @@ impl<E: Environment + 'static> NodeRuntime<E> {
             for idx in 0..self.agents.len() {
                 self.schedule_wake(idx);
             }
-            self.env_step_at = self.clock.now() + self.max_env_step;
+            self.env_step_at = self.now + self.max_env_step;
             self.started = true;
         }
 
@@ -803,7 +804,7 @@ impl<E: Environment + 'static> NodeRuntime<E> {
         let mut due = std::mem::take(&mut self.due);
 
         loop {
-            let now = self.clock.now();
+            let now = self.now;
             if now >= end {
                 break;
             }
@@ -818,7 +819,8 @@ impl<E: Environment + 'static> NodeRuntime<E> {
             let next = next.max(now).min(end);
 
             // Advance time and the environment exactly once per tick.
-            self.clock.set(next);
+            assert!(next >= now, "virtual time must not move backwards");
+            self.now = next;
             self.environment.advance_to(next);
 
             // Drain the whole run of events due at this tick as one batch
@@ -887,7 +889,7 @@ impl<E: Environment + 'static> NodeRuntime<E> {
     /// and every agent, running clean-up routines first when
     /// [`cleanup_on_finish`](Self::cleanup_on_finish) was requested.
     pub fn finish(mut self) -> NodeReport<E> {
-        let ended_at = self.clock.now();
+        let ended_at = self.now;
         if self.cleanup_on_finish {
             for slot in &mut self.agents {
                 slot.driver.clean_up(ended_at);

@@ -7,10 +7,9 @@
 //! deterministic [`SimRuntime`](crate::runtime::sim::SimRuntime) instead.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-
-use crossbeam::channel::{self, RecvTimeoutError};
 
 use crate::actuator::Actuator;
 use crate::error::RuntimeError;
@@ -102,7 +101,7 @@ where
     pub fn run(model: M, actuator: A, schedule: Schedule) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let clock = SystemClock::new();
-        let (tx, rx) = channel::unbounded::<Prediction<M::Pred>>();
+        let (tx, rx) = mpsc::channel::<Prediction<M::Pred>>();
 
         let model_stop = Arc::clone(&stop);
         let model_clock = clock.clone();

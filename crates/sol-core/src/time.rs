@@ -7,10 +7,10 @@
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 /// A point in time, measured in nanoseconds since an arbitrary epoch.
@@ -290,7 +290,8 @@ pub trait Clock: Send + Sync + 'static {
 /// A manually-advanced clock used by the deterministic simulation runtime.
 ///
 /// Cloning a `VirtualClock` yields a handle to the *same* underlying time
-/// source.
+/// source: one atomic nanosecond counter, so handles on different threads
+/// agree on the time without a lock.
 ///
 /// # Examples
 ///
@@ -304,7 +305,7 @@ pub trait Clock: Send + Sync + 'static {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct VirtualClock {
-    now: Arc<Mutex<Timestamp>>,
+    nanos: Arc<AtomicU64>,
 }
 
 impl VirtualClock {
@@ -315,8 +316,7 @@ impl VirtualClock {
 
     /// Advances the clock by `d`.
     pub fn advance(&self, d: SimDuration) {
-        let mut now = self.now.lock();
-        *now += d;
+        self.nanos.fetch_add(d.as_nanos(), Ordering::SeqCst);
     }
 
     /// Moves the clock to `t`.
@@ -326,15 +326,16 @@ impl VirtualClock {
     /// Panics if `t` is earlier than the current time: simulated time never
     /// moves backwards.
     pub fn set(&self, t: Timestamp) {
-        let mut now = self.now.lock();
-        assert!(t >= *now, "virtual time must not move backwards");
-        *now = t;
+        // `fetch_max` leaves a later time in place, so a rejected `set` never
+        // moves the clock.
+        let before = self.nanos.fetch_max(t.as_nanos(), Ordering::SeqCst);
+        assert!(t.as_nanos() >= before, "virtual time must not move backwards");
     }
 }
 
 impl Clock for VirtualClock {
     fn now(&self) -> Timestamp {
-        *self.now.lock()
+        Timestamp::from_nanos(self.nanos.load(Ordering::SeqCst))
     }
 }
 
@@ -407,6 +408,26 @@ mod tests {
         let clock = VirtualClock::new();
         clock.set(Timestamp::from_secs(5));
         clock.set(Timestamp::from_secs(4));
+    }
+
+    #[test]
+    fn virtual_clock_is_shared_across_threads_and_never_moves_backwards() {
+        let clock = VirtualClock::new();
+        let remote = clock.clone();
+        let (advanced_tx, advanced_rx) = std::sync::mpsc::channel::<()>();
+        // The channel orders the `advance` before the remote read.
+        let observer = std::thread::spawn(move || {
+            advanced_rx.recv().unwrap();
+            remote.now()
+        });
+        clock.advance(SimDuration::from_secs(5));
+        advanced_tx.send(()).unwrap();
+        assert_eq!(observer.join().unwrap(), Timestamp::from_secs(5));
+
+        let remote = clock.clone();
+        let rejected = std::thread::spawn(move || remote.set(Timestamp::from_secs(4))).join();
+        assert!(rejected.is_err(), "a backwards set must panic");
+        assert_eq!(clock.now(), Timestamp::from_secs(5), "a rejected set leaves the time alone");
     }
 
     #[test]

@@ -25,6 +25,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 pub mod cost_sensitive;
 pub mod exchange;

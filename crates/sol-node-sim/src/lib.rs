@@ -26,6 +26,8 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// `shared` holds the workspace's only `unsafe`; every other crate forbids it.
+#![deny(unsafe_code)]
 
 pub mod counters;
 pub mod cpu_node;
@@ -34,6 +36,7 @@ pub mod memory_node;
 pub mod metrics;
 pub mod multi_node;
 pub mod power;
+#[allow(unsafe_code)]
 pub mod shared;
 pub mod workload;
 

@@ -35,6 +35,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 pub use sol_agents as agents;
 pub use sol_core as core;

@@ -2,3 +2,5 @@
 //!
 //! The actual tests live in `tests/tests/`; this library only exists to make
 //! the directory a workspace member.
+
+#![forbid(unsafe_code)]

@@ -107,7 +107,7 @@ fn node_runtime_matches_sim_runtime_for_smart_overclock() {
 fn node_runtime_matches_sim_runtime_for_smart_harvest() {
     let make_node =
         || Shared::new(HarvestNode::new(BurstyService::image_dnn(), HarvestNodeConfig::default()));
-    let horizon = SimDuration::from_secs(60);
+    let horizon = SimDuration::from_secs(120);
 
     let sim_node = make_node();
     let (model, actuator) = smart_harvest(&sim_node, HarvestConfig::default());
@@ -170,7 +170,7 @@ fn node_runtime_matches_sim_runtime_for_smart_memory() {
 /// node wired by hand through the legacy registration API.
 #[test]
 fn builder_assembly_is_byte_identical_to_legacy_wiring() {
-    let horizon = SimDuration::from_secs(60);
+    let horizon = SimDuration::from_secs(120);
 
     // Legacy wiring: construct the substrates, environment, and runtime by
     // hand, registering each agent through the untyped API.
@@ -447,4 +447,88 @@ fn colocated_runs_are_byte_identical_per_agent() {
         (oc_stats, hv_stats, cpu_metrics, hv_metrics, report.ended_at)
     };
     assert_eq!(run(), run());
+}
+
+/// Every fleet test above compares a run with itself, so a barrier phase
+/// moved relative to another would pass them all. This one runs every plane
+/// the barrier has on one small fleet — `GreedyPacker` over an arrival
+/// trace, a legal fault plan (crash, drain and joins, honest targets only),
+/// median learning exchange, default trust policy against sign-flip
+/// poisoners — and compares the whole report (`mem_bytes` zeroed, as
+/// `benchmark/src/fingerprint.rs` does: host memory is a cost, not a
+/// simulated outcome) against a constant recorded before the coordinator was
+/// restructured into phases (PR 13), at 1, 2 and 8 worker threads.
+#[test]
+fn all_planes_fleet_run_matches_the_pinned_digest() {
+    const NODES: usize = 8;
+    let horizon = SimDuration::from_secs(120);
+    let poison = PoisonPlan::generate(0xB105, NODES, 2);
+    let honest: Vec<usize> = (0..NODES).filter(|&n| !poison.is_poisoned(n)).collect();
+    let at = |secs: u64, event| FaultEvent { at: Timestamp::from_secs(secs), event };
+    let faults = FaultPlan::from_events(vec![
+        at(8, LifecycleEvent::Join),
+        at(14, LifecycleEvent::Crash { node: honest[1] }),
+        at(27, LifecycleEvent::Join),
+        at(33, LifecycleEvent::Drain { node: honest[4] }),
+    ]);
+    let arrivals = ArrivalTrace::generate(
+        0xBEEF,
+        &ArrivalTraceConfig {
+            workloads: 40,
+            span: horizon,
+            min_cores: 0.5,
+            max_cores: 2.5,
+            min_lifetime: SimDuration::from_secs(6),
+            max_lifetime: SimDuration::from_secs(20),
+        },
+    );
+    let run = |threads: usize| {
+        let plan = poison.clone();
+        let recipe = ScenarioRecipe::new(move |seed: &NodeSeed| {
+            let node = Shared::new(CpuNode::new(
+                OverclockWorkloadKind::DiskSpeed.build(8),
+                CpuNodeConfig { cores: 8, ..CpuNodeConfig::default() }
+                    .with_seed(seed.stream(1))
+                    .with_placeable_cores(6.0),
+            ));
+            let config = OverclockConfig { seed: seed.stream(0), ..OverclockConfig::default() };
+            let (model, actuator) = smart_overclock(&node, config);
+            let attack =
+                plan.attack_for(seed.index() as usize, PoisonAttack::SignFlip { gain: 8.0 });
+            let model = PoisonedLearner::new(model, attack, seed.stream(16));
+            let mut builder = NodeRuntime::builder(node.clone());
+            builder.agent("smart-overclock", model, actuator, overclock_schedule());
+            builder.build()
+        })
+        .with_metrics(|report| {
+            vec![("avg_power_watts".into(), report.environment.with(|n| n.average_power_watts()))]
+        });
+        let config = FleetConfig {
+            nodes: NODES,
+            threads,
+            seed: 0x1EA2,
+            learning: Some(LearningPlane { exchange_every: 5, ..LearningPlane::default() }),
+            trust: Some(TrustPolicy::default()),
+            ..FleetConfig::default()
+        };
+        let fleet = FleetRuntime::new(recipe, config).unwrap();
+        let mut packer = GreedyPacker::new(arrivals.clone());
+        let mut report = fleet.run_with_faults(&mut packer, faults.clone(), horizon).unwrap();
+        // The pinned run must actually exercise every plane.
+        let p = &report.placement;
+        assert!(p.admitted > 0 && p.migrated > 0 && p.displaced > 0, "placement: {p:?}");
+        assert_eq!(report.nodes.len(), NODES + 2, "both joins land");
+        assert_eq!(report.learning.rounds, 24);
+        assert!(report.learning.redistributed > 0, "learning: {:?}", report.learning);
+        assert_eq!(report.learning.warm_starts, 2, "joiners warm-start from the aggregate");
+        assert_eq!(report.trust.quarantines, 2, "trust: {:?}", report.trust);
+        report.mem_bytes_per_node = 0;
+        for node in &mut report.nodes {
+            node.mem_bytes = 0;
+        }
+        debug_digest(&report)
+    };
+    for threads in [1, 2, 8] {
+        assert_eq!(run(threads), 0xf411_0128_ab6d_dbfb, "{threads} worker thread(s)");
+    }
 }

@@ -191,3 +191,38 @@ fn misconfigured_trust_policies_are_rejected() {
         );
     }
 }
+
+/// A fault plan's author cannot know which nodes the trust plane will
+/// remove. A crash and a drain scripted for the victims *after* the round in
+/// which [`persistent_poisoners_are_quarantined_and_drained`] sees them
+/// leave (epoch 40 at the latest) must be skipped — a machine that has left
+/// cannot crash — instead of aborting the run, exactly as the coordinator
+/// skips its own quarantine drain for a node that already left.
+#[test]
+fn fault_plan_events_on_already_drained_victims_are_skipped() {
+    let run = |threads: usize| {
+        let (fleet, plan) = trusted_fleet(VICTIMS, threads);
+        let at = |secs: u64, event| FaultEvent { at: Timestamp::from_secs(secs), event };
+        let faults = FaultPlan::from_events(vec![
+            at(50, LifecycleEvent::Crash { node: plan.victims()[0] }),
+            at(60, LifecycleEvent::Drain { node: plan.victims()[1] }),
+        ]);
+        let report = fleet
+            .run_with_faults(&mut NullController, faults, HORIZON)
+            .expect("a fault plan racing the trust plane must not abort the run");
+        for node in &report.nodes {
+            if plan.is_poisoned(node.node) {
+                assert_eq!(node.trust.verdict, TrustVerdict::Quarantined);
+                assert_eq!(node.lifecycle.state, NodeState::Drained, "victim {}", node.node);
+                assert!(node.lifecycle.updated_epoch <= 40, "the trust drain retired it");
+            } else {
+                assert_eq!(node.trust.verdict, TrustVerdict::Trusted);
+                assert_eq!(node.lifecycle.state, NodeState::Active, "honest {}", node.node);
+            }
+        }
+        format!("{report:#?}")
+    };
+    let one = run(1);
+    assert_eq!(one, run(2), "1 vs 2 threads");
+    assert_eq!(one, run(8), "1 vs 8 threads");
+}
