@@ -119,6 +119,7 @@ pub mod prelude {
         NullController, PlacementError, PlacementPlan, TraceEvent, TraceEventKind, WorkloadId,
         WorkloadUnit,
     };
+    pub use crate::runtime::profile::{FleetProfile, PhaseProfile, WorkerProfile};
     pub use crate::runtime::replay::{ReplayDriver, ReplayEntry};
     pub use crate::runtime::sim::{SimReport, SimRuntime};
     pub use crate::runtime::threaded::{leaked_threads, run_agent, ThreadedAgent, ThreadedReport};

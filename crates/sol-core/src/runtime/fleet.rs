@@ -27,13 +27,23 @@
 //! [`placement`](crate::runtime::placement) module. [`FleetRuntime::run`] is
 //! sugar for running with the do-nothing [`NullController`].
 //!
-//! The view is delta-maintained: workers ship per-node [`NodeDelta`]s (one
-//! full observation at a node's first barrier, positional diffs after that)
-//! against one persistent coordinator-held base, so barrier cost scales with
-//! what changed rather than with fleet width — and a controller whose
+//! The view is delta-maintained, and a barrier costs what changed, not what
+//! exists. Each worker answers a barrier with one flat *change list* for
+//! all the nodes it claimed: `(node, role, AgentStats)` and
+//! `(node, slot, f64)` entries for the counters and telemetry readings that
+//! moved since the node's last observation, plus a full [`NodeInit`] for a
+//! node observed for the first time — a per-node
+//! [`NodeDelta`](crate::runtime::placement::NodeDelta), flattened. The
+//! coordinator moves the entries into its one persistent base view and sends
+//! the emptied list back with the next barrier's command, so the vectors
+//! keep their capacity: a steady barrier allocates nothing per node on a
+//! worker and frees nothing on the coordinator, and a quiet node writes no
+//! entry at all. A controller whose
 //! [`wants_view`](FleetController::wants_view) is `false` (like
-//! [`NullController`]) skips per-node extraction entirely. Node state lives
-//! in a slot arena shared between the coordinator and the workers in
+//! [`NullController`]) skips per-node extraction entirely. The task list the
+//! workers claim from is likewise kept across barriers — its cursor reset —
+//! and rebuilt only after a lifecycle phase changed the live set. Node state
+//! lives in a slot arena shared between the coordinator and the workers in
 //! disjoint protocol phases, which is what lets lifecycle and placement
 //! phases apply directly instead of through per-phase message round trips.
 //!
@@ -52,11 +62,18 @@
 //!
 //! The barrier is also the fleet's model-exchange point: with a
 //! [`LearningPlane`] configured ([`FleetConfig::learning`]), nodes piggyback
-//! changed [`LearnedState`] snapshots of their learners on the `EpochDone`
-//! they already send (quiet learners ship nothing, like quiet
-//! [`NodeDelta`]s), and the coordinator robustly aggregates and
-//! redistributes them between the lifecycle and placement phases — see the
-//! [`learning`](crate::runtime::learning) module.
+//! changed [`LearnedState`] snapshots of their learners on the change list
+//! they already send (quiet learners ship nothing, like quiet nodes), and
+//! the coordinator robustly aggregates and redistributes them between the
+//! lifecycle and placement phases — see the
+//! [`learning`](crate::runtime::learning) module. A state is immutable once
+//! exported and crosses the barrier by reference: the node's next diff
+//! baseline and the coordinator's mirror row share one `Arc`, and a
+//! `Replace` round hands the whole fleet one aggregate allocation.
+//!
+//! Where a run's wall time went — per coordinator phase, per worker — comes
+//! back *beside* the report from [`FleetRuntime::run_profiled`] as a
+//! [`FleetProfile`], never inside it.
 //!
 //! An opt-in [`TrustPolicy`] ([`FleetConfig::trust`]) arms that exchange:
 //! every round the coordinator scores each participant's export against the
@@ -143,6 +160,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
+use std::time::Instant;
 
 use sol_ml::exchange::LearnedState;
 
@@ -154,9 +172,10 @@ use crate::runtime::lifecycle::{
 };
 use crate::runtime::node::{AgentId, NodeRuntime};
 use crate::runtime::placement::{
-    AgentTelemetry, FleetCommand, FleetController, FleetView, NodeDelta, NodeInit, NodePlacement,
-    NodeView, NullController, WorkloadId, WorkloadUnit,
+    AgentTelemetry, FleetCommand, FleetController, FleetView, NodeInit, NodePlacement, NodeView,
+    NullController, WorkloadId, WorkloadUnit,
 };
+use crate::runtime::profile::{FleetProfile, Lap, WorkerProfile};
 use crate::runtime::trust::{NodeTrustRecord, TrustAction, TrustPlane, TrustPolicy, TrustStats};
 use crate::runtime::Environment;
 use crate::stats::AgentStats;
@@ -535,10 +554,12 @@ impl FleetReport {
 /// lives inside the slot (in its seed), so a task is just the `Arc`.
 type NodeTask<E> = Arc<NodeSlot<E>>;
 
-/// One barrier's tasks, shared by every worker: each claims contiguous chunks
-/// through the one atomic cursor until none is left, so a worker that runs
-/// out of work takes over what a slower sibling has not reached yet and one
-/// slow node never idles the barrier.
+/// The live set's tasks, shared by every worker: each claims contiguous
+/// chunks through the one atomic cursor until none is left, so a worker that
+/// runs out of work takes over what a slower sibling has not reached yet and
+/// one slow node never idles the barrier. The list outlives the barrier: the
+/// coordinator [`reset`](Self::reset)s it for the next one and builds a new
+/// list only when the live set changed.
 struct TaskList<T> {
     tasks: Vec<T>,
     /// Index of the first unclaimed task (past the end once all are claimed).
@@ -568,6 +589,62 @@ impl<T> TaskList<T> {
         let end = (start + self.chunk).min(self.tasks.len());
         (start < end).then(|| &self.tasks[start..end])
     }
+
+    /// Makes every task claimable again. The caller must know that no claim
+    /// is in flight — the coordinator does: every worker answered the
+    /// previous barrier, and answers only once its claims ran dry.
+    fn reset(&self) {
+        // Relaxed, as in `claim`: the command channel orders this store
+        // before the next barrier's claims.
+        self.next.store(0, Ordering::Relaxed);
+    }
+}
+
+/// What one worker observed changing at one barrier, across every node it
+/// claimed: a [`NodeDelta`](crate::runtime::placement::NodeDelta) per node,
+/// flattened into four vectors keyed by node index. The coordinator moves
+/// the entries into its base view and hands the emptied list back with the
+/// next command, so the vectors keep their capacity and a steady barrier
+/// allocates nothing per node — on either side.
+#[derive(Default)]
+struct ChangeList {
+    /// First full observations (and re-observations after a telemetry
+    /// layout change): one per node per run, as a rule.
+    inits: Vec<(usize, NodeInit)>,
+    /// Changed agent counters: `(node, registration position, stats)`.
+    agents: Vec<(usize, usize, AgentStats)>,
+    /// Changed telemetry readings: `(node, emission position, value)`.
+    telemetry: Vec<(usize, usize, f64)>,
+    /// On exchange rounds, the learned states that changed since each
+    /// node's last export.
+    exports: Vec<NodeLearnedExport>,
+}
+
+impl ChangeList {
+    /// Moves the view changes into `nodes`, leaving those three vectors
+    /// empty. A node is claimed by one worker per barrier and ships either
+    /// an init or patches, so the order lists are patched in never shows.
+    /// Positions out of range for a node's layout are ignored, exactly as
+    /// [`NodeDelta::apply`](crate::runtime::placement::NodeDelta::apply)
+    /// ignores them.
+    fn patch(&mut self, nodes: &mut [NodeView]) {
+        for (node, init) in self.inits.drain(..) {
+            let view = &mut nodes[node];
+            view.agents = init.agents;
+            view.telemetry = init.telemetry;
+            view.placement = init.placement;
+        }
+        for (node, role, stats) in self.agents.drain(..) {
+            if let Some(agent) = nodes[node].agents.get_mut(role) {
+                agent.stats = stats;
+            }
+        }
+        for (node, slot, value) in self.telemetry.drain(..) {
+            if let Some((_, reading)) = nodes[node].telemetry.get_mut(slot) {
+                *reading = value;
+            }
+        }
+    }
 }
 
 /// What one barrier asks of the workers.
@@ -584,21 +661,32 @@ enum Work {
 
 /// What the coordinator sends to every worker, once per barrier (the entire
 /// lifecycle/placement phase runs coordinator-side against the shared
-/// arena) and once more to summarize: the work and the barrier's task list.
+/// arena) and once more to summarize: the work, the live set's task list,
+/// and an empty change list to fill — the one this worker's previous answer
+/// came back in.
 struct CoordMsg<E: Environment + 'static> {
     work: Work,
     tasks: Arc<TaskList<NodeTask<E>>>,
+    changes: ChangeList,
 }
 
-/// What a worker sends back once the task list ran dry.
-enum WorkerMsg {
-    /// Every node this worker claimed reached the boundary; carries the
-    /// deltas of the nodes whose observable state changed, plus — on
-    /// exchange rounds — the learned states that changed since the nodes'
-    /// last exports.
-    EpochDone { deltas: Vec<NodeDelta>, exports: Vec<NodeLearnedExport> },
+/// What a worker did with one command.
+enum Done {
+    /// Every node this worker claimed reached the boundary; carries what
+    /// changed on them.
+    Epoch(ChangeList),
     /// Final outcomes of the nodes this worker claimed (answers `Finish`).
     Finished(Vec<FleetNodeReport>),
+}
+
+/// What a worker sends back once the task list ran dry: the outcome, and its
+/// own account of the barrier for the [`FleetProfile`].
+struct WorkerMsg {
+    done: Done,
+    /// Wall time from receiving the command to sending this.
+    busy_ns: u64,
+    /// Nodes claimed off the task list.
+    claimed: u64,
 }
 
 /// Drives *N* recipe-stamped [`NodeRuntime`]s under one virtual clock. See
@@ -724,7 +812,7 @@ impl<E: Environment + 'static> FleetRuntime<E> {
     /// migration-detaches first, then admissions, then migration-attaches,
     /// each phase stable-sorted by target node index — so freed capacity is
     /// available to the same barrier's admissions. The view is maintained as
-    /// one persistent base patched in place from per-node [`NodeDelta`]s, so
+    /// one persistent base patched in place from the workers' change lists, so
     /// a quiet node costs nothing at the barrier; a controller whose
     /// [`wants_view`](FleetController::wants_view) is `false` skips even
     /// that, receiving views with exact `placement`/`state`/`displaced` but
@@ -790,9 +878,32 @@ impl<E: Environment + 'static> FleetRuntime<E> {
     pub fn run_with_faults(
         &self,
         controller: &mut dyn FleetController,
-        mut faults: FaultPlan,
+        faults: FaultPlan,
         horizon: SimDuration,
     ) -> Result<FleetReport, RuntimeError>
+    where
+        E: Send,
+    {
+        self.run_profiled(controller, faults, horizon).map(|(report, _)| report)
+    }
+
+    /// [`run_with_faults`](Self::run_with_faults), also returning the run's
+    /// [`FleetProfile`]: the coordinator's wall time by barrier phase, each
+    /// worker's busy time and claims, and how many task lists and change
+    /// buffers the barrier machinery built. The profile comes back *beside*
+    /// the report, never inside it — the report stays a pure function of the
+    /// run's inputs — and this is the one code path behind every `run*`
+    /// method: the others drop the profile.
+    ///
+    /// # Errors
+    ///
+    /// See [`run_with_faults`](Self::run_with_faults).
+    pub fn run_profiled(
+        &self,
+        controller: &mut dyn FleetController,
+        mut faults: FaultPlan,
+        horizon: SimDuration,
+    ) -> Result<(FleetReport, FleetProfile), RuntimeError>
     where
         E: Send,
     {
@@ -813,10 +924,13 @@ impl<E: Environment + 'static> FleetRuntime<E> {
                 let plan = controller.plan(&coordinator.base);
                 coordinator.placement.commands += plan.len() as u64;
                 let (commands, events) = plan.into_parts();
+                coordinator.clock.charge(&mut coordinator.profile.phases.plan_ns);
                 let joined =
                     coordinator.lifecycle(epoch, boundary, drained, events, &mut faults)?;
+                coordinator.clock.charge(&mut coordinator.profile.phases.lifecycle_ns);
                 coordinator.learn(epoch, &joined);
                 coordinator.place(commands)?;
+                coordinator.clock.charge(&mut coordinator.profile.phases.place_ns);
             }
             coordinator.fold(&boundaries)
         })();
@@ -923,6 +1037,14 @@ struct Coordinator<'f, E: Environment + 'static> {
     /// channel either way means the worker died; dropping the senders is
     /// what tells the workers to exit.
     links: Vec<(Sender<CoordMsg<E>>, Receiver<WorkerMsg>)>,
+    /// The live set's task list, reset and reused barrier after barrier;
+    /// `None` until the first barrier and after a lifecycle phase changed
+    /// the live set, which makes the next hand-off build a fresh one.
+    tasks: Option<Arc<TaskList<NodeTask<E>>>>,
+    /// Emptied change lists waiting to go out with the next command: each
+    /// worker's answer comes back in the list it was sent, so after the
+    /// first barrier this pool holds one per worker between barriers.
+    buffers: Vec<ChangeList>,
     /// The slot arena: one persistent, mutex-guarded slot per node index,
     /// shared between the coordinator and whichever worker claims the node
     /// each epoch. Slots are stamped lazily (`Vacant`) and die in place
@@ -931,10 +1053,10 @@ struct Coordinator<'f, E: Environment + 'static> {
     /// placement phases directly — no per-phase message round trips.
     arena: Vec<NodeTask<E>>,
     registry: NodeRegistry,
-    /// The base view, patched in place from worker deltas at every barrier;
-    /// the crash-displaced pool lives inside it. Entries start as
-    /// placeholders — every node ships a full first observation at its
-    /// first barrier, before any controller looks.
+    /// The base view, patched in place from the workers' change lists at
+    /// every barrier; the crash-displaced pool lives inside it. Entries
+    /// start as placeholders — every node ships a full first observation at
+    /// its first barrier, before any controller looks.
     base: FleetView,
     learning: Option<LearningPhase>,
     placement: PlacementStats,
@@ -942,6 +1064,12 @@ struct Coordinator<'f, E: Environment + 'static> {
     packing_sum: f64,
     /// Reports of nodes retired mid-run, folded in with the survivors'.
     early_reports: Vec<FleetNodeReport>,
+    /// Where the wall time goes; never read by anything that feeds the
+    /// report.
+    profile: FleetProfile,
+    /// The stopwatch behind `profile.phases`: it runs from here to the end
+    /// of the fold, and every lap is charged to exactly one phase.
+    clock: Lap,
 }
 
 impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
@@ -963,10 +1091,16 @@ impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
                 .expect("spawn fleet worker");
             workers.push(handle);
         }
+        let profile = FleetProfile {
+            workers: vec![WorkerProfile::default(); links.len()],
+            ..Default::default()
+        };
         let coordinator = Coordinator {
             fleet,
             wants_view,
             links,
+            tasks: None,
+            buffers: Vec::new(),
             arena: (0..config.nodes)
                 .map(|index| NodeSlot::vacant(fleet.node_seed(index), Timestamp::ZERO))
                 .collect(),
@@ -988,23 +1122,48 @@ impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
             occupancy_sums: vec![0.0; config.nodes],
             packing_sum: 0.0,
             early_reports: Vec::new(),
+            profile,
+            clock: Lap::start(),
         };
         (coordinator, workers)
     }
 
-    /// Hands every live node's slot to the workers as one shared task list
-    /// and waits for one reply per worker.
-    fn dispatch(&self, work: Work) -> Result<Vec<WorkerMsg>, RuntimeError> {
-        let live = self.registry.records().iter().filter(|record| record.state.is_live());
-        let tasks = live.map(|record| Arc::clone(&self.arena[record.node])).collect();
-        let tasks = Arc::new(TaskList::new(tasks, self.links.len()));
+    /// Wakes every worker with `work` over the live set's task list — the
+    /// previous barrier's list with its cursor reset, or a fresh one if the
+    /// live set changed since — and an empty change list each.
+    fn hand_off(&mut self, work: Work) -> Result<(), RuntimeError> {
+        let tasks = match &self.tasks {
+            Some(tasks) => {
+                tasks.reset();
+                Arc::clone(tasks)
+            }
+            None => {
+                let live = self.registry.records().iter().filter(|record| record.state.is_live());
+                let slots = live.map(|record| Arc::clone(&self.arena[record.node])).collect();
+                self.profile.task_lists_built += 1;
+                Arc::clone(self.tasks.insert(Arc::new(TaskList::new(slots, self.links.len()))))
+            }
+        };
         for (cmd_tx, _) in &self.links {
-            cmd_tx.send(CoordMsg { work, tasks: Arc::clone(&tasks) }).map_err(|_| died())?;
+            let changes = self.buffers.pop().unwrap_or_else(|| {
+                self.profile.change_buffers_allocated += 1;
+                ChangeList::default()
+            });
+            cmd_tx
+                .send(CoordMsg { work, tasks: Arc::clone(&tasks), changes })
+                .map_err(|_| died())?;
         }
-        // The workers hold the only handles from here on: whichever finishes
-        // last frees the list, off the coordinator's serial path.
-        drop(tasks);
-        self.links.iter().map(|(_, done_rx)| done_rx.recv().map_err(|_| died())).collect()
+        Ok(())
+    }
+
+    /// Waits for worker `link`'s answer to the last hand-off and books the
+    /// worker's own account of the barrier.
+    fn answer(&mut self, link: usize) -> Result<Done, RuntimeError> {
+        let WorkerMsg { done, busy_ns, claimed } = self.links[link].1.recv().map_err(|_| died())?;
+        let worker = &mut self.profile.workers[link];
+        worker.busy_ns += busy_ns;
+        worker.nodes_claimed += claimed;
+        Ok(done)
     }
 
     /// Collect phase: advances every live node to `boundary`, patches what
@@ -1017,21 +1176,22 @@ impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
             .learning
             .as_ref()
             .is_some_and(|phase| phase.exchange.plane().is_learn_epoch(epoch));
-        let mut exports = Vec::new();
-        for reply in self.dispatch(Work::Epoch { boundary, collect: self.wants_view, learn })? {
-            let WorkerMsg::EpochDone { deltas, exports: shipped } = reply else {
-                return Err(died());
-            };
-            for delta in deltas {
-                delta.apply(&mut self.base.nodes[delta.node]);
+        self.hand_off(Work::Epoch { boundary, collect: self.wants_view, learn })?;
+        self.clock.charge(&mut self.profile.phases.hand_off_ns);
+        // One worker's list is patched in while the others still run.
+        for link in 0..self.links.len() {
+            let Done::Epoch(mut changes) = self.answer(link)? else { return Err(died()) };
+            self.clock.charge(&mut self.profile.phases.wait_ns);
+            changes.patch(&mut self.base.nodes);
+            self.clock.charge(&mut self.profile.phases.apply_ns);
+            if let Some(phase) = self.learning.as_mut() {
+                // Patch the learned-state mirror before lifecycle events
+                // retire anyone: the exports describe the boundary every
+                // node just reached.
+                phase.exchange.absorb(changes.exports.drain(..));
             }
-            exports.extend(shipped);
-        }
-        if let (true, Some(phase)) = (learn, self.learning.as_mut()) {
-            // Patch the learned-state mirror before lifecycle events retire
-            // anyone: the exports describe the boundary every node just
-            // reached.
-            phase.exchange.absorb(exports);
+            self.clock.charge(&mut self.profile.phases.absorb_ns);
+            self.buffers.push(changes);
         }
 
         // Registry bookkeeping from the fresh observations: nodes that
@@ -1073,6 +1233,8 @@ impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
         if capacity_total > 0.0 {
             self.packing_sum += used_total / capacity_total;
         }
+        self.profile.barriers += 1;
+        self.clock.charge(&mut self.profile.phases.bookkeeping_ns);
         Ok(drained)
     }
 
@@ -1145,6 +1307,11 @@ impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
             }
         }
         self.occupancy_sums.resize(self.registry.len(), 0.0);
+        if !(retiring.is_empty() && joined.is_empty()) {
+            // The live set changes at this barrier: the next hand-off builds
+            // its task list anew.
+            self.tasks = None;
+        }
 
         retiring.sort_unstable();
         for &node in &retiring {
@@ -1206,6 +1373,7 @@ impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
                 Some(trust) => phase.exchange.round(&trust.participants(&live)),
                 None => phase.exchange.round(&live),
             }
+            self.clock.charge(&mut self.profile.phases.round_ns);
             // Score the round: every live node's mirrored export (withheld
             // ones included — measured against the consensus they no longer
             // vote on) against the fresh aggregates, in node-index order.
@@ -1218,6 +1386,7 @@ impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
                     }
                 }
             }
+            self.clock.charge(&mut self.profile.phases.score_ns);
             phase.exchange.redistribute(&live, |node, slot, state| {
                 arena[node].with_live(|shard| shard.import_learned(slot, state)).unwrap_or(false)
             });
@@ -1232,6 +1401,7 @@ impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
                     .unwrap_or(false)
             });
         }
+        self.clock.charge(&mut self.profile.phases.redistribute_ns);
     }
 
     /// Validates the plan's commands against the registry and splits them
@@ -1384,10 +1554,14 @@ impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
     /// summarize through the same task list (summaries are independent;
     /// reports re-sort by index), the retired nodes' reports join them, and
     /// everything folds into the fleet dashboard.
-    fn fold(mut self, boundaries: &[Timestamp]) -> Result<FleetReport, RuntimeError> {
+    fn fold(
+        mut self,
+        boundaries: &[Timestamp],
+    ) -> Result<(FleetReport, FleetProfile), RuntimeError> {
         let mut nodes = std::mem::take(&mut self.early_reports);
-        for reply in self.dispatch(Work::Finish)? {
-            let WorkerMsg::Finished(reports) = reply else { return Err(died()) };
+        self.hand_off(Work::Finish)?;
+        for link in 0..self.links.len() {
+            let Done::Finished(reports) = self.answer(link)? else { return Err(died()) };
             nodes.extend(reports);
         }
         nodes.sort_by_key(|report| report.node);
@@ -1416,9 +1590,13 @@ impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
             ),
             None => Default::default(),
         };
-        aggregate(nodes, boundaries.len() as u64, placement, learning, trust, ended_at)
+        let report =
+            aggregate(nodes, boundaries.len() as u64, placement, learning, trust, ended_at)?;
+        self.clock.charge(&mut self.profile.phases.fold_ns);
+        Ok((report, self.profile))
     }
 }
+
 /// The epoch grid: `epoch, 2·epoch, …` clamped to the horizon, ending
 /// exactly at the horizon.
 fn epoch_boundaries(horizon: SimDuration, epoch: SimDuration) -> Vec<Timestamp> {
@@ -1450,8 +1628,10 @@ struct ShardNode<E: Environment + 'static> {
     observed: bool,
     /// Learned states as of the last learning-plane export (or coordinator
     /// import), indexed by agent slot; the exchange-round diff baseline.
-    /// Empty until the first exchange round touches the node.
-    learned_base: Vec<Option<LearnedState>>,
+    /// Empty until the first exchange round touches the node. Shared with
+    /// the coordinator's mirror — and, after a `Replace` round, with every
+    /// other node — never written through.
+    learned_base: Vec<Option<Arc<LearnedState>>>,
 }
 
 impl<E: Environment + 'static> ShardNode<E> {
@@ -1477,47 +1657,53 @@ impl<E: Environment + 'static> ShardNode<E> {
         Timestamp::ZERO + fleet_time.duration_since(self.start)
     }
 
-    /// The barrier observation as a delta against the last one. The first
-    /// call ships a full [`NodeInit`] (placement always, agent stats and
-    /// telemetry only when `collect`); later calls diff against the shipped
-    /// baselines and return `None` when nothing changed — the common case
-    /// for quiet nodes, costing the coordinator nothing.
-    fn observe(&mut self, recipe: &ScenarioRecipe<E>, collect: bool) -> Option<NodeDelta> {
+    /// Runs the node's event loop up to fleet time `boundary`. Out of line on
+    /// purpose: this loop is where a node-bound run's time goes, and compiled
+    /// into the worker's body its code generation shifts with every edit to
+    /// the barrier code around it — the node-bound benchmark workloads read
+    /// 5–15 % slower after a change that touched no line of the loop.
+    #[inline(never)]
+    fn run_to(&mut self, boundary: Timestamp) {
+        let until = self.local(boundary);
+        self.runtime.run_until(until);
+    }
+
+    /// Writes the barrier observation into `changes` as a delta against the
+    /// last one. The first call ships a full [`NodeInit`] (placement always,
+    /// agent stats and telemetry only when `collect`); later calls diff
+    /// against the shipped baselines and write nothing when nothing changed
+    /// — the common case for quiet nodes, costing the coordinator nothing.
+    fn observe(&mut self, recipe: &ScenarioRecipe<E>, collect: bool, changes: &mut ChangeList) {
         let node = self.seed.index() as usize;
-        let mut delta = NodeDelta::empty(node);
         if !self.observed {
             self.observed = true;
-            delta.init = Some(self.full_observation(recipe, collect));
-            return Some(delta);
+            changes.inits.push((node, self.full_observation(recipe, collect)));
+            return;
         }
         if !collect {
-            return None;
+            return;
         }
+        let mark = changes.agents.len();
         for role in 0..self.stats_base.len() {
             let stats = self.runtime.agent_stats(AgentId::from(role));
             if stats != self.stats_base[role] {
                 self.stats_base[role] = stats.clone();
-                delta.agents.push((role, stats));
+                changes.agents.push((node, role, stats));
             }
         }
         let readings = recipe.extract_telemetry(self.runtime.environment());
         if readings.len() != self.telemetry_base.len() {
             // The telemetry shape changed; re-ship everything rather than
             // patch positionally against a stale layout.
-            delta.agents.clear();
-            delta.init = Some(self.full_observation(recipe, collect));
-            return Some(delta);
+            changes.agents.truncate(mark);
+            changes.inits.push((node, self.full_observation(recipe, collect)));
+            return;
         }
         for (slot, (_, value)) in readings.into_iter().enumerate() {
             if value != self.telemetry_base[slot] {
                 self.telemetry_base[slot] = value;
-                delta.telemetry.push((slot, value));
+                changes.telemetry.push((node, slot, value));
             }
-        }
-        if delta.is_empty() {
-            None
-        } else {
-            Some(delta)
         }
     }
 
@@ -1555,10 +1741,13 @@ impl<E: Environment + 'static> ShardNode<E> {
         let mut states = Vec::new();
         for (slot, snapshot) in snapshots.into_iter().enumerate() {
             let Some(state) = snapshot else { continue };
-            if self.learned_base[slot].as_ref() == Some(&state) {
+            if self.learned_base[slot].as_deref() == Some(&state) {
                 continue;
             }
-            self.learned_base[slot] = Some(state.clone());
+            // One allocation, two holders: this node's next diff baseline
+            // and the coordinator's mirror row.
+            let state = Arc::new(state);
+            self.learned_base[slot] = Some(Arc::clone(&state));
             states.push((slot, state));
         }
         if states.is_empty() {
@@ -1570,9 +1759,10 @@ impl<E: Environment + 'static> ShardNode<E> {
 
     /// Imports a (blended) fleet aggregate into agent `slot`'s model,
     /// refreshing the export baseline so the next exchange round does not
-    /// re-ship what the coordinator already knows. Returns whether the
-    /// model accepted the state.
-    fn import_learned(&mut self, slot: usize, state: &LearnedState) -> bool {
+    /// re-ship what the coordinator already knows. The model copies the
+    /// values out; the baseline keeps a handle on the shared state. Returns
+    /// whether the model accepted the state.
+    fn import_learned(&mut self, slot: usize, state: &Arc<LearnedState>) -> bool {
         if slot >= self.runtime.agent_count() {
             return false;
         }
@@ -1582,7 +1772,7 @@ impl<E: Environment + 'static> ShardNode<E> {
         if self.learned_base.len() <= slot {
             self.learned_base.resize(slot + 1, None);
         }
-        self.learned_base[slot] = Some(state.clone());
+        self.learned_base[slot] = Some(Arc::clone(state));
         true
     }
 }
@@ -1638,23 +1828,24 @@ impl<E: Environment + 'static> NodeSlot<E> {
     }
 
     /// Stamps the node if needed, advances it to the epoch boundary, and
-    /// returns its barrier observation delta plus — when `learn` marks an
-    /// exchange round — its learning-plane export (both `None` for an
-    /// unchanged node or a retired slot).
+    /// writes its barrier observation delta plus — when `learn` marks an
+    /// exchange round — its learning-plane export into `changes` (nothing
+    /// for an unchanged node or a retired slot).
     fn advance(
         &self,
         recipe: &ScenarioRecipe<E>,
         boundary: Timestamp,
         collect: bool,
         learn: bool,
-    ) -> (Option<NodeDelta>, Option<NodeLearnedExport>) {
+        changes: &mut ChangeList,
+    ) {
         let mut guard = self.stamped(recipe);
-        let Slot::Live(node) = &mut *guard else { return (None, None) };
-        let until = node.local(boundary);
-        node.runtime.run_until(until);
-        let delta = node.observe(recipe, collect);
-        let export = if learn { node.export_learned() } else { None };
-        (delta, export)
+        let Slot::Live(node) = &mut *guard else { return };
+        node.run_to(boundary);
+        node.observe(recipe, collect, changes);
+        if learn {
+            changes.exports.extend(node.export_learned());
+        }
     }
 
     /// Takes the node out for good, leaving the slot `Retired` (`None` if it
@@ -1694,42 +1885,43 @@ impl<E: Environment + 'static> NodeSlot<E> {
     }
 }
 
-/// Worker body: on each command, claim chunks of the barrier's task list
-/// until it runs dry — advancing (or, for `Finish`, summarizing) every node
-/// claimed — and ship the results home in one message. A closed channel
-/// either way means the run is over or was aborted (another worker died, or
-/// the controller erred): exit quietly.
+/// Worker body: on each command, claim chunks of the task list until it
+/// runs dry — advancing (or, for `Finish`, summarizing) every node claimed —
+/// and ship the results home in one message, epoch changes in the very list
+/// the command brought. A closed channel either way means the run is over or
+/// was aborted (another worker died, or the controller erred): exit quietly.
 fn worker<E: Environment + Send + 'static>(
     recipe: Arc<ScenarioRecipe<E>>,
     cmd_rx: Receiver<CoordMsg<E>>,
     done_tx: Sender<WorkerMsg>,
 ) {
-    while let Ok(CoordMsg { work, tasks }) = cmd_rx.recv() {
-        let reply = match work {
+    while let Ok(CoordMsg { work, tasks, mut changes }) = cmd_rx.recv() {
+        let start = Instant::now();
+        let mut claimed = 0;
+        let done = match work {
             Work::Epoch { boundary, collect, learn } => {
-                let mut deltas = Vec::new();
-                let mut exports = Vec::new();
                 while let Some(chunk) = tasks.claim() {
+                    claimed += chunk.len();
                     for slot in chunk {
-                        let (delta, export) = slot.advance(&recipe, boundary, collect, learn);
-                        deltas.extend(delta);
-                        exports.extend(export);
+                        slot.advance(&recipe, boundary, collect, learn, &mut changes);
                     }
                 }
-                WorkerMsg::EpochDone { deltas, exports }
+                Done::Epoch(changes)
             }
             Work::Finish => {
                 let mut finished = Vec::new();
                 while let Some(chunk) = tasks.claim() {
+                    claimed += chunk.len();
                     for slot in chunk {
                         let node = slot.take(&recipe);
                         finished.extend(node.map(|n| summarize(&recipe, n.seed, n.runtime)));
                     }
                 }
-                WorkerMsg::Finished(finished)
+                Done::Finished(finished)
             }
         };
-        if done_tx.send(reply).is_err() {
+        let busy_ns = start.elapsed().as_nanos() as u64;
+        if done_tx.send(WorkerMsg { done, busy_ns, claimed: claimed as u64 }).is_err() {
             return;
         }
     }
@@ -1893,8 +2085,12 @@ fn aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::DataError;
+    use crate::model::{Model, ModelAssessment};
+    use crate::prediction::Prediction;
     use crate::runtime::node::NodeRuntime;
     use crate::runtime::testutil::{schedule, ConstModel, CountActuator, StepEnv};
+    use sol_ml::exchange::{BlendPolicy, ExchangeError, StateKind};
 
     /// Renders a value's full Debug output as bytes for exact comparison.
     fn debug_bytes<T: std::fmt::Debug>(value: &T) -> Vec<u8> {
@@ -2032,6 +2228,169 @@ mod tests {
             assert_eq!(all, (0..len).collect::<Vec<usize>>(), "{len} tasks");
             assert!(list.claim().is_none(), "a drained list stays drained");
         }
+    }
+
+    /// The list outlives its barrier: after a `reset` — issued, as in the
+    /// coordinator, only once every claimant ran dry — the same four
+    /// claimants split the same tasks again, exactly once each, reuse after
+    /// reuse.
+    #[test]
+    fn a_reset_list_hands_every_task_out_exactly_once_per_reuse() {
+        let list = Arc::new(TaskList::new((0..1003usize).collect(), 4));
+        // Two waits per reuse: one releases the claims, one tells the
+        // resetter that all four ran dry.
+        let gate = Arc::new(std::sync::Barrier::new(5));
+        let claimants: Vec<thread::JoinHandle<Vec<Vec<usize>>>> = (0..4)
+            .map(|_| {
+                let (list, gate) = (Arc::clone(&list), Arc::clone(&gate));
+                thread::spawn(move || {
+                    (0..4)
+                        .map(|_| {
+                            gate.wait();
+                            let mut mine = Vec::new();
+                            while let Some(chunk) = list.claim() {
+                                mine.extend_from_slice(chunk);
+                            }
+                            gate.wait();
+                            mine
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        for reuse in 0..4 {
+            if reuse > 0 {
+                list.reset();
+            }
+            gate.wait();
+            gate.wait();
+            assert!(list.claim().is_none(), "reuse {reuse} drained the list");
+        }
+        let claims: Vec<Vec<Vec<usize>>> =
+            claimants.into_iter().map(|claimant| claimant.join().unwrap()).collect();
+        for reuse in 0..4 {
+            let mut all: Vec<usize> =
+                claims.iter().flat_map(|claimant| claimant[reuse].iter().copied()).collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..1003).collect::<Vec<usize>>(), "reuse {reuse}");
+        }
+    }
+
+    /// A learner whose one weight grows by its node's step at every model
+    /// update, so nodes disagree, keep learning, and accept any import.
+    struct DriftModel {
+        weight: f64,
+        step: f64,
+    }
+
+    impl Model for DriftModel {
+        type Data = f64;
+        type Pred = f64;
+        fn collect_data(&mut self, _now: Timestamp) -> Result<f64, DataError> {
+            Ok(self.weight)
+        }
+        fn validate_data(&self, d: &f64) -> bool {
+            d.is_finite()
+        }
+        fn commit_data(&mut self, _now: Timestamp, _d: f64) {}
+        fn update_model(&mut self, _now: Timestamp) {
+            self.weight += self.step;
+        }
+        fn predict(&mut self, now: Timestamp) -> Option<Prediction<f64>> {
+            Some(Prediction::model(self.weight, now, now + SimDuration::from_secs(1)))
+        }
+        fn default_predict(&self, now: Timestamp) -> Prediction<f64> {
+            Prediction::fallback(0.0, now, now + SimDuration::from_secs(1))
+        }
+        fn assess_model(&mut self, _now: Timestamp) -> ModelAssessment {
+            ModelAssessment::Healthy
+        }
+        fn export_learned(&self) -> Option<LearnedState> {
+            LearnedState::new(StateKind::LinearWeights, vec![1], vec![self.weight]).ok()
+        }
+        fn import_learned(&mut self, state: &LearnedState) -> Result<(), ExchangeError> {
+            self.weight = state.values()[0];
+            Ok(())
+        }
+    }
+
+    /// Three stamped `DriftModel` nodes taken through one exchange round at
+    /// `boundary` under `blend`, the way `collect` and `learn` take a fleet.
+    fn one_round(
+        blend: BlendPolicy,
+    ) -> (ScenarioRecipe<StepEnv>, Vec<NodeTask<StepEnv>>, LearningExchange) {
+        let recipe = ScenarioRecipe::new(|seed: &NodeSeed| {
+            let mut builder = NodeRuntime::builder(StepEnv::default());
+            let model = DriftModel { weight: 0.0, step: 1.0 + seed.index() as f64 };
+            builder.agent("drift", model, CountActuator::default(), schedule(100));
+            builder.build()
+        });
+        let arena: Vec<NodeTask<StepEnv>> = (0..3)
+            .map(|index| NodeSlot::vacant(NodeSeed::derive(7, index), Timestamp::ZERO))
+            .collect();
+        let plane = LearningPlane { blend, ..LearningPlane::default() };
+        let mut exchange = LearningExchange::new(plane, arena.len());
+        let mut changes = ChangeList::default();
+        for slot in &arena {
+            slot.advance(&recipe, Timestamp::from_secs(2), false, true, &mut changes);
+        }
+        assert_eq!(changes.exports.len(), 3, "every node learned something to export");
+        exchange.absorb(changes.exports.drain(..));
+        exchange.round(&[0, 1, 2]);
+        exchange.redistribute(&[0, 1, 2], |node, slot, state| {
+            arena[node].with_live(|shard| shard.import_learned(slot, state)).unwrap_or(false)
+        });
+        (recipe, arena, exchange)
+    }
+
+    fn baseline(slot: &NodeTask<StepEnv>) -> Arc<LearnedState> {
+        slot.with_live(|shard| shard.learned_base[0].clone()).flatten().expect("a baseline")
+    }
+
+    /// After a `Replace` round the median node already holds the aggregate's
+    /// value and keeps its own export; every *other* node's baseline and
+    /// mirror row are the aggregate's very allocation. A node that learns on
+    /// exports a fresh state and disturbs neither its peers nor the
+    /// aggregate.
+    #[test]
+    fn a_replace_round_shares_one_aggregate_allocation_across_the_fleet() {
+        let (recipe, arena, mut exchange) = one_round(BlendPolicy::Replace);
+        let aggregate = Arc::clone(exchange.aggregates()[0].as_ref().unwrap());
+        for node in [0, 2] {
+            assert!(Arc::ptr_eq(exchange.local(node, 0).unwrap(), &aggregate), "mirror {node}");
+            assert!(Arc::ptr_eq(&baseline(&arena[node]), &aggregate), "baseline {node}");
+        }
+        // The median node's export equalled the aggregate: nothing shipped,
+        // and node and mirror still share the node's own export.
+        assert_eq!(**exchange.local(1, 0).unwrap(), *aggregate);
+        assert!(Arc::ptr_eq(exchange.local(1, 0).unwrap(), &baseline(&arena[1])));
+
+        let before = (*aggregate).clone();
+        let mut changes = ChangeList::default();
+        arena[0].advance(&recipe, Timestamp::from_secs(4), false, true, &mut changes);
+        exchange.absorb(changes.exports.drain(..));
+        let fresh = exchange.local(0, 0).unwrap();
+        assert_ne!(**fresh, before, "node 0 kept learning");
+        assert!(Arc::ptr_eq(fresh, &baseline(&arena[0])), "an export is one shared allocation");
+        assert_eq!(*aggregate, before, "shared states are never written through");
+        assert!(Arc::ptr_eq(exchange.local(2, 0).unwrap(), &aggregate));
+        assert!(Arc::ptr_eq(&baseline(&arena[2]), &aggregate));
+        assert!(Arc::ptr_eq(exchange.aggregates()[0].as_ref().unwrap(), &aggregate));
+    }
+
+    /// A `Mix` blend differs per node, so no two holders share it — but each
+    /// node still shares its own blend with its mirror row.
+    #[test]
+    fn a_mix_round_gives_every_node_its_own_blend() {
+        let (_, arena, exchange) = one_round(BlendPolicy::Mix { weight: 0.5 });
+        let aggregate = exchange.aggregates()[0].as_ref().unwrap();
+        for node in [0, 2] {
+            let local = exchange.local(node, 0).unwrap();
+            assert!(!Arc::ptr_eq(local, aggregate), "node {node} holds a blend of its own");
+            assert_ne!(**local, **aggregate);
+            assert!(Arc::ptr_eq(local, &baseline(&arena[node])));
+        }
+        assert!(!Arc::ptr_eq(exchange.local(0, 0).unwrap(), exchange.local(2, 0).unwrap()));
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! [`FleetRuntime`](crate::runtime::fleet::FleetRuntime) extends to the
 //! learning plane unchanged.
 
+use std::sync::Arc;
+
 use serde::Serialize;
 use sol_ml::exchange::{AggregationRule, BlendPolicy, LearnedState};
 
@@ -149,14 +151,16 @@ impl LearningStats {
 
 /// One node's learning-plane payload for a barrier: the learned states that
 /// changed since the node's last export, keyed by agent slot (registration
-/// order). Piggybacks on the worker's `EpochDone` message.
+/// order). Piggybacks on the change list the worker answers the barrier with.
 #[derive(Debug, Clone)]
 pub(crate) struct NodeLearnedExport {
     /// The exporting node's fleet index.
     pub(crate) node: usize,
     /// `(agent slot, state)` pairs, in slot order. Never empty — a node with
-    /// nothing new ships no export at all.
-    pub(crate) states: Vec<(usize, LearnedState)>,
+    /// nothing new ships no export at all. The node keeps a handle on each
+    /// state as its next export's diff baseline, so an export is one
+    /// allocation shared by the node and the coordinator's mirror.
+    pub(crate) states: Vec<(usize, Arc<LearnedState>)>,
 }
 
 /// The coordinator's half of the learning plane: a per-node mirror of the
@@ -164,6 +168,11 @@ pub(crate) struct NodeLearnedExport {
 /// placement base view is patched from `NodeDelta`s), the latest per-slot
 /// fleet aggregates (kept for warm-starting joiners between rounds), and the
 /// run's cumulative [`LearningStats`].
+///
+/// States are immutable once exported, so every holder — a node's export
+/// baseline, its mirror row, the aggregates — shares them by `Arc`: after a
+/// [`BlendPolicy::Replace`] round the whole fleet points at *one* aggregate
+/// allocation, and a node that learns on simply exports a fresh one.
 ///
 /// All methods are deterministic functions of their inputs; callers must
 /// feed them node indices in ascending order where order matters (`round`
@@ -174,9 +183,9 @@ pub(crate) struct LearningExchange {
     /// `mirror[node][slot]` is the last state node `node`'s agent `slot`
     /// exported (or had imported), `None` before its first export. Retired
     /// nodes' rows are cleared so they stop contributing to aggregates.
-    mirror: Vec<Vec<Option<LearnedState>>>,
+    mirror: Vec<Vec<Option<Arc<LearnedState>>>>,
     /// Latest per-slot aggregates, refreshed by [`round`](Self::round).
-    aggregates: Vec<Option<LearnedState>>,
+    aggregates: Vec<Option<Arc<LearnedState>>>,
     stats: LearningStats,
 }
 
@@ -211,11 +220,9 @@ impl LearningExchange {
     }
 
     /// Absorbs a barrier's exports into the mirror. Exports are keyed by
-    /// node index, so arrival order (which depends on worker scheduling)
-    /// never affects the result; the sort below is only so `participants`
-    /// and `bytes_exchanged` grow in a canonical order for debugging.
-    pub(crate) fn absorb(&mut self, mut exports: Vec<NodeLearnedExport>) {
-        exports.sort_by_key(|export| export.node);
+    /// node index and the counters are sums, so arrival order (which depends
+    /// on worker scheduling) never affects the result.
+    pub(crate) fn absorb(&mut self, exports: impl IntoIterator<Item = NodeLearnedExport>) {
         for export in exports {
             debug_assert!(!export.states.is_empty(), "quiet nodes ship no export");
             self.stats.participants += 1;
@@ -239,11 +246,11 @@ impl LearningExchange {
     pub(crate) fn round(&mut self, live: &[usize]) {
         self.stats.rounds += 1;
         let slots = live.iter().map(|&node| self.mirror[node].len()).max().unwrap_or(0);
-        let mut aggregates: Vec<Option<LearnedState>> = Vec::with_capacity(slots);
+        let mut aggregates: Vec<Option<Arc<LearnedState>>> = Vec::with_capacity(slots);
         for slot in 0..slots {
             let mut column: Vec<&LearnedState> = Vec::with_capacity(live.len());
             for &node in live {
-                let Some(state) = self.mirror[node].get(slot).and_then(Option::as_ref) else {
+                let Some(state) = self.mirror[node].get(slot).and_then(Option::as_deref) else {
                     continue;
                 };
                 match column.first() {
@@ -253,22 +260,21 @@ impl LearningExchange {
                     _ => column.push(state),
                 }
             }
-            let column: Vec<LearnedState> = column.into_iter().cloned().collect();
             // A fold of finite states can still overflow to infinity (e.g. a
             // mean of huge poisoned values); such a round yields no aggregate
             // for the slot rather than poisoning every node with it.
-            aggregates.push(self.plane.rule.aggregate(&column).ok());
+            aggregates.push(self.plane.rule.aggregate_refs(&column).ok().map(Arc::new));
         }
         self.aggregates = aggregates;
     }
 
     /// The latest per-slot aggregates (empty before the first round).
-    pub(crate) fn aggregates(&self) -> &[Option<LearnedState>] {
+    pub(crate) fn aggregates(&self) -> &[Option<Arc<LearnedState>>] {
         &self.aggregates
     }
 
     /// The mirrored local state of `(node, slot)`, if any.
-    pub(crate) fn local(&self, node: usize, slot: usize) -> Option<&LearnedState> {
+    pub(crate) fn local(&self, node: usize, slot: usize) -> Option<&Arc<LearnedState>> {
         self.mirror.get(node)?.get(slot)?.as_ref()
     }
 
@@ -276,13 +282,15 @@ impl LearningExchange {
     /// ascending order): every mirrored local state is blended with its
     /// slot's aggregate under the plane's [`BlendPolicy`] and offered to
     /// `import(node, slot, blended)`, which hands it to the node's model and
-    /// reports whether the model took it. The exchange never touches a node
-    /// itself — the closure is the only way in — so it stays a pure function
-    /// of its inputs.
+    /// reports whether the model took it. Under [`BlendPolicy::Replace`] the
+    /// blend *is* the aggregate, so every node is offered — and every mirror
+    /// row then holds — the same allocation. The exchange never touches a
+    /// node itself — the closure is the only way in — so it stays a pure
+    /// function of its inputs.
     pub(crate) fn redistribute(
         &mut self,
         live: &[usize],
-        mut import: impl FnMut(usize, usize, &LearnedState) -> bool,
+        mut import: impl FnMut(usize, usize, &Arc<LearnedState>) -> bool,
     ) {
         for &node in live {
             for slot in 0..self.aggregates.len() {
@@ -293,11 +301,17 @@ impl LearningExchange {
                 if local.compatible_with(aggregate).is_err() {
                     continue;
                 }
-                let Ok(blended) = self.plane.blend.blend(local, aggregate) else {
-                    self.stats.rejected += 1;
-                    continue;
+                let blended = match self.plane.blend {
+                    BlendPolicy::Replace => Arc::clone(aggregate),
+                    mix => match mix.blend(local, aggregate) {
+                        Ok(mixed) => Arc::new(mixed),
+                        Err(_) => {
+                            self.stats.rejected += 1;
+                            continue;
+                        }
+                    },
                 };
-                if blended == *local {
+                if Arc::ptr_eq(&blended, local) || *blended == **local {
                     // Nothing to ship — the common case for `Replace` on a
                     // converged (or one-node) fleet, and what keeps a
                     // learning fleet of one byte-identical to `run_node`.
@@ -320,13 +334,13 @@ impl LearningExchange {
     pub(crate) fn warm_start(
         &mut self,
         node: usize,
-        mut import: impl FnMut(usize, &LearnedState) -> bool,
+        mut import: impl FnMut(usize, &Arc<LearnedState>) -> bool,
     ) {
         let mut warmed = false;
         for slot in 0..self.aggregates.len() {
             let Some(aggregate) = &self.aggregates[slot] else { continue };
             if import(slot, aggregate) {
-                let state = aggregate.clone();
+                let state = Arc::clone(aggregate);
                 self.imported(node, slot, state);
                 warmed = true;
             }
@@ -338,7 +352,7 @@ impl LearningExchange {
 
     /// Books a successful import into a running node, updating the mirror so
     /// the next diff baselines against what the node now actually holds.
-    fn imported(&mut self, node: usize, slot: usize, state: LearnedState) {
+    fn imported(&mut self, node: usize, slot: usize, state: Arc<LearnedState>) {
         self.stats.redistributed += 1;
         self.stats.bytes_exchanged += state.byte_len() as u64;
         self.stats.bytes_redistributed += state.byte_len() as u64;
@@ -365,7 +379,7 @@ mod tests {
     }
 
     fn export(node: usize, slot: usize, values: &[f64]) -> NodeLearnedExport {
-        NodeLearnedExport { node, states: vec![(slot, state(values))] }
+        NodeLearnedExport { node, states: vec![(slot, Arc::new(state(values)))] }
     }
 
     #[test]
@@ -440,7 +454,7 @@ mod tests {
     #[test]
     fn unexported_slots_aggregate_to_none() {
         let mut exchange = LearningExchange::new(LearningPlane::default(), 2);
-        exchange.absorb(vec![NodeLearnedExport { node: 0, states: vec![(1, state(&[4.0]))] }]);
+        exchange.absorb(vec![export(0, 1, &[4.0])]);
         exchange.round(&[0, 1]);
         assert_eq!(exchange.aggregates().len(), 2);
         assert!(exchange.aggregates()[0].is_none());

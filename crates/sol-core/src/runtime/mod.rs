@@ -28,7 +28,9 @@
 //!   warm-start from the aggregate. The [`trust`] module watches that
 //!   exchange: per-node divergence from the consensus is scored every round,
 //!   and persistently poisoned nodes are excluded and drained.
-//!   Reports are byte-identical regardless of the worker-thread count.
+//!   Reports are byte-identical regardless of the worker-thread count; where
+//!   a run's wall time went comes back beside the report as a
+//!   [`FleetProfile`](profile::FleetProfile).
 //! * [`SimRuntime`](sim::SimRuntime) — a typed single-agent wrapper over
 //!   `NodeRuntime`, used by the per-agent experiments. It reproduces the
 //!   historical single-agent results exactly.
@@ -47,6 +49,7 @@ pub mod learning;
 pub mod lifecycle;
 pub mod node;
 pub mod placement;
+pub mod profile;
 pub mod replay;
 pub mod sim;
 #[cfg(test)]

@@ -817,21 +817,21 @@ impl FleetController for GreedyPacker {
                 TraceEventKind::Arrive(unit) => self.pending.push(*unit),
                 TraceEventKind::Depart(id) => {
                     self.departed.push(*id);
+                    // One scan finds the hosting node's view position and
+                    // the unit's size together.
+                    let hosted = || {
+                        view.nodes.iter().enumerate().find_map(|(pos, n)| {
+                            let unit = n.placement.resident.iter().find(|u| u.id == *id)?;
+                            Some((pos, unit.cores))
+                        })
+                    };
                     if let Some(pos) = self.pending.iter().position(|u| u.id == *id) {
                         // Departed before it was ever placed.
                         self.pending.remove(pos);
-                    } else if let Some(node) = view.locate(*id) {
-                        let pos = view.nodes.iter().position(|n| n.node == node).expect("located");
-                        let cores = view.nodes[pos]
-                            .placement
-                            .resident
-                            .iter()
-                            .find(|u| u.id == *id)
-                            .map(|u| u.cores)
-                            .unwrap_or(0.0);
+                    } else if let Some((pos, cores)) = hosted() {
                         free[pos] += cores;
                         touched.push(*id);
-                        plan.depart(node, *id);
+                        plan.depart(view.nodes[pos].node, *id);
                     }
                 }
             }

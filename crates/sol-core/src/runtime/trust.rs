@@ -411,6 +411,7 @@ mod tests {
     use super::*;
     use crate::runtime::learning::{LearningExchange, LearningPlane, NodeLearnedExport};
     use sol_ml::exchange::{LearnedState, StateKind};
+    use std::sync::Arc;
 
     fn state(values: &[f64]) -> LearnedState {
         LearnedState::new(StateKind::QTable, vec![values.len()], values.to_vec()).unwrap()
@@ -422,14 +423,11 @@ mod tests {
     fn folded_exchange(honest: usize, flipped: usize, gain: f64) -> (LearningExchange, Vec<usize>) {
         let nodes = honest + flipped;
         let mut exchange = LearningExchange::new(LearningPlane::default(), nodes);
-        let exports = (0..nodes)
-            .map(|node| {
-                let base = [1.0 + 0.01 * node as f64, 2.0 - 0.01 * node as f64];
-                let values = if node >= honest { [-gain * base[0], -gain * base[1]] } else { base };
-                NodeLearnedExport { node, states: vec![(0, state(&values))] }
-            })
-            .collect();
-        exchange.absorb(exports);
+        exchange.absorb((0..nodes).map(|node| {
+            let base = [1.0 + 0.01 * node as f64, 2.0 - 0.01 * node as f64];
+            let values = if node >= honest { [-gain * base[0], -gain * base[1]] } else { base };
+            NodeLearnedExport { node, states: vec![(0, Arc::new(state(&values)))] }
+        }));
         let live: Vec<usize> = (0..nodes).collect();
         exchange.round(&live);
         (exchange, live)

@@ -13,6 +13,7 @@ use proptest::prelude::*;
 use sol_agents::prelude::*;
 use sol_core::error::DataError;
 use sol_core::prelude::*;
+use sol_ml::exchange::{ExchangeError, LearnedState, StateKind};
 
 /// A deterministic toy model parameterized by its sampled value.
 struct ToyModel {
@@ -247,4 +248,230 @@ fn imbalanced_fleet_reports_are_byte_identical_across_worker_thread_counts() {
         let solo = fleet.run_node(index, horizon).unwrap();
         assert_eq!(format!("{:#?}", report.nodes[index]), format!("{solo:#?}"));
     }
+}
+
+// ---------------------------------------------------------------------------
+// The barrier wire format: flat change lists, a task list per live set
+// ---------------------------------------------------------------------------
+
+/// An environment whose one reading moves at every advance, so telemetry
+/// patches cross every barrier.
+#[derive(Default)]
+struct CountingEnv {
+    advances: u64,
+}
+
+impl Environment for CountingEnv {
+    fn advance_to(&mut self, _now: Timestamp) {
+        self.advances += 1;
+    }
+}
+
+/// A learner whose one weight drifts by a per-node step at every model
+/// update: nodes disagree, every exchange round has something to ship, and
+/// any aggregate is accepted.
+struct DriftModel {
+    weight: f64,
+    step: f64,
+}
+
+impl Model for DriftModel {
+    type Data = f64;
+    type Pred = f64;
+
+    fn collect_data(&mut self, _now: Timestamp) -> Result<f64, DataError> {
+        Ok(self.weight)
+    }
+    fn validate_data(&self, d: &f64) -> bool {
+        d.is_finite()
+    }
+    fn commit_data(&mut self, _now: Timestamp, _d: f64) {}
+    fn update_model(&mut self, _now: Timestamp) {
+        self.weight += self.step;
+    }
+    fn predict(&mut self, now: Timestamp) -> Option<Prediction<f64>> {
+        Some(Prediction::model(self.weight, now, now + SimDuration::from_secs(1)))
+    }
+    fn default_predict(&self, now: Timestamp) -> Prediction<f64> {
+        Prediction::fallback(0.0, now, now + SimDuration::from_secs(1))
+    }
+    fn assess_model(&mut self, _now: Timestamp) -> ModelAssessment {
+        ModelAssessment::Healthy
+    }
+    fn export_learned(&self) -> Option<LearnedState> {
+        LearnedState::new(StateKind::LinearWeights, vec![1], vec![self.weight]).ok()
+    }
+    fn import_learned(&mut self, state: &LearnedState) -> Result<(), ExchangeError> {
+        self.weight = state.values()[0];
+        Ok(())
+    }
+}
+
+/// Two agents per node — a drifting learner and a quiet toy — over a
+/// counting environment whose advances are the node's telemetry.
+fn observed_recipe() -> ScenarioRecipe<CountingEnv> {
+    ScenarioRecipe::new(|seed: &NodeSeed| {
+        let mut builder = NodeRuntime::builder(CountingEnv::default());
+        let collect_ms = 40 + seed.stream(0) % 120;
+        let step = 1.0 + (seed.stream(1) % 7) as f64;
+        builder.agent("learner", DriftModel { weight: 0.0, step }, ToyActuator::default(), {
+            toy_schedule(collect_ms)
+        });
+        builder.agent("toy", ToyModel { value: 2.0 }, ToyActuator::default(), {
+            toy_schedule(collect_ms * 2)
+        });
+        builder.build()
+    })
+    .with_telemetry(|env: &CountingEnv| vec![("advances".into(), env.advances as f64)])
+}
+
+/// Plans nothing; keeps a copy of every view it was shown.
+#[derive(Default)]
+struct Recorder {
+    views: Vec<FleetView>,
+}
+
+impl FleetController for Recorder {
+    fn plan(&mut self, view: &FleetView) -> PlacementPlan {
+        self.views.push(view.clone());
+        PlacementPlan::new()
+    }
+}
+
+/// What the controller sees is the wire format's whole output, so it is the
+/// place to pin it: under crashes, joins, drains and a learning plane, the
+/// sequence of views is the same whichever workers wrote which change list,
+/// a live node's counters and readings only ever grow, and the last view
+/// agrees with the report the same run folds.
+#[test]
+fn recorded_views_are_identical_across_thread_counts_and_agree_with_the_report() {
+    const NODES: usize = 32;
+    let horizon = SimDuration::from_secs(20);
+    let run = |threads: usize| {
+        let config = FleetConfig {
+            nodes: NODES,
+            threads,
+            epoch: SimDuration::from_millis(500),
+            seed: 0xC0DE,
+            learning: Some(LearningPlane { exchange_every: 2, ..LearningPlane::default() }),
+            ..FleetConfig::default()
+        };
+        let faults = FaultPlan::generate(
+            0xFA17,
+            NODES,
+            &FaultPlanConfig { crashes: 3, joins: 3, drains: 2, span: horizon },
+        );
+        let mut recorder = Recorder::default();
+        let fleet = FleetRuntime::new(observed_recipe(), config).unwrap();
+        let report = fleet.run_with_faults(&mut recorder, faults, horizon).unwrap();
+        (recorder.views, report)
+    };
+
+    let (views, report) = run(1);
+    assert_eq!(views.len(), 40);
+    for threads in [2, 8] {
+        let (other, other_report) = run(threads);
+        assert_eq!(views, other, "{threads}-thread views diverged");
+        assert_eq!(format!("{report:#?}"), format!("{other_report:#?}"));
+    }
+    assert_eq!(report.nodes.len(), NODES + 3, "all three joins landed");
+    assert!(report.learning.redistributed > 0, "the learning plane moved state");
+
+    for pair in views.windows(2) {
+        for (before, after) in pair[0].nodes.iter().zip(&pair[1].nodes) {
+            if after.agents.is_empty() {
+                // A tombstone: the node retired at the barrier in between.
+                assert!(!after.state.is_live(), "node {} lost its agents", after.node);
+                continue;
+            }
+            for (was, is) in before.agents.iter().zip(&after.agents) {
+                assert_eq!(was.name, is.name);
+                assert!(is.stats.model.samples_committed >= was.stats.model.samples_committed);
+                assert!(is.stats.model.epochs_completed >= was.stats.model.epochs_completed);
+                assert!(
+                    is.stats.actuator.performance_assessments
+                        >= was.stats.actuator.performance_assessments
+                );
+            }
+            for ((_, was), (_, is)) in before.telemetry.iter().zip(&after.telemetry) {
+                assert!(is >= was, "node {} telemetry ran backwards", after.node);
+            }
+        }
+    }
+
+    // The last barrier sits on the horizon, so what it showed of every
+    // surviving node is what that node reports.
+    let last = views.last().unwrap();
+    let mut survivors = 0;
+    for (view, node) in last.nodes.iter().zip(&report.nodes) {
+        assert_eq!(view.node, node.node);
+        if !view.state.is_live() {
+            continue;
+        }
+        survivors += 1;
+        assert_eq!(view.agents.len(), node.agents.len());
+        for (seen, reported) in view.agents.iter().zip(&node.agents) {
+            assert_eq!(seen.name, reported.name);
+            assert_eq!(seen.stats, reported.stats, "node {} agent {}", node.node, seen.name);
+        }
+    }
+    assert!(survivors >= NODES - 5, "{survivors} nodes outlived the fault plan");
+}
+
+/// A view-wanting controller that plans nothing.
+struct Watcher;
+
+impl FleetController for Watcher {
+    fn plan(&mut self, _view: &FleetView) -> PlacementPlan {
+        PlacementPlan::new()
+    }
+}
+
+/// The allocation gate, in counts that do not depend on the weather: a
+/// steady fleet builds one task list for the whole run and one change buffer
+/// per worker, and a run whose live set changes at `k` barriers builds
+/// exactly `k` more lists.
+#[test]
+fn barrier_machinery_is_built_once_per_live_set() {
+    let horizon = SimDuration::from_secs(100);
+    let config = FleetConfig {
+        nodes: 64,
+        threads: 4,
+        epoch: SimDuration::from_millis(500),
+        ..FleetConfig::default()
+    };
+    let fleet = FleetRuntime::new(observed_recipe(), config).unwrap();
+    let (report, profile) = fleet.run_profiled(&mut Watcher, FaultPlan::empty(), horizon).unwrap();
+    assert_eq!(report.epochs, 200);
+    assert_eq!(profile.barriers, 200);
+    assert_eq!(profile.task_lists_built, 1);
+    assert_eq!(profile.workers.len(), 4);
+    assert!(profile.change_buffers_allocated <= 2 * 4, "{profile}");
+    // Every live node is claimed once per barrier and once more to fold.
+    let claimed: u64 = profile.workers.iter().map(|worker| worker.nodes_claimed).sum();
+    assert_eq!(claimed, 64 * 201);
+
+    // Three barriers change the live set: a crash at 10 s, a join and a
+    // second crash together at 20 s, and a drain issued at 30 s that
+    // completes — the node is observed empty — at the barrier after.
+    let at = |secs: u64, event| FaultEvent { at: Timestamp::from_secs(secs), event };
+    let faults = FaultPlan::from_events(vec![
+        at(10, LifecycleEvent::Crash { node: 3 }),
+        at(20, LifecycleEvent::Join),
+        at(20, LifecycleEvent::Crash { node: 5 }),
+        at(30, LifecycleEvent::Drain { node: 7 }),
+    ]);
+    let (report, profile) = fleet.run_profiled(&mut Watcher, faults, horizon).unwrap();
+    assert_eq!(report.nodes.len(), 65);
+    assert_eq!(report.nodes[7].lifecycle.state, NodeState::Drained);
+    assert_eq!(profile.task_lists_built, 1 + 3);
+    assert!(profile.change_buffers_allocated <= 2 * 4, "{profile}");
+
+    // The profile never leaks into the report: the same run through the
+    // profile-dropping entry point renders the same bytes.
+    let faults = FaultPlan::from_events(vec![at(10, LifecycleEvent::Crash { node: 3 })]);
+    let plain = fleet.run_with_faults(&mut Watcher, faults.clone(), horizon).unwrap();
+    let (profiled, _) = fleet.run_profiled(&mut Watcher, faults, horizon).unwrap();
+    assert_eq!(format!("{plain:#?}"), format!("{profiled:#?}"));
+    assert!(!format!("{plain:#?}").contains("_ns"), "no wall-clock field in a report");
 }
