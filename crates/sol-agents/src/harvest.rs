@@ -404,21 +404,20 @@ mod tests {
     fn run(
         service: BurstyService,
         config: HarvestConfig,
-        schedule: Schedule,
         secs: u64,
     ) -> (Shared<HarvestNode>, AgentStats) {
         let node = shared_node(service);
-        let (model, actuator) = smart_harvest(&node, config);
-        let runtime = SimRuntime::new(model, actuator, schedule, node.clone());
-        let report = runtime.run_for(SimDuration::from_secs(secs)).unwrap();
-        (node, report.stats)
+        let mut builder = NodeRuntime::builder(node.clone());
+        let agent = builder.register(harvest_blueprint(&node, config));
+        let mut report = builder.build().run_for(SimDuration::from_secs(secs)).unwrap();
+        (node, report.take(agent).stats)
     }
 
     #[test]
     fn harvests_cores_with_small_latency_impact() {
         let service = BurstyService::image_dnn();
         let base_latency = service.base_latency_ms;
-        let (node, stats) = run(service, HarvestConfig::default(), harvest_schedule(), 60);
+        let (node, stats) = run(service, HarvestConfig::default(), 60);
         let harvested = node.with(|n| n.harvested_core_seconds());
         let p99 = node.with(|n| n.p99_latency_ms());
         assert!(stats.model.epochs_completed > 500);
@@ -432,7 +431,7 @@ mod tests {
     #[test]
     fn broken_model_is_caught_by_model_safeguard() {
         let config = HarvestConfig { broken_model: true, ..HarvestConfig::default() };
-        let (_, stats) = run(BurstyService::moses(), config, harvest_schedule(), 30);
+        let (_, stats) = run(BurstyService::moses(), config, 30);
         assert!(stats.model.intercepted_predictions > 0);
     }
 
@@ -442,8 +441,8 @@ mod tests {
         let unsafe_config =
             HarvestConfig { broken_model: true, ..HarvestConfig::without_safeguards() };
         let safe_config = HarvestConfig { broken_model: true, ..HarvestConfig::default() };
-        let (unsafe_node, _) = run(service.clone(), unsafe_config, harvest_schedule(), 30);
-        let (safe_node, _) = run(service, safe_config, harvest_schedule(), 30);
+        let (unsafe_node, _) = run(service.clone(), unsafe_config, 30);
+        let (safe_node, _) = run(service, safe_config, 30);
         // The P99 saturates at the worst-case value for both configurations
         // (a single starved control interval is enough), so compare the mean
         // latency and the fraction of time the primary VM was starved.
@@ -466,10 +465,10 @@ mod tests {
         let node = shared_node(BurstyService::image_dnn());
         // Force saturation by starving the primary before the agent starts.
         node.with(|n| n.set_primary_cores(1));
-        let (model, actuator) = smart_harvest(&node, HarvestConfig::default());
-        let runtime = SimRuntime::new(model, actuator, harvest_schedule(), node.clone());
-        let report = runtime.run_for(SimDuration::from_secs(10)).unwrap();
-        assert!(report.stats.model.samples_discarded > 0);
+        let mut builder = NodeRuntime::builder(node.clone());
+        let agent = builder.register(harvest_blueprint(&node, HarvestConfig::default()));
+        let report = builder.build().run_for(SimDuration::from_secs(10)).unwrap();
+        assert!(report.agent(agent).stats().model.samples_discarded > 0);
     }
 
     #[test]

@@ -654,10 +654,10 @@ mod tests {
         secs: u64,
     ) -> (Shared<MemoryNode>, AgentStats) {
         let node = shared_node(kind);
-        let (model, actuator) = smart_memory(&node, config);
-        let runtime = SimRuntime::new(model, actuator, memory_schedule(), node.clone());
-        let report = runtime.run_for(SimDuration::from_secs(secs)).unwrap();
-        (node, report.stats)
+        let mut builder = NodeRuntime::builder(node.clone());
+        let agent = builder.register(memory_blueprint(&node, config));
+        let mut report = builder.build().run_for(SimDuration::from_secs(secs)).unwrap();
+        (node, report.take(agent).stats)
     }
 
     #[test]

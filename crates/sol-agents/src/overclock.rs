@@ -445,10 +445,10 @@ mod tests {
         secs: u64,
     ) -> (Shared<CpuNode>, AgentStats) {
         let node = shared_node(kind);
-        let (model, actuator) = smart_overclock(&node, config);
-        let runtime = SimRuntime::new(model, actuator, overclock_schedule(), node.clone());
-        let report = runtime.run_for(SimDuration::from_secs(secs)).unwrap();
-        (node, report.stats)
+        let mut builder = NodeRuntime::builder(node.clone());
+        let agent = builder.register(overclock_blueprint(&node, config));
+        let mut report = builder.build().run_for(SimDuration::from_secs(secs)).unwrap();
+        (node, report.take(agent).stats)
     }
 
     #[test]
@@ -487,11 +487,12 @@ mod tests {
     fn data_validation_discards_out_of_range_ips() {
         let node = shared_node(OverclockWorkloadKind::Synthetic);
         node.with(|n| n.set_bad_ips_probability(0.3));
-        let (model, actuator) = smart_overclock(&node, OverclockConfig::default());
-        let runtime = SimRuntime::new(model, actuator, overclock_schedule(), node.clone());
-        let report = runtime.run_for(SimDuration::from_secs(60)).unwrap();
-        assert!(report.stats.model.samples_discarded > 50);
-        assert!(report.stats.model.samples_committed > 0);
+        let mut builder = NodeRuntime::builder(node.clone());
+        let agent = builder.register(overclock_blueprint(&node, OverclockConfig::default()));
+        let report = builder.build().run_for(SimDuration::from_secs(60)).unwrap();
+        let stats = report.agent(agent).stats();
+        assert!(stats.model.samples_discarded > 50);
+        assert!(stats.model.samples_committed > 0);
     }
 
     #[test]
@@ -522,11 +523,11 @@ mod tests {
             Box::new(workload),
             CpuNodeConfig { cores: 8, ..Default::default() },
         ));
-        let (model, actuator) = smart_overclock(&node, OverclockConfig::default());
-        let runtime = SimRuntime::new(model, actuator, overclock_schedule(), node.clone());
-        let report = runtime.run_for(SimDuration::from_secs(400)).unwrap();
+        let mut builder = NodeRuntime::builder(node.clone());
+        let agent = builder.register(overclock_blueprint(&node, OverclockConfig::default()));
+        let report = builder.build().run_for(SimDuration::from_secs(400)).unwrap();
         assert!(
-            report.stats.actuator.safeguard_triggers >= 1,
+            report.agent(agent).stats().actuator.safeguard_triggers >= 1,
             "idle workload should trip the alpha safeguard"
         );
         // Node ends at the nominal frequency.

@@ -19,13 +19,12 @@
 //!   not, backed by a watchdog-style performance safeguard and an idempotent
 //!   clean-up routine.
 //!
-//! The [`runtime`] module provides three drivers for these loops: a
-//! deterministic multi-agent event-queue runtime
-//! ([`NodeRuntime`](runtime::node::NodeRuntime)) hosting co-located agents on
-//! one shared environment, its typed single-agent wrapper
-//! ([`SimRuntime`](runtime::sim::SimRuntime)) used by the per-agent
-//! experiments, and a threaded runtime ([`runtime::threaded`]) matching the
-//! paper's deployment shape (two separately scheduled control loops).
+//! The [`runtime`] module provides two drivers for these loops: a
+//! deterministic event-queue runtime
+//! ([`NodeRuntime`](runtime::node::NodeRuntime)) hosting one agent or several
+//! co-located ones on a shared environment, and a threaded runtime
+//! ([`runtime::threaded`]) matching the paper's deployment shape (two
+//! separately scheduled control loops).
 //!
 //! ## Quick start
 //!
@@ -69,10 +68,11 @@
 //!     .data_collect_interval(SimDuration::from_millis(100))
 //!     .max_epoch_time(SimDuration::from_secs(1))
 //!     .build()?;
-//! let runtime = SimRuntime::new(ConstModel, Recorder::default(), schedule, NullEnvironment);
-//! let report = runtime.run_for(SimDuration::from_secs(5))?;
-//! assert!(report.stats.model.model_predictions > 0);
-//! assert_eq!(report.actuator.last, 2.0);
+//! let mut builder = NodeRuntime::builder(NullEnvironment);
+//! let agent = builder.agent("const", ConstModel, Recorder::default(), schedule);
+//! let report = builder.build().run_for(SimDuration::from_secs(5))?;
+//! assert!(report.agent(agent).stats().model.model_predictions > 0);
+//! assert_eq!(report.agent(agent).actuator().last, 2.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -121,7 +121,6 @@ pub mod prelude {
     };
     pub use crate::runtime::profile::{FleetProfile, PhaseProfile, WorkerProfile};
     pub use crate::runtime::replay::{ReplayDriver, ReplayEntry};
-    pub use crate::runtime::sim::{SimReport, SimRuntime};
     pub use crate::runtime::threaded::{leaked_threads, run_agent, ThreadedAgent, ThreadedReport};
     pub use crate::runtime::trust::{
         NodeTrustRecord, TrustAction, TrustPolicy, TrustStats, TrustVerdict,

@@ -269,11 +269,6 @@ impl<A: Actuator> ActuatorLoop<A> {
         &self.actuator
     }
 
-    /// Mutable access to the wrapped actuator.
-    pub fn actuator_mut(&mut self) -> &mut A {
-        &mut self.actuator
-    }
-
     /// Consumes the loop, returning the actuator and its stats.
     pub fn into_parts(self) -> (A, ActuatorLoopStats) {
         (self.actuator, self.stats)
@@ -622,7 +617,7 @@ mod tests {
         assert_eq!(al.stats().predictions_dropped_while_halted, 1);
 
         // Condition clears: the loop resumes and acts again.
-        al.actuator_mut().acceptable = true;
+        al.actuator.acceptable = true;
         al.step(Timestamp::from_millis(40));
         assert!(!al.is_halted());
         let now = Timestamp::from_millis(45);

@@ -6,12 +6,10 @@
 //! predictions are treated as absent by the Actuator so stale model output can
 //! never drive an action.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Timestamp;
 
 /// Where a prediction came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PredictionSource {
     /// Produced by the agent's learned model.
     Model,
@@ -43,7 +41,7 @@ impl PredictionSource {
 /// assert!(p.is_expired(now + SimDuration::from_secs(2)));
 /// assert_eq!(p.source(), PredictionSource::Model);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Prediction<P> {
     value: P,
     produced_at: Timestamp,

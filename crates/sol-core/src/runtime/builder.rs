@@ -606,6 +606,37 @@ mod tests {
     }
 
     #[test]
+    fn single_agent_runs_exact_epochs_and_delivers_predictions() {
+        let mut builder = NodeRuntime::builder(StepEnv::default());
+        let agent =
+            builder.agent("a", ConstModel { value: 1.0 }, CountActuator::default(), schedule(100));
+        let mut report = builder.build().run_for(SimDuration::from_secs(10)).unwrap();
+        assert_eq!(report.ended_at, Timestamp::from_secs(10));
+        assert_eq!(report.environment.last, Timestamp::from_secs(10));
+        let taken = report.take(agent);
+        // 10 s / (5 samples * 100 ms) = 20 epochs.
+        assert_eq!(taken.stats.model.epochs_completed, 20);
+        assert_eq!(taken.stats.model.model_predictions, 20);
+        assert!(taken.actuator.with_pred >= 19);
+    }
+
+    #[test]
+    fn accessors_work_before_a_run() {
+        let mut builder = NodeRuntime::builder(StepEnv::default());
+        let agent =
+            builder.agent("a", ConstModel { value: 3.0 }, CountActuator::default(), schedule(100));
+        assert_eq!(builder.environment().advances, 0);
+        let rt = builder.build();
+        let driver =
+            rt.driver(agent).as_any().downcast_ref::<LoopAgent<ConstModel, CountActuator>>();
+        assert_eq!(driver.unwrap().model().value, 3.0);
+        assert_eq!(driver.unwrap().actuator().actions, 0);
+        assert_eq!(rt.now(), Timestamp::ZERO);
+        assert_eq!(rt.agent_stats(agent), AgentStats::default());
+        assert_eq!(rt.environment().advances, 0);
+    }
+
+    #[test]
     fn builder_matches_manual_registration_byte_for_byte() {
         let manual = {
             let mut rt = NodeRuntime::new(StepEnv::default());

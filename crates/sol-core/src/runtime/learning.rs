@@ -22,7 +22,6 @@
 
 use std::sync::Arc;
 
-use serde::Serialize;
 use sol_ml::exchange::{AggregationRule, BlendPolicy, LearnedState};
 
 /// Configuration of the fleet learning plane
@@ -42,7 +41,7 @@ use sol_ml::exchange::{AggregationRule, BlendPolicy, LearnedState};
 /// let config = FleetConfig { learning: Some(plane), ..FleetConfig::default() };
 /// assert_eq!(config.learning.unwrap().exchange_every, 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LearningPlane {
     /// Run an exchange round every this-many epoch barriers (1 = every
     /// barrier). Must be at least 1.
@@ -96,7 +95,7 @@ impl LearningPlane {
 /// Counters of one fleet run's learning-plane activity
 /// ([`FleetReport::learning`](crate::runtime::fleet::FleetReport::learning)).
 /// All-zero when the fleet ran without a [`LearningPlane`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LearningStats {
     /// Exchange rounds the coordinator ran.
     pub rounds: u64,

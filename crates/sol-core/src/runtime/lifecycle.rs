@@ -84,11 +84,6 @@ impl NodeState {
     pub fn is_live(self) -> bool {
         matches!(self, NodeState::Joining | NodeState::Active | NodeState::Draining)
     }
-
-    /// Whether the state is terminal (never left).
-    pub fn is_terminal(self) -> bool {
-        matches!(self, NodeState::Drained | NodeState::Crashed)
-    }
 }
 
 impl std::fmt::Display for NodeState {
@@ -422,7 +417,7 @@ mod tests {
                     legal += 1;
                     assert!(from.is_live(), "only live states may transition: {from} -> {to}");
                 }
-                if from.is_terminal() {
+                if !from.is_live() {
                     assert!(!from.can_transition(to), "terminal {from} must never leave");
                 }
             }

@@ -1,6 +1,6 @@
 //! Runtimes that schedule and execute agents' Model and Actuator loops.
 //!
-//! Four drivers are provided:
+//! Three drivers are provided:
 //!
 //! * [`NodeRuntime`](node::NodeRuntime) — the multi-agent discrete-event
 //!   driver: a two-level bucketed time-wheel event queue (agent wakes and
@@ -31,9 +31,6 @@
 //!   Reports are byte-identical regardless of the worker-thread count; where
 //!   a run's wall time went comes back beside the report as a
 //!   [`FleetProfile`](profile::FleetProfile).
-//! * [`SimRuntime`](sim::SimRuntime) — a typed single-agent wrapper over
-//!   `NodeRuntime`, used by the per-agent experiments. It reproduces the
-//!   historical single-agent results exactly.
 //! * [`ThreadedAgent`](threaded::ThreadedAgent) — the deployment shape the
 //!   paper describes: the Model and Actuator run in separately scheduled OS
 //!   threads connected by a prediction queue, so the Actuator keeps taking
@@ -51,7 +48,6 @@ pub mod node;
 pub mod placement;
 pub mod profile;
 pub mod replay;
-pub mod sim;
 #[cfg(test)]
 pub(crate) mod testutil;
 pub mod threaded;

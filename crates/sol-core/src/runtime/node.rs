@@ -35,10 +35,6 @@
 //! due — there is no per-tick scan over agents or sorted intervention lists.
 //!
 //! [`TimeWheel`]: super::wheel::TimeWheel
-//!
-//! [`SimRuntime`](crate::runtime::sim::SimRuntime) is a thin single-agent
-//! wrapper over this runtime, and reproduces the historical single-agent
-//! results exactly.
 
 use std::any::Any;
 
@@ -557,20 +553,10 @@ impl<E: Environment + 'static> NodeRuntime<E> {
         self.agents.len()
     }
 
-    /// The name an agent was registered under.
+    /// Current runtime counters for one agent.
     ///
     /// Ids are positional: only pass ids this runtime returned. An id from a
     /// different runtime resolves to whatever agent sits at that position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range for this runtime's agents.
-    pub fn agent_name(&self, id: impl Into<AgentId>) -> &str {
-        &self.agents[id.into().0].name
-    }
-
-    /// Current runtime counters for one agent (see [`agent_name`][Self::agent_name]
-    /// for how ids resolve).
     ///
     /// # Panics
     ///

@@ -239,13 +239,6 @@ pub struct FleetView {
     pub displaced: Vec<WorkloadUnit>,
 }
 
-impl FleetView {
-    /// The index of the node currently hosting `id`, if any.
-    pub fn locate(&self, id: WorkloadId) -> Option<usize> {
-        self.nodes.iter().find(|n| n.placement.hosts(id)).map(|n| n.node)
-    }
-}
-
 /// A node's first full observation: everything a coordinator needs to seed
 /// its base [`NodeView`] for that node. Shipped once per node (at the first
 /// barrier the node reaches); every later barrier sends a [`NodeDelta`]
@@ -474,11 +467,6 @@ impl PlacementPlan {
         &self.commands
     }
 
-    /// The queued lifecycle events, in issue order.
-    pub fn lifecycle_events(&self) -> &[LifecycleEvent] {
-        &self.lifecycle
-    }
-
     /// Number of queued commands and lifecycle events.
     pub fn len(&self) -> usize {
         self.commands.len() + self.lifecycle.len()
@@ -487,12 +475,6 @@ impl PlacementPlan {
     /// Whether the plan issues no commands and no lifecycle events.
     pub fn is_empty(&self) -> bool {
         self.commands.is_empty() && self.lifecycle.is_empty()
-    }
-
-    /// Consumes the plan, returning its commands (lifecycle events are
-    /// dropped; use [`into_parts`](Self::into_parts) to keep both).
-    pub fn into_commands(self) -> Vec<FleetCommand> {
-        self.commands
     }
 
     /// Consumes the plan, returning its commands and lifecycle events.
@@ -1181,23 +1163,21 @@ mod tests {
         plan.migrate(1, 0, WorkloadId(3));
         assert_eq!(plan.len(), 3);
         assert!(matches!(plan.commands()[2], FleetCommand::Migrate { from: 1, to: 0, .. }));
-        assert_eq!(plan.clone().into_commands().len(), 3);
 
         plan.crash(2);
         plan.join();
         plan.drain(4);
         assert_eq!(plan.len(), 6);
+        let (commands, lifecycle) = plan.into_parts();
+        assert_eq!(commands.len(), 3);
         assert_eq!(
-            plan.lifecycle_events(),
-            &[
+            lifecycle,
+            [
                 LifecycleEvent::Crash { node: 2 },
                 LifecycleEvent::Join,
                 LifecycleEvent::Drain { node: 4 }
             ]
         );
-        let (commands, lifecycle) = plan.into_parts();
-        assert_eq!(commands.len(), 3);
-        assert_eq!(lifecycle.len(), 3);
     }
 
     #[test]
@@ -1350,14 +1330,5 @@ mod tests {
         let plan = packer.plan(&v);
         assert_eq!(plan.commands(), &[FleetCommand::Admit { node: 1, unit }]);
         assert_eq!(packer.pending(), 0);
-    }
-
-    #[test]
-    fn fleet_view_locates_workloads() {
-        let unit = WorkloadUnit::new(WorkloadId(5), 1.0);
-        let v = view(vec![placeable(4.0, vec![]), placeable(4.0, vec![unit])]);
-        assert_eq!(v.locate(unit.id), Some(1));
-        assert_eq!(v.locate(WorkloadId(99)), None);
-        assert_eq!(v.nodes[1].reading("nope"), None);
     }
 }

@@ -1,7 +1,7 @@
 //! Shared test fixtures for the runtime drivers: a counting environment and
-//! a trivial agent, used by both the `node` and `sim` test suites so the two
-//! stay in sync — plus [`ReferenceQueue`], the pre-wheel event queue kept
-//! alive as the oracle for the scheduler-equivalence proptest.
+//! a trivial agent, used by the `node` and `builder` test suites — plus
+//! [`ReferenceQueue`], the pre-wheel event queue kept alive as the oracle for
+//! the scheduler-equivalence proptest.
 
 use crate::actuator::{Actuator, ActuatorAssessment};
 use crate::error::DataError;

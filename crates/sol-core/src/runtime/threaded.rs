@@ -4,7 +4,7 @@
 //! threads connected by a prediction queue, so the Actuator can continue to
 //! operate and take safe actions when the Model is throttled or
 //! underperforming. This runtime uses wall-clock time; experiments use the
-//! deterministic [`SimRuntime`](crate::runtime::sim::SimRuntime) instead.
+//! deterministic [`NodeRuntime`](crate::runtime::node::NodeRuntime) instead.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};

@@ -42,7 +42,6 @@
 //! [`LearnedState::l2_distance`]: sol_ml::exchange::LearnedState::l2_distance
 //! [`robust_z_scores`]: sol_ml::exchange::robust_z_scores
 
-use serde::Serialize;
 use sol_ml::exchange::robust_z_scores;
 
 use crate::runtime::learning::LearningExchange;
@@ -70,7 +69,7 @@ use crate::runtime::learning::LearningExchange;
 /// };
 /// assert_eq!(config.trust.unwrap().decay, 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrustPolicy {
     /// Robust z-score of a node's consensus distance (against the round's
     /// participant spread) at or above which the round counts as divergence
@@ -139,7 +138,7 @@ impl TrustPolicy {
 }
 
 /// A node's standing with the trust plane.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TrustVerdict {
     /// In good standing: exports participate in aggregation.
     #[default]
@@ -182,7 +181,7 @@ pub enum TrustAction {
 /// One node's final trust record
 /// ([`FleetNodeReport::trust`](crate::runtime::fleet::FleetNodeReport::trust)).
 /// [`NodeTrustRecord::initial`] for a fleet run without a trust plane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeTrustRecord {
     /// The node's index in the fleet.
     pub node: usize,
@@ -221,7 +220,7 @@ impl NodeTrustRecord {
 /// Counters of one fleet run's trust-plane activity
 /// ([`FleetReport::trust`](crate::runtime::fleet::FleetReport::trust)).
 /// All-zero when the fleet ran without a [`TrustPolicy`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrustStats {
     /// Exchange rounds the trust plane evaluated.
     pub rounds_scored: u64,

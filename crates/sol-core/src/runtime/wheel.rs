@@ -141,8 +141,8 @@ impl<K> Ord for OverflowEntry<K> {
 ///
 /// The type is `#[doc(hidden)]` public: it is an internal scheduling
 /// primitive of [`NodeRuntime`](crate::runtime::node::NodeRuntime), exposed
-/// only so the workspace's micro-benchmarks can race it against the old
-/// binary-heap discipline. It is exempt from semver.
+/// only so `benchmark/` can drive it in isolation (`wheel.ns_per_event_*`).
+/// It is exempt from semver.
 pub struct TimeWheel<K> {
     /// Slot-aligned lower edge of the near horizon. Every undrained event in
     /// the slots satisfies `base <= at < base + SPAN` — except past-due

@@ -4,8 +4,6 @@
 //! epoch, collection interval, maximum epoch time, model assessment interval,
 //! maximum actuation delay, and actuator assessment interval.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::RuntimeError;
 use crate::time::SimDuration;
 
@@ -32,7 +30,7 @@ use crate::time::SimDuration;
 /// assert_eq!(schedule.data_per_epoch(), 10);
 /// # Ok::<(), sol_core::error::RuntimeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     data_per_epoch: u32,
     min_data_per_epoch: u32,

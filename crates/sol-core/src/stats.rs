@@ -5,12 +5,10 @@
 //! predictions, how often it acted without any prediction — without requiring
 //! any knowledge of the agent's implementation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// Counters describing the Model control loop.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ModelLoopStats {
     /// Samples returned by `collect_data` that passed validation and were
     /// committed.
@@ -38,7 +36,7 @@ pub struct ModelLoopStats {
 }
 
 /// Counters describing the Actuator control loop.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ActuatorLoopStats {
     /// Actions taken with a fresh model-produced prediction.
     pub actions_with_model_prediction: u64,
@@ -134,7 +132,7 @@ impl ActuatorLoopStats {
 }
 
 /// Combined statistics for one agent run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AgentStats {
     /// Model-loop counters.
     pub model: ModelLoopStats,

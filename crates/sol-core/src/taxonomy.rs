@@ -7,10 +7,8 @@
 //! bench targets can regenerate them and so tests can check the paper's
 //! summary statistics (77 agents, 35% benefiting).
 
-use serde::{Deserialize, Serialize};
-
 /// One of the six classes of production node agents (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AgentClass {
     /// Configure node hardware, software, or data.
     Configuration,
@@ -51,7 +49,7 @@ impl AgentClass {
 }
 
 /// One row of Table 1.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaxonomyRow {
     /// Agent class.
     pub class: AgentClass,
@@ -127,7 +125,7 @@ pub fn learning_benefit_fraction() -> f64 {
 }
 
 /// One row of Table 2: an example on-node learning resource-control agent.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LearningAgentExample {
     /// Agent name (and source).
     pub agent: &'static str,

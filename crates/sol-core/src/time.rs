@@ -11,8 +11,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
 /// A point in time, measured in nanoseconds since an arbitrary epoch.
 ///
 /// # Examples
@@ -23,9 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let t = Timestamp::ZERO + SimDuration::from_millis(5);
 /// assert_eq!(t.as_nanos(), 5_000_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(u64);
 
 impl Timestamp {
@@ -122,9 +118,7 @@ impl Sub<SimDuration> for Timestamp {
 /// let d = SimDuration::from_millis(25) * 4;
 /// assert_eq!(d, SimDuration::from_millis(100));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {

@@ -9,14 +9,12 @@
 //! under-prediction (starving the primary VM) far more expensive than
 //! over-prediction (harvesting fewer cores).
 
-use serde::{Deserialize, Serialize};
-
 use crate::exchange::{ExchangeError, LearnedExchange, LearnedState, StateKind};
 use crate::linear::OnlineLinearRegression;
 
 /// A labeled training example: the feature vector plus the cost of predicting
 /// each class for it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostSensitiveExample {
     /// Input features.
     pub features: Vec<f64>,
@@ -72,7 +70,7 @@ impl CostSensitiveExample {
 /// assert_eq!(clf.predict(&[0.1]), 0);
 /// assert_eq!(clf.predict(&[0.9]), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostSensitiveClassifier {
     regressors: Vec<OnlineLinearRegression>,
     features: usize,

@@ -17,11 +17,9 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Which learner family a [`LearnedState`] came from. Aggregation refuses to
 /// mix kinds: averaging a Q-table into a Beta posterior is never meaningful.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StateKind {
     /// A tabular Q-function, shape `[states, actions]`, row-major.
     QTable,
@@ -122,7 +120,7 @@ impl std::error::Error for ExchangeError {}
 /// assert_eq!(s.byte_len(), 48);
 /// assert!(LearnedState::new(StateKind::QTable, vec![2, 3], vec![f64::NAN; 6]).is_err());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LearnedState {
     kind: StateKind,
     shape: Vec<usize>,
@@ -310,7 +308,7 @@ pub fn robust_z_scores(sample: &[f64], scale_floor: f64) -> Vec<f64> {
 /// anywhere. The robust rules bound that influence: with `n` participants,
 /// `CoordinateWiseMedian` tolerates up to `⌈n/2⌉ - 1` arbitrary vectors and
 /// `TrimmedMean { k }` tolerates up to `k`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggregationRule {
     /// Arithmetic mean of each coordinate. Fast, fragile.
     Mean,
@@ -453,7 +451,7 @@ impl AggregationRule {
 const GATHER_COORDS: usize = 8;
 
 /// How much of the fleet aggregate a node adopts at a learning round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BlendPolicy {
     /// Adopt the aggregate wholesale.
     Replace,

@@ -5,10 +5,8 @@
 //! feeds them to its cost-sensitive classifier (paper §5.2). This module
 //! provides that feature pipeline in a reusable form.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-size feature vector extracted from a window of scalar samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureVector {
     values: Vec<f64>,
 }

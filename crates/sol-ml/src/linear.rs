@@ -4,8 +4,6 @@
 //! ([`crate::cost_sensitive`]), mirroring the squared-loss regressors that
 //! VowpalWabbit's `csoaa` reduction uses internally.
 
-use serde::{Deserialize, Serialize};
-
 use crate::exchange::{ExchangeError, LearnedExchange, LearnedState, StateKind};
 
 /// An online least-squares linear model `y ≈ w·x + b` trained by SGD.
@@ -23,7 +21,7 @@ use crate::exchange::{ExchangeError, LearnedExchange, LearnedState, StateKind};
 /// }
 /// assert!((model.predict(&[10.0]) - 21.0).abs() < 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlineLinearRegression {
     weights: Vec<f64>,
     bias: f64,

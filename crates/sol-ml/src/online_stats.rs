@@ -7,8 +7,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::exchange::{ExchangeError, LearnedExchange, LearnedState, StateKind};
 
 /// Incremental mean and variance (Welford's algorithm).
@@ -25,7 +23,7 @@ use crate::exchange::{ExchangeError, LearnedExchange, LearnedState, StateKind};
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
 /// assert!((s.population_variance() - 4.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
@@ -200,7 +198,7 @@ impl LearnedExchange for RunningStats {
 /// e.push(0.0);
 /// assert!((e.value() - 5.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ewma {
     alpha: f64,
     value: Option<f64>,
@@ -309,7 +307,7 @@ fn select_nth(mut s: &mut [f64], mut n: usize) -> f64 {
 /// assert_eq!(w.quantile(0.5), 3.5);
 /// assert_eq!(w.quantile(1.0), 100.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlidingWindow {
     capacity: usize,
     samples: VecDeque<f64>,
@@ -423,7 +421,7 @@ impl crate::footprint::MemoryFootprint for SlidingWindow {
 
 /// A fixed-bucket histogram over `[lo, hi)` with an overflow bucket,
 /// useful for coarse latency distributions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

@@ -8,12 +8,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::exchange::{ExchangeError, LearnedExchange, LearnedState, StateKind};
 
 /// Configuration for a [`QLearner`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QConfig {
     /// Number of discrete states.
     pub states: usize,
@@ -58,7 +57,7 @@ impl QConfig {
 /// How an action was chosen, so the caller can distinguish policy decisions
 /// from exploration (SmartOverclock keeps exploring even while its model
 /// safeguard overrides the exploited action).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActionKind {
     /// The greedy action according to the current Q-table.
     Exploit,
@@ -67,7 +66,7 @@ pub enum ActionKind {
 }
 
 /// A chosen action and how it was chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChosenAction {
     /// Index of the chosen action.
     pub action: usize,

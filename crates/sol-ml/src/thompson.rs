@@ -8,13 +8,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::exchange::{ExchangeError, LearnedExchange, LearnedState, StateKind};
 
 /// Posterior state of one arm: a Beta(α, β) distribution over its success
 /// probability.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BetaArm {
     alpha: f64,
     beta: f64,

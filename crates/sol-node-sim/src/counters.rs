@@ -6,12 +6,10 @@
 //! and the α factor used by its Actuator safeguard:
 //! `α = (unhalted_cycles - stalled_cycles) / total_cycles` (paper §5.1).
 
-use serde::{Deserialize, Serialize};
-
 use sol_core::time::{SimDuration, Timestamp};
 
 /// Cumulative CPU counters for a VM (monotonically increasing).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CpuCounters {
     /// Instructions retired.
     pub instructions: f64,
@@ -54,7 +52,7 @@ impl CpuCounters {
 }
 
 /// A timestamped counter reading, as returned to agents.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CounterSample {
     /// When the sample was taken.
     pub at: Timestamp,

@@ -8,8 +8,6 @@
 //! time (the Actuator safeguard signal) and request latency (the evaluation
 //! metric), plus how many core-seconds the ElasticVM actually received.
 
-use serde::{Deserialize, Serialize};
-
 use sol_core::runtime::Environment;
 use sol_core::time::{SimDuration, Timestamp};
 use sol_ml::footprint::MemoryFootprint;
@@ -20,7 +18,7 @@ use sol_ml::online_stats::SlidingWindow;
 ///
 /// Demand alternates deterministically between a low baseline and periodic
 /// bursts, so experiments can align fault injection with demand increases.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BurstyService {
     name: &'static str,
     /// Cores used between bursts.
@@ -100,7 +98,7 @@ impl BurstyService {
 }
 
 /// One hypervisor CPU-usage sample for the primary VM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UsageSample {
     /// When the sample was taken.
     pub at: Timestamp,

@@ -10,7 +10,6 @@
 //! fraction of remote accesses under a service-level objective.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use sol_core::error::DataError;
 use sol_core::runtime::Environment;
@@ -19,7 +18,7 @@ use sol_ml::footprint::MemoryFootprint;
 use sol_ml::sampling::{seeded_rng, Zipf};
 
 /// Which memory tier a batch currently lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier {
     /// Fast, expensive first-tier DRAM.
     Local,
@@ -28,7 +27,7 @@ pub enum Tier {
 }
 
 /// The result of scanning one batch's access bits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScanResult {
     /// Whether any page in the batch was accessed since the last scan.
     pub accessed: bool,
@@ -89,7 +88,7 @@ fn floor_non_negative(x: f64) -> f64 {
 
 /// Which memory workload to simulate (paper §6.4 uses ObjectStore, SQL, and
 /// SpecJBB, plus an intentionally difficult oscillating SpecJBB for Figure 8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryWorkloadKind {
     /// Key-value store: highly skewed accesses, stable hot set.
     ObjectStore,
@@ -191,7 +190,7 @@ impl MemoryNodeConfig {
 
 /// A per-second sample of the remote-access fraction, kept for time-series
 /// figures (Figure 8).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RemoteFractionSample {
     /// Timestamp of the end of the one-second bucket.
     pub at: Timestamp,

@@ -1,12 +1,10 @@
 //! Experiment metric helpers: normalized comparisons and time series.
 
-use serde::{Deserialize, Serialize};
-
 use sol_core::time::Timestamp;
 
 /// A named time series of scalar samples, used by experiments that reproduce
 /// the paper's time-series figures (Figures 5 and 8).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     name: String,
     points: Vec<(Timestamp, f64)>,

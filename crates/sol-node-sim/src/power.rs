@@ -7,8 +7,6 @@
 //! frequency. Figures 1–5 depend only on the *relative* power of the
 //! frequency settings, which this model preserves.
 
-use serde::{Deserialize, Serialize};
-
 use sol_core::time::SimDuration;
 
 /// The frequency levels the SmartOverclock agent can choose from (GHz),
@@ -36,7 +34,7 @@ pub const NOMINAL_FREQUENCY_GHZ: f64 = 1.5;
 /// let busy = model.node_power_watts(2.3, 1.0, 26);
 /// assert!(busy > 2.0 * idle);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
     /// Constant platform power (fans, uncore, DRAM) in watts.
     pub platform_watts: f64,
@@ -85,7 +83,7 @@ impl PowerModel {
 }
 
 /// Integrates power over time to produce energy and average power.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyMeter {
     joules: f64,
     elapsed: SimDuration,

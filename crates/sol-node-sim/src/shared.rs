@@ -183,12 +183,6 @@ impl<T> Shared<T> {
         self.inner.acquire(key);
         EnvGuard { inner: Arc::clone(&self.inner) }
     }
-
-    /// Number of handles (including this one) referring to the node. Open
-    /// [`EnvGuard`]s count: each holds a handle of its own.
-    pub fn handle_count(&self) -> usize {
-        Arc::strong_count(&self.inner)
-    }
 }
 
 impl<T: Default> Default for Shared<T> {
@@ -325,7 +319,6 @@ mod tests {
         let other = node.clone();
         node.lock().set_primary_cores(3);
         assert_eq!(other.lock().primary_cores(), 3);
-        assert_eq!(node.handle_count(), 2);
     }
 
     #[test]

@@ -17,14 +17,12 @@
 //! metrics. This reproduces the dynamics the agent learns from (phases, idle
 //! periods, frequency sensitivity) without simulating individual instructions.
 
-use serde::{Deserialize, Serialize};
-
 use sol_core::time::{SimDuration, Timestamp};
 use sol_ml::footprint::MemoryFootprint;
 use sol_ml::online_stats::SlidingWindow;
 
 /// The CPU demand a workload places on the node during one step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadDemand {
     /// Cores' worth of compute the workload wants right now.
     pub cores: f64,
@@ -34,7 +32,7 @@ pub struct WorkloadDemand {
 }
 
 /// A workload performance summary (higher `score` is better).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfReport {
     /// Workload name.
     pub workload: String,
@@ -366,7 +364,7 @@ impl CpuWorkload for DiskSpeed {
 }
 
 /// Which of the paper's three overclocking workloads to instantiate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OverclockWorkloadKind {
     /// Periodic compute batches ([`SyntheticBatch`]).
     Synthetic,

@@ -26,10 +26,10 @@
 //!     OverclockWorkloadKind::ObjectStore.build(8),
 //!     CpuNodeConfig { cores: 8, ..CpuNodeConfig::default() },
 //! ));
-//! let (model, actuator) = smart_overclock(&node, OverclockConfig::default());
-//! let runtime = SimRuntime::new(model, actuator, overclock_schedule(), node.clone());
-//! let report = runtime.run_for(SimDuration::from_secs(30))?;
-//! assert!(report.stats.model.epochs_completed > 0);
+//! let mut builder = NodeRuntime::builder(node.clone());
+//! let agent = builder.register(overclock_blueprint(&node, OverclockConfig::default()));
+//! let report = builder.build().run_for(SimDuration::from_secs(30))?;
+//! assert!(report.agent(agent).stats().model.epochs_completed > 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

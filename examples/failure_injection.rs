@@ -14,11 +14,12 @@ fn run(config: OverclockConfig, label: &str) -> Result<(), Box<dyn std::error::E
     ));
     // Corrupted IPS counter 10% of the time.
     node.with(|n| n.set_bad_ips_probability(0.10));
-    let (model, actuator) = smart_overclock(&node, config);
-    let mut runtime = SimRuntime::new(model, actuator, overclock_schedule(), node.clone());
+    let mut builder = NodeRuntime::builder(node.clone());
+    let agent = builder.register(overclock_blueprint(&node, config));
+    let mut runtime = builder.build();
     // The model thread is starved for 30 seconds in the middle of the run.
-    runtime.delay_model_at(Timestamp::from_secs(60), SimDuration::from_secs(30));
-    let report = runtime.run_for(horizon)?;
+    runtime.delay_model_at(agent, Timestamp::from_secs(60), SimDuration::from_secs(30));
+    let report = runtime.run_for(horizon)?.take(agent);
 
     let power = node.with(|n| n.average_power_watts());
     println!("{label}");

@@ -15,9 +15,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // SmartHarvest.
         let node = Shared::new(HarvestNode::new(service.clone(), HarvestNodeConfig::default()));
-        let (model, actuator) = smart_harvest(&node, HarvestConfig::default());
-        let runtime = SimRuntime::new(model, actuator, harvest_schedule(), node.clone());
-        let report = runtime.run_for(horizon)?;
+        let mut builder = NodeRuntime::builder(node.clone());
+        let agent = builder.register(harvest_blueprint(&node, HarvestConfig::default()));
+        let report = builder.build().run_for(horizon)?.take(agent);
 
         let (p99, mean, harvested, starved) = node.with(|n| {
             (

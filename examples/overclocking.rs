@@ -33,9 +33,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             kind.build(8),
             CpuNodeConfig { cores: 8, ..CpuNodeConfig::default() },
         ));
-        let (model, actuator) = smart_overclock(&node, OverclockConfig::default());
-        let runtime = SimRuntime::new(model, actuator, overclock_schedule(), node.clone());
-        let report = runtime.run_for(horizon)?;
+        let mut builder = NodeRuntime::builder(node.clone());
+        let agent = builder.register(overclock_blueprint(&node, OverclockConfig::default()));
+        let report = builder.build().run_for(horizon)?.take(agent);
         let (score, power) = node.with(|n| (n.performance().score, n.average_power_watts()));
         println!(
             "{:<12} SmartOverclock    {:>10.4}   {:>10.1}   ({} epochs, {} default predictions)",

@@ -107,9 +107,9 @@ fn schedule() -> Schedule {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Deterministic simulation: ideal for tests and experiments.
-    let runtime =
-        SimRuntime::new(model(), ThrottleActuator::default(), schedule(), NullEnvironment);
-    let report = runtime.run_for(SimDuration::from_secs(60))?;
+    let mut builder = NodeRuntime::builder(NullEnvironment);
+    let agent = builder.agent("throttle", model(), ThrottleActuator::default(), schedule());
+    let report = builder.build().run_for(SimDuration::from_secs(60))?.take(agent);
     println!(
         "simulation: {} epochs, {} actions, throttled at end: {}",
         report.stats.model.epochs_completed, report.actuator.actions, report.actuator.throttled

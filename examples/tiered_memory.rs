@@ -13,9 +13,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             kind,
             MemoryNodeConfig { batches: 256, accesses_per_sec: 40_000.0, ..Default::default() },
         ));
-        let (model, actuator) = smart_memory(&node, MemoryConfig::default());
-        let runtime = SimRuntime::new(model, actuator, memory_schedule(), node.clone());
-        let report = runtime.run_for(horizon)?;
+        let mut builder = NodeRuntime::builder(node.clone());
+        let agent = builder.register(memory_blueprint(&node, MemoryConfig::default()));
+        let report = builder.build().run_for(horizon)?.take(agent);
 
         let (remote, total, resets, slo, recent_remote) = node.with(|n| {
             (

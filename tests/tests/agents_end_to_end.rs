@@ -11,9 +11,9 @@ fn smart_overclock_full_stack_improves_perf_per_watt() {
         OverclockWorkloadKind::Synthetic.build(8),
         CpuNodeConfig { cores: 8, ..CpuNodeConfig::default() },
     ));
-    let (model, actuator) = smart_overclock(&node, OverclockConfig::default());
-    let runtime = SimRuntime::new(model, actuator, overclock_schedule(), node.clone());
-    let report = runtime.run_for(SimDuration::from_secs(300)).unwrap();
+    let mut builder = NodeRuntime::builder(node.clone());
+    let agent = builder.register(overclock_blueprint(&node, OverclockConfig::default()));
+    let report = builder.build().run_for(SimDuration::from_secs(300)).unwrap();
     let agent_score = node.with(|n| n.performance().score);
     let agent_power = node.with(|n| n.average_power_watts());
 
@@ -29,7 +29,7 @@ fn smart_overclock_full_stack_improves_perf_per_watt() {
     let turbo_score = turbo.with(|n| n.performance().score);
     let turbo_power = turbo.with(|n| n.average_power_watts());
 
-    assert!(report.stats.model.epochs_completed > 200);
+    assert!(report.agent(agent).stats().model.epochs_completed > 200);
     assert!(agent_score > 0.8 * turbo_score, "close to static-overclock performance");
     assert!(agent_power < turbo_power, "at lower power than static overclocking");
     assert!(
@@ -42,12 +42,12 @@ fn smart_overclock_full_stack_improves_perf_per_watt() {
 fn smart_harvest_full_stack_harvests_and_respects_wait_safeguard() {
     let node =
         Shared::new(HarvestNode::new(BurstyService::image_dnn(), HarvestNodeConfig::default()));
-    let (model, actuator) = smart_harvest(&node, HarvestConfig::default());
-    let runtime = SimRuntime::new(model, actuator, harvest_schedule(), node.clone());
-    let report = runtime.run_for(SimDuration::from_secs(60)).unwrap();
+    let mut builder = NodeRuntime::builder(node.clone());
+    let agent = builder.register(harvest_blueprint(&node, HarvestConfig::default()));
+    let report = builder.build().run_for(SimDuration::from_secs(60)).unwrap();
     assert!(node.with(|n| n.harvested_core_seconds()) > 20.0);
     assert!(node.with(|n| n.mean_latency_ms()) < 1.3 * BurstyService::image_dnn().base_latency_ms);
-    assert!(report.stats.actions_taken() > 1000);
+    assert!(report.agent(agent).stats().actions_taken() > 1000);
 }
 
 #[test]
@@ -56,10 +56,10 @@ fn smart_memory_full_stack_offloads_and_meets_slo() {
         MemoryWorkloadKind::ObjectStore,
         MemoryNodeConfig { batches: 128, accesses_per_sec: 20_000.0, ..Default::default() },
     ));
-    let (model, actuator) = smart_memory(&node, MemoryConfig::default());
-    let runtime = SimRuntime::new(model, actuator, memory_schedule(), node.clone());
-    let report = runtime.run_for(SimDuration::from_secs(400)).unwrap();
-    assert!(report.stats.model.epochs_completed >= 8);
+    let mut builder = NodeRuntime::builder(node.clone());
+    let agent = builder.register(memory_blueprint(&node, MemoryConfig::default()));
+    let report = builder.build().run_for(SimDuration::from_secs(400)).unwrap();
+    assert!(report.agent(agent).stats().model.epochs_completed >= 8);
     assert!(node.with(|n| n.remote_batch_count()) > 20);
     assert!(node.with(|n| n.slo_attainment(0.8)) > 0.8);
 }
@@ -108,10 +108,10 @@ fn deterministic_experiments_reproduce_exactly() {
             OverclockWorkloadKind::ObjectStore.build(8),
             CpuNodeConfig { cores: 8, ..CpuNodeConfig::default() },
         ));
-        let (model, actuator) = smart_overclock(&node, OverclockConfig::default());
-        let runtime = SimRuntime::new(model, actuator, overclock_schedule(), node.clone());
-        let report = runtime.run_for(SimDuration::from_secs(60)).unwrap();
-        (report.stats, node.with(|n| n.energy_joules()))
+        let mut builder = NodeRuntime::builder(node.clone());
+        let agent = builder.register(overclock_blueprint(&node, OverclockConfig::default()));
+        let mut report = builder.build().run_for(SimDuration::from_secs(60)).unwrap();
+        (report.take(agent).stats, node.with(|n| n.energy_joules()))
     };
     let (stats_a, energy_a) = run();
     let (stats_b, energy_b) = run();

@@ -2,9 +2,9 @@
 //! reproducible. Two runs with identical config and seed have to produce
 //! byte-identical stats (compared via their full `Debug` rendering, so any
 //! new non-deterministic field shows up as a diff) and identical environment
-//! metrics. A second suite asserts runtime *equivalence*: a single-agent
-//! `NodeRuntime` must reproduce the `SimRuntime` path byte for byte for all
-//! three agents, and multi-agent co-located runs must be deterministic too.
+//! metrics. A second suite asserts that multi-agent co-located runs are
+//! deterministic too, and that the builder front door is a pure re-packaging
+//! of the registration API underneath it.
 
 use sol_agents::prelude::*;
 use sol_core::prelude::*;
@@ -22,10 +22,10 @@ fn smart_overclock_runs_are_byte_identical() {
             OverclockWorkloadKind::Synthetic.build(8),
             CpuNodeConfig { cores: 8, ..CpuNodeConfig::default() },
         ));
-        let (model, actuator) = smart_overclock(&node, OverclockConfig::default());
-        let runtime = SimRuntime::new(model, actuator, overclock_schedule(), node.clone());
-        let report = runtime.run_for(SimDuration::from_secs(120)).unwrap();
-        let stats = debug_bytes(&report.stats);
+        let mut builder = NodeRuntime::builder(node.clone());
+        let agent = builder.register(overclock_blueprint(&node, OverclockConfig::default()));
+        let report = builder.build().run_for(SimDuration::from_secs(120)).unwrap();
+        let stats = debug_bytes(report.agent(agent).stats());
         let metrics =
             node.with(|n| (debug_bytes(&n.energy_joules()), debug_bytes(&n.performance().score)));
         (stats, metrics, report.ended_at)
@@ -38,10 +38,10 @@ fn smart_harvest_runs_are_byte_identical() {
     let run = || {
         let node =
             Shared::new(HarvestNode::new(BurstyService::image_dnn(), HarvestNodeConfig::default()));
-        let (model, actuator) = smart_harvest(&node, HarvestConfig::default());
-        let runtime = SimRuntime::new(model, actuator, harvest_schedule(), node.clone());
-        let report = runtime.run_for(SimDuration::from_secs(60)).unwrap();
-        let stats = debug_bytes(&report.stats);
+        let mut builder = NodeRuntime::builder(node.clone());
+        let agent = builder.register(harvest_blueprint(&node, HarvestConfig::default()));
+        let report = builder.build().run_for(SimDuration::from_secs(60)).unwrap();
+        let stats = debug_bytes(report.agent(agent).stats());
         let metrics = node.with(|n| {
             (debug_bytes(&n.harvested_core_seconds()), debug_bytes(&n.mean_latency_ms()))
         });
@@ -57,106 +57,16 @@ fn smart_memory_runs_are_byte_identical() {
             MemoryWorkloadKind::Sql,
             MemoryNodeConfig { batches: 64, accesses_per_sec: 10_000.0, ..Default::default() },
         ));
-        let (model, actuator) = smart_memory(&node, MemoryConfig::default());
-        let runtime = SimRuntime::new(model, actuator, memory_schedule(), node.clone());
-        let report = runtime.run_for(SimDuration::from_secs(120)).unwrap();
-        let stats = debug_bytes(&report.stats);
+        let mut builder = NodeRuntime::builder(node.clone());
+        let agent = builder.register(memory_blueprint(&node, MemoryConfig::default()));
+        let report = builder.build().run_for(SimDuration::from_secs(120)).unwrap();
+        let stats = debug_bytes(report.agent(agent).stats());
         let metrics = node.with(|n| {
             (debug_bytes(&n.local_batch_count()), debug_bytes(&n.recent_remote_fraction()))
         });
         (stats, metrics, report.ended_at)
     };
     assert_eq!(run(), run());
-}
-
-// ---------------------------------------------------------------------------
-// Runtime equivalence: a single-agent NodeRuntime must reproduce SimRuntime
-// byte for byte — same agent, same environment, same horizon, same seed.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn node_runtime_matches_sim_runtime_for_smart_overclock() {
-    let make_node = || {
-        Shared::new(CpuNode::new(
-            OverclockWorkloadKind::Synthetic.build(8),
-            CpuNodeConfig { cores: 8, ..CpuNodeConfig::default() },
-        ))
-    };
-    let horizon = SimDuration::from_secs(120);
-
-    let sim_node = make_node();
-    let (model, actuator) = smart_overclock(&sim_node, OverclockConfig::default());
-    let sim = SimRuntime::new(model, actuator, overclock_schedule(), sim_node.clone())
-        .run_for(horizon)
-        .unwrap();
-
-    let node_node = make_node();
-    let (model, actuator) = smart_overclock(&node_node, OverclockConfig::default());
-    let mut rt = NodeRuntime::new(node_node.clone());
-    let id = rt.register_agent("smart-overclock", model, actuator, overclock_schedule());
-    let node = rt.run_for(horizon).unwrap();
-
-    assert_eq!(debug_bytes(&sim.stats), debug_bytes(&node.agent_report(id).unwrap().stats));
-    assert_eq!(sim.ended_at, node.ended_at);
-    let metrics =
-        |n: &Shared<CpuNode>| n.with(|n| (debug_bytes(&n.energy_joules()), n.frequency_changes()));
-    assert_eq!(metrics(&sim_node), metrics(&node_node));
-}
-
-#[test]
-fn node_runtime_matches_sim_runtime_for_smart_harvest() {
-    let make_node =
-        || Shared::new(HarvestNode::new(BurstyService::image_dnn(), HarvestNodeConfig::default()));
-    let horizon = SimDuration::from_secs(120);
-
-    let sim_node = make_node();
-    let (model, actuator) = smart_harvest(&sim_node, HarvestConfig::default());
-    let sim = SimRuntime::new(model, actuator, harvest_schedule(), sim_node.clone())
-        .run_for(horizon)
-        .unwrap();
-
-    let node_node = make_node();
-    let (model, actuator) = smart_harvest(&node_node, HarvestConfig::default());
-    let mut rt = NodeRuntime::new(node_node.clone());
-    let id = rt.register_agent("smart-harvest", model, actuator, harvest_schedule());
-    let node = rt.run_for(horizon).unwrap();
-
-    assert_eq!(debug_bytes(&sim.stats), debug_bytes(&node.agent_report(id).unwrap().stats));
-    assert_eq!(sim.ended_at, node.ended_at);
-    let metrics = |n: &Shared<HarvestNode>| {
-        n.with(|n| (debug_bytes(&n.harvested_core_seconds()), debug_bytes(&n.mean_latency_ms())))
-    };
-    assert_eq!(metrics(&sim_node), metrics(&node_node));
-}
-
-#[test]
-fn node_runtime_matches_sim_runtime_for_smart_memory() {
-    let make_node = || {
-        Shared::new(MemoryNode::new(
-            MemoryWorkloadKind::Sql,
-            MemoryNodeConfig { batches: 64, accesses_per_sec: 10_000.0, ..Default::default() },
-        ))
-    };
-    let horizon = SimDuration::from_secs(120);
-
-    let sim_node = make_node();
-    let (model, actuator) = smart_memory(&sim_node, MemoryConfig::default());
-    let sim = SimRuntime::new(model, actuator, memory_schedule(), sim_node.clone())
-        .run_for(horizon)
-        .unwrap();
-
-    let node_node = make_node();
-    let (model, actuator) = smart_memory(&node_node, MemoryConfig::default());
-    let mut rt = NodeRuntime::new(node_node.clone());
-    let id = rt.register_agent("smart-memory", model, actuator, memory_schedule());
-    let node = rt.run_for(horizon).unwrap();
-
-    assert_eq!(debug_bytes(&sim.stats), debug_bytes(&node.agent_report(id).unwrap().stats));
-    assert_eq!(sim.ended_at, node.ended_at);
-    let metrics = |n: &Shared<MemoryNode>| {
-        n.with(|n| (debug_bytes(&n.local_batch_count()), debug_bytes(&n.recent_remote_fraction())))
-    };
-    assert_eq!(metrics(&sim_node), metrics(&node_node));
 }
 
 // ---------------------------------------------------------------------------

@@ -219,6 +219,7 @@ fn fleet_view_carries_stats_telemetry_and_placement() {
                 assert_eq!(node.agents[1].name, "smart-harvest");
                 assert!(node.reading("p99_latency_ms").is_some());
                 assert!(node.reading("avg_power_watts").is_some());
+                assert_eq!(node.reading("nope"), None);
                 assert_eq!(node.placement.capacity, 6.0);
                 if node.agents[0].stats.model.samples_committed > 0 {
                     self.saw_progress = true;
