@@ -3,14 +3,12 @@
 
 use sol_agents::overclock::OverclockConfig;
 use sol_bench::overclock_experiments::run_smart_overclock;
-use sol_bench::report::{fmt, print_table};
+use sol_bench::report::{fmt, horizon_secs, print_table};
 use sol_core::time::SimDuration;
 use sol_node_sim::workload::OverclockWorkloadKind;
 
 fn main() {
-    let horizon = SimDuration::from_secs(
-        std::env::var("SOL_HORIZON_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(200),
-    );
+    let horizon = SimDuration::from_secs(horizon_secs(200));
     let mut rows = Vec::new();
     for exploration in [0.0, 0.05, 0.1, 0.25] {
         let config = OverclockConfig { exploration, ..Default::default() };

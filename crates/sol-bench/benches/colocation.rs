@@ -7,11 +7,11 @@
 //! `SOL_HORIZON_SECS` shortens the horizon (CI runs this in quick mode).
 
 use sol_bench::colocation_experiments::interference_table;
-use sol_bench::report::{fmt, print_table};
+use sol_bench::report::{fmt, horizon_secs, print_table};
 use sol_core::time::SimDuration;
 
 fn main() {
-    let horizon = SimDuration::from_secs(horizon_secs());
+    let horizon = SimDuration::from_secs(horizon_secs(120));
     let opt = |v: Option<f64>| v.map(fmt).unwrap_or_else(|| "-".into());
     let rows: Vec<Vec<String>> = interference_table(horizon)
         .into_iter()
@@ -52,8 +52,4 @@ fn main() {
         ],
         &rows,
     );
-}
-
-fn horizon_secs() -> u64 {
-    std::env::var("SOL_HORIZON_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(120)
 }

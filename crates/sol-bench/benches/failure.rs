@@ -9,11 +9,11 @@
 //! * `SOL_FAILURE_NODES` — initial fleet size (default 8).
 
 use sol_bench::fleet_experiments::failure_sweep;
-use sol_bench::report::{env_u64, fmt, pct, print_table};
+use sol_bench::report::{env_u64, fmt, horizon_secs, pct, print_table};
 use sol_core::time::SimDuration;
 
 fn main() {
-    let horizon = SimDuration::from_secs(env_u64("SOL_HORIZON_SECS", 60));
+    let horizon = SimDuration::from_secs(horizon_secs(60));
     let nodes = env_u64("SOL_FAILURE_NODES", 8) as usize;
     let arrivals = nodes * 4;
     // Crash up to half the fleet (leaving room for the matched drain).

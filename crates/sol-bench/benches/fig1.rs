@@ -2,11 +2,11 @@
 //! (normalized performance and power on Synthetic, ObjectStore, DiskSpeed).
 
 use sol_bench::overclock_experiments::fig1;
-use sol_bench::report::{fmt, print_table};
+use sol_bench::report::{fmt, horizon_secs, print_table};
 use sol_core::time::SimDuration;
 
 fn main() {
-    let horizon = SimDuration::from_secs(horizon_secs());
+    let horizon = SimDuration::from_secs(horizon_secs(300));
     let rows: Vec<Vec<String>> = fig1(horizon)
         .into_iter()
         .map(|r| vec![r.workload, r.policy, fmt(r.normalized_performance), fmt(r.normalized_power)])
@@ -16,8 +16,4 @@ fn main() {
         &["Workload", "Policy", "Norm. performance", "Norm. power"],
         &rows,
     );
-}
-
-fn horizon_secs() -> u64 {
-    std::env::var("SOL_HORIZON_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(300)
 }

@@ -2,13 +2,11 @@
 //! out-of-range IPS readings (Synthetic workload).
 
 use sol_bench::overclock_experiments::fig2;
-use sol_bench::report::{fmt, pct, print_table};
+use sol_bench::report::{fmt, horizon_secs, pct, print_table};
 use sol_core::time::SimDuration;
 
 fn main() {
-    let horizon = SimDuration::from_secs(
-        std::env::var("SOL_HORIZON_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(300),
-    );
+    let horizon = SimDuration::from_secs(horizon_secs(300));
     let rows: Vec<Vec<String>> = fig2(horizon, &[0.0, 0.05, 0.10, 0.20])
         .into_iter()
         .map(|r| {

@@ -2,13 +2,11 @@
 //! always selects the highest frequency.
 
 use sol_bench::overclock_experiments::fig3;
-use sol_bench::report::{fmt, print_table};
+use sol_bench::report::{fmt, horizon_secs, print_table};
 use sol_core::time::SimDuration;
 
 fn main() {
-    let horizon = SimDuration::from_secs(
-        std::env::var("SOL_HORIZON_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(300),
-    );
+    let horizon = SimDuration::from_secs(horizon_secs(300));
     let rows: Vec<Vec<String>> = fig3(horizon)
         .into_iter()
         .map(|r| {

@@ -2,13 +2,11 @@
 //! Model scheduling delay at a workload phase change.
 
 use sol_bench::overclock_experiments::fig4;
-use sol_bench::report::print_table;
+use sol_bench::report::{horizon_secs, print_table};
 use sol_core::time::SimDuration;
 
 fn main() {
-    let horizon = SimDuration::from_secs(
-        std::env::var("SOL_HORIZON_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(280),
-    );
+    let horizon = SimDuration::from_secs(horizon_secs(280));
     let rows: Vec<Vec<String>> = fig4(horizon)
         .into_iter()
         .map(|r| {

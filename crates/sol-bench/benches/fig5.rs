@@ -2,13 +2,11 @@
 //! long idle phases.
 
 use sol_bench::overclock_experiments::fig5;
-use sol_bench::report::{fmt, pct, print_table};
+use sol_bench::report::{fmt, horizon_secs, pct, print_table};
 use sol_core::time::SimDuration;
 
 fn main() {
-    let horizon = SimDuration::from_secs(
-        std::env::var("SOL_HORIZON_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(900),
-    );
+    let horizon = SimDuration::from_secs(horizon_secs(900));
     let rows: Vec<Vec<String>> = fig5(horizon)
         .into_iter()
         .map(|r| {

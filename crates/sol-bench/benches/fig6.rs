@@ -2,13 +2,11 @@
 //! model, delayed predictions) on image-dnn and moses.
 
 use sol_bench::harvest_experiments::fig6;
-use sol_bench::report::{fmt, pct, print_table};
+use sol_bench::report::{fmt, horizon_secs, pct, print_table};
 use sol_core::time::SimDuration;
 
 fn main() {
-    let horizon = SimDuration::from_secs(
-        std::env::var("SOL_HORIZON_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(120),
-    );
+    let horizon = SimDuration::from_secs(horizon_secs(120));
     let rows: Vec<Vec<String>> = fig6(horizon)
         .into_iter()
         .map(|r| {

@@ -2,13 +2,11 @@
 //! (reset reduction, local memory size reduction, SLO attainment).
 
 use sol_bench::memory_experiments::fig7;
-use sol_bench::report::{pct, print_table};
+use sol_bench::report::{horizon_secs, pct, print_table};
 use sol_core::time::SimDuration;
 
 fn main() {
-    let horizon = SimDuration::from_secs(
-        std::env::var("SOL_HORIZON_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(600),
-    );
+    let horizon = SimDuration::from_secs(horizon_secs(600));
     let rows: Vec<Vec<String>> = fig7(horizon)
         .into_iter()
         .map(|r| {

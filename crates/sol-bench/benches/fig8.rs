@@ -2,13 +2,11 @@
 //! oscillating SpecJBB workload.
 
 use sol_bench::memory_experiments::fig8;
-use sol_bench::report::{pct, print_table};
+use sol_bench::report::{horizon_secs, pct, print_table};
 use sol_core::time::SimDuration;
 
 fn main() {
-    let horizon = SimDuration::from_secs(
-        std::env::var("SOL_HORIZON_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(1000),
-    );
+    let horizon = SimDuration::from_secs(horizon_secs(1000));
     let rows: Vec<Vec<String>> = fig8(horizon)
         .into_iter()
         .map(|r| {

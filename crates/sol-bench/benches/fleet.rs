@@ -21,7 +21,7 @@
 //!   65536 to exercise the top cell).
 
 use sol_bench::fleet_experiments::scaling_table;
-use sol_bench::report::{env_u64, fmt, json_rows, print_table};
+use sol_bench::report::{env_u64, fmt, horizon_secs, json_rows, print_table};
 use sol_bench::trajectory::merge_artifact_rows;
 use sol_core::time::SimDuration;
 
@@ -36,7 +36,7 @@ const SCHEMA_VERSION: f64 = 3.0;
 const ARTIFACT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
 
 fn main() {
-    let horizon = SimDuration::from_secs(env_u64("SOL_HORIZON_SECS", 60));
+    let horizon = SimDuration::from_secs(horizon_secs(60));
     let max_nodes = env_u64("SOL_FLEET_MAX_NODES", 4096) as usize;
     let node_counts: Vec<usize> =
         [1usize, 8, 64, 256, 1024, 4096, 65536].into_iter().filter(|&n| n <= max_nodes).collect();

@@ -3,8 +3,8 @@
 //!
 //! Wall-clock cells need a long horizon to rise above measurement noise, but
 //! the memory footprint is a pure function of the trajectory and saturates
-//! within a few virtual seconds (the latency windows fill, the wheel's slot
-//! buffers reach steady state) — so this bench runs a short horizon and
+//! within a few virtual seconds (the latency windows fill, the runtime's
+//! scratch buffers reach steady state) — so this bench runs a short horizon and
 //! large fleets, where the full scaling table would be prohibitively slow.
 //!
 //! The rows are merged into the committed `BENCH_fleet.json` artifact under

@@ -10,11 +10,11 @@
 //! * `SOL_PLACEMENT_NODES` — fleet size (default 8; CI uses 4).
 
 use sol_bench::placement_experiments::churn_sweep;
-use sol_bench::report::{env_u64, fmt, print_table};
+use sol_bench::report::{env_u64, fmt, horizon_secs, print_table};
 use sol_core::time::SimDuration;
 
 fn main() {
-    let horizon = SimDuration::from_secs(env_u64("SOL_HORIZON_SECS", 60));
+    let horizon = SimDuration::from_secs(horizon_secs(60));
     let nodes = env_u64("SOL_PLACEMENT_NODES", 8) as usize;
     let threads = 4;
     // Churn levels scale with the fleet so the quick mode stays meaningful.

@@ -57,9 +57,31 @@ pub fn pct(value: f64) -> String {
 }
 
 /// Reads a `u64` quick-mode knob from the environment (e.g.
-/// `SOL_HORIZON_SECS`), falling back to `default` when unset or unparseable.
+/// `SOL_FLEET_MAX_NODES`), falling back to `default` when unset or
+/// unparseable. The horizon has its own reader, [`horizon_secs`].
 pub fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+}
+
+/// The virtual horizon of a figure, table or fleet run, in seconds:
+/// `SOL_HORIZON_SECS` when it is set to a positive whole number, `default`
+/// otherwise. A value that is set but unusable — unparseable, or `0`, which
+/// every runtime rejects as an empty horizon — costs one line on stderr, not
+/// a panic.
+pub fn horizon_secs(default: u64) -> u64 {
+    let raw = std::env::var("SOL_HORIZON_SECS").ok();
+    parse_horizon_secs(raw.as_deref()).unwrap_or_else(|| {
+        if let Some(raw) = raw {
+            eprintln!(
+                "SOL_HORIZON_SECS={raw:?} is not a positive number of seconds; using {default}"
+            );
+        }
+        default
+    })
+}
+
+fn parse_horizon_secs(raw: Option<&str>) -> Option<u64> {
+    raw?.parse().ok().filter(|&secs| secs > 0)
 }
 
 /// Renders rows of named numeric fields as a JSON array of flat objects —
@@ -89,6 +111,14 @@ pub fn json_rows(rows: &[Vec<(&str, f64)>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn zero_and_garbage_horizons_fall_back_like_an_unset_one() {
+        assert_eq!(parse_horizon_secs(Some("45")), Some(45));
+        for unusable in [None, Some("0"), Some(""), Some("ten"), Some("-3"), Some("1.5")] {
+            assert_eq!(parse_horizon_secs(unusable), None, "{unusable:?}");
+        }
+    }
 
     #[test]
     fn formatting_helpers() {

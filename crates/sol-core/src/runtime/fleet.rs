@@ -336,9 +336,9 @@ pub struct FleetNodeReport {
     /// own clock (which starts at zero when the node joins).
     pub ended_at: Timestamp,
     /// Bytes of simulation state the node held when it stopped — the
-    /// runtime's event wheel plus whatever the environment reports through
-    /// [`Environment::mem_bytes`]. Zero for environments that do not
-    /// implement the accounting hook.
+    /// runtime's agent wake table and intervention queue plus whatever the
+    /// environment reports through [`Environment::mem_bytes`] (nothing, for
+    /// environments that do not implement the accounting hook).
     pub mem_bytes: usize,
 }
 
@@ -2174,7 +2174,8 @@ mod tests {
         let fleet = FleetRuntime::new(heterogeneous_recipe(), config).unwrap();
         let report = fleet.run(SimDuration::from_secs(2)).unwrap();
         // StepEnv reports no environment bytes, but every node still carries
-        // its event wheel, so the accounting is non-zero on every node.
+        // its wake table and intervention queue, so the accounting is
+        // non-zero on every node.
         for node in &report.nodes {
             assert!(node.mem_bytes > 0, "node {} reported zero bytes", node.node);
         }

@@ -3,11 +3,11 @@
 //! Three drivers are provided:
 //!
 //! * [`NodeRuntime`](node::NodeRuntime) — the multi-agent discrete-event
-//!   driver: a two-level bucketed time-wheel event queue (agent wakes and
-//!   interventions as first-class events, environment-step boundaries
-//!   merged into the tick time) hosting *N* heterogeneous agents, each
-//!   erased behind the
-//!   object-safe [`AgentDriver`](node::AgentDriver) trait, on one shared
+//!   driver: agent wakes as keys in a dense per-agent table under an index
+//!   heap, interventions (the only queued events) in a two-level bucketed
+//!   time wheel, environment-step boundaries merged into the tick time —
+//!   hosting *N* heterogeneous agents, each erased behind the object-safe
+//!   [`AgentDriver`](node::AgentDriver) trait, on one shared
 //!   [`Environment`]. This is what the paper's co-location scenario (§4.2,
 //!   §6) runs on. Scenarios are normally assembled through the typed
 //!   [`ScenarioBuilder`](builder::ScenarioBuilder) front door
@@ -36,7 +36,7 @@
 //!   threads connected by a prediction queue, so the Actuator keeps taking
 //!   safe actions while the Model is throttled.
 //!
-//! Custom [`AgentDriver`](node::AgentDriver)s plug into the same queue; the
+//! Custom [`AgentDriver`](node::AgentDriver)s plug into the same scheduler; the
 //! first one shipped is [`ReplayDriver`](replay::ReplayDriver), which replays
 //! a recorded action trace.
 
@@ -52,6 +52,7 @@ pub mod replay;
 pub(crate) mod testutil;
 pub mod threaded;
 pub mod trust;
+mod wake;
 #[doc(hidden)]
 pub mod wheel;
 

@@ -1,4 +1,4 @@
-//! The multi-agent node runtime: an event-queue scheduler hosting *N*
+//! The multi-agent node runtime: a discrete-event scheduler hosting *N*
 //! co-located agents on one shared environment.
 //!
 //! The paper's central claim (§4.2, §6) is that multiple learning agents —
@@ -10,29 +10,37 @@
 //!
 //! # Design
 //!
-//! The runtime is a classic discrete-event simulator. A two-level bucketed
-//! [`TimeWheel`] holds three kinds of first-class events, popped in exact
-//! (time, insertion sequence) order:
+//! The runtime is a classic discrete-event simulator whose next tick is the
+//! earliest of three things, each kept in the structure that fits it:
 //!
 //! * **Agent wakes** — the next time an agent's Model or Actuator loop needs
-//!   to run. Wake events are invalidated lazily: each agent slot carries a
-//!   generation counter, and a popped wake whose generation no longer matches
-//!   is discarded, so wakes that move (a delivered prediction, an injected
-//!   delay) never require searching the queue.
+//!   to run. Every agent has exactly one, so wakes are not queued events:
+//!   they are keys in a dense per-agent table under an index heap (the
+//!   private `wake` module). A wake that moves (a stepped loop, a delivered
+//!   prediction, an injected delay) is a key rewritten in place — nothing is
+//!   inserted, nothing goes stale, and a tick with one due agent costs one
+//!   sift-down.
 //! * **Interventions** — scheduled disturbances targeted at a specific agent
 //!   ([`NodeRuntime::delay_model_at`], [`NodeRuntime::delay_actuator_at`]) or
 //!   at the environment ([`NodeRuntime::mutate_environment_at`]), mirroring
-//!   the failure-injection methodology of paper §6.
+//!   the failure-injection methodology of paper §6. These are the only queued
+//!   events; they wait in a [`TimeWheel`] that the tick loop touches only
+//!   when one is due.
 //! * **Environment-step boundaries** — the environment is advanced at least
 //!   every `max_environment_step` of virtual time so workload dynamics are
 //!   never skipped over entirely between sparse agent wakes.
 //!
-//! Each tick peeks the earliest valid event, advances the clock and the
-//! environment once to that time, drains the whole batch of events due at
-//! that time as one slice, applies every intervention that is due (in
-//! schedule order), then steps every due agent in registration order. The
-//! environment is only advanced when an event or a step boundary is actually
-//! due — there is no per-tick scan over agents or sorted intervention lists.
+//! Each tick advances the clock and the environment once to that time,
+//! applies every intervention that is due (in schedule order), then steps
+//! every due agent in registration order and records its new wake. The
+//! environment is only advanced when a wake, an intervention or a step
+//! boundary is actually due — there is no per-tick scan over agents.
+//!
+//! The table caches what [`AgentDriver::next_wake`] said when the agent was
+//! last looked at. A driver whose wake is moved from outside the tick loop
+//! ([`NodeRuntime::driver_mut`] between segments) still gets a tick at the
+//! cached time; it is stepped only if it is due by its own account, and the
+//! table is refreshed either way.
 //!
 //! [`TimeWheel`]: super::wheel::TimeWheel
 
@@ -44,6 +52,7 @@ use crate::actuator::Actuator;
 use crate::error::{ReportError, RuntimeError};
 use crate::loops::{ActuatorLoop, ModelLoop};
 use crate::model::Model;
+use crate::runtime::wake::WakeTable;
 use crate::runtime::wheel::TimeWheel;
 use crate::runtime::Environment;
 use crate::schedule::Schedule;
@@ -268,6 +277,10 @@ where
 }
 
 /// An intervention targeted at one agent or at the shared environment.
+///
+/// Interventions wait in a [`TimeWheel`], which pops earliest-time first with
+/// ties broken by schedule order — same-time interventions apply in the order
+/// they were scheduled.
 enum Intervention<E> {
     /// Delay the agent's Model loop for `duration` starting at the trigger
     /// time (models throttling/starvation of the expensive ML component).
@@ -280,34 +293,10 @@ enum Intervention<E> {
     Mutate(MutateFn<E>),
 }
 
-/// What happens at a scheduled point of virtual time.
-///
-/// Scheduling order is tracked by the [`TimeWheel`] itself (per-bucket
-/// insertion counters), not by the payload, so events pop earliest-time
-/// first with ties broken by schedule order — same-time interventions apply
-/// in the order they were scheduled.
-///
-/// The `max_environment_step` boundary is *not* an event: it moves on every
-/// tick, so keeping it in the queue would mean one stale entry per tick. It
-/// lives in [`NodeRuntime::env_step_at`] and is merged into the tick time
-/// directly.
-enum EventKind<E> {
-    /// An agent's next wake. Valid only while the agent slot's generation
-    /// matches `gen`; stale wakes are discarded when popped.
-    AgentWake { id: AgentId, gen: u64 },
-    /// A scheduled disturbance.
-    Intervention(Intervention<E>),
-}
-
-/// One registered agent plus its wake-scheduling state.
+/// One registered agent.
 struct AgentSlot<E: Environment + 'static> {
     name: String,
     driver: Box<dyn AgentDriver<E>>,
-    /// Generation of the wake event currently in the heap; bumping it
-    /// invalidates that event lazily.
-    gen: u64,
-    /// Time of the currently valid wake event, if one is in the heap.
-    scheduled_at: Option<Timestamp>,
 }
 
 /// Final state of one agent after a [`NodeRuntime`] run.
@@ -394,7 +383,7 @@ impl<E: Environment + 'static> NodeReport<E> {
     }
 }
 
-/// Deterministic event-queue driver for an agent population sharing one
+/// Deterministic discrete-event driver for an agent population sharing one
 /// environment.
 ///
 /// # Examples
@@ -449,26 +438,32 @@ pub struct NodeRuntime<E: Environment + 'static> {
     now: Timestamp,
     environment: E,
     agents: Vec<AgentSlot<E>>,
-    events: TimeWheel<EventKind<E>>,
-    /// Scratch buffer the tick loop drains due events into; reused across
-    /// ticks and across [`run_until`](Self::run_until) segments.
-    due: Vec<EventKind<E>>,
+    /// What each agent's [`AgentDriver::next_wake`] returned when the tick
+    /// loop last looked at it; indexed like `agents`, and as long once the
+    /// run has started.
+    wakes: WakeTable,
+    interventions: TimeWheel<Intervention<E>>,
+    /// Time of the earliest pending intervention, `Timestamp::MAX` when there
+    /// is none, so a tick without one never touches the wheel.
+    intervention_at: Timestamp,
+    /// Scratch buffer the tick loop drains due interventions into; reused
+    /// across ticks and across [`run_until`](Self::run_until) segments.
+    due: Vec<Intervention<E>>,
     /// Largest span of virtual time the environment may be advanced in one
     /// tick even when no agent event is due.
     max_env_step: SimDuration,
     /// Whether `max_env_step` was set explicitly; an explicit value is never
     /// shrunk by later agent registrations.
     env_step_overridden: bool,
-    /// The next environment-step boundary. Kept out of the event heap: the
-    /// boundary moves on every tick, and re-pushing it would leave one stale
-    /// heap entry per tick on the hot path.
+    /// The next environment-step boundary: it moves on every tick, so it is a
+    /// plain field merged into the tick time, not a queued event.
     env_step_at: Timestamp,
     cleanup_on_finish: bool,
-    /// Whether the first [`run_until`](Self::run_until) segment already
-    /// scheduled the initial agent wakes and environment-step boundary.
+    /// Whether the first [`run_until`](Self::run_until) segment already read
+    /// the initial agent wakes and set the environment-step boundary.
     started: bool,
-    /// Agents touched by the current tick's events; reused across ticks and
-    /// across [`run_until`](Self::run_until) segments.
+    /// Agents the current tick looks at (due, or hit by an intervention);
+    /// reused across ticks and across [`run_until`](Self::run_until) segments.
     touched: Vec<usize>,
 }
 
@@ -480,7 +475,9 @@ impl<E: Environment + 'static> NodeRuntime<E> {
             now: Timestamp::ZERO,
             environment,
             agents: Vec::new(),
-            events: TimeWheel::new(),
+            wakes: WakeTable::new(),
+            interventions: TimeWheel::new(),
+            intervention_at: Timestamp::MAX,
             due: Vec::new(),
             max_env_step: MAX_DEFAULT_ENV_STEP,
             env_step_overridden: false,
@@ -530,21 +527,21 @@ impl<E: Environment + 'static> NodeRuntime<E> {
     /// Registers a pre-built driver under `name` and returns its id.
     ///
     /// Registration is also valid *between* [`run_until`](Self::run_until)
-    /// segments: a late-joining agent is scheduled immediately and starts
-    /// participating from the next segment (its loops begin at the current
-    /// virtual time, set when the driver was constructed).
+    /// segments: a late-joining agent participates from the next segment (its
+    /// loops begin at the current virtual time, set when the driver was
+    /// constructed; a wake already in the past is due at the next tick).
     pub fn register_driver(
         &mut self,
         name: impl Into<String>,
         driver: Box<dyn AgentDriver<E>>,
     ) -> AgentId {
         let id = AgentId(self.agents.len());
-        self.agents.push(AgentSlot { name: name.into(), driver, gen: 0, scheduled_at: None });
         if self.started {
-            // The initial wake pass in `run_until` already ran; schedule the
-            // newcomer now so it cannot sit inert for the rest of the run.
-            self.schedule_wake(id.0);
+            // The first segment already read everyone's wake; a newcomer's
+            // goes in now so it cannot sit inert for the rest of the run.
+            self.wakes.extend([driver.next_wake()]);
         }
+        self.agents.push(AgentSlot { name: name.into(), driver });
         id
     }
 
@@ -618,7 +615,7 @@ impl<E: Environment + 'static> NodeRuntime<E> {
     pub fn delay_model_at(&mut self, id: impl Into<AgentId>, at: Timestamp, duration: SimDuration) {
         let id = id.into();
         assert!(id.0 < self.agents.len(), "{id} is not registered");
-        self.push_event(at, EventKind::Intervention(Intervention::DelayModel { id, duration }));
+        self.schedule_intervention(at, Intervention::DelayModel { id, duration });
     }
 
     /// Schedules an Actuator-loop scheduling delay for one agent starting at
@@ -635,7 +632,7 @@ impl<E: Environment + 'static> NodeRuntime<E> {
     ) {
         let id = id.into();
         assert!(id.0 < self.agents.len(), "{id} is not registered");
-        self.push_event(at, EventKind::Intervention(Intervention::DelayActuator { id, duration }));
+        self.schedule_intervention(at, Intervention::DelayActuator { id, duration });
     }
 
     /// Schedules an arbitrary environment mutation at `at` (e.g. enabling a
@@ -645,7 +642,7 @@ impl<E: Environment + 'static> NodeRuntime<E> {
         at: Timestamp,
         f: impl FnMut(&mut E, Timestamp) + Send + 'static,
     ) {
-        self.push_event(at, EventKind::Intervention(Intervention::Mutate(Box::new(f))));
+        self.schedule_intervention(at, Intervention::Mutate(Box::new(f)));
     }
 
     /// Attaches a placeable workload unit to the environment. Valid before
@@ -716,30 +713,9 @@ impl<E: Environment + 'static> NodeRuntime<E> {
         self.now
     }
 
-    fn push_event(&mut self, at: Timestamp, kind: EventKind<E>) {
-        self.events.schedule(at, kind);
-    }
-
-    /// Whether a queued event still reflects current state.
-    fn event_valid(agents: &[AgentSlot<E>], kind: &EventKind<E>) -> bool {
-        match *kind {
-            EventKind::AgentWake { id, gen } => agents[id.0].gen == gen,
-            EventKind::Intervention(_) => true,
-        }
-    }
-
-    /// (Re)schedules the wake event for one agent if its wake time moved or
-    /// its previous event was consumed.
-    fn schedule_wake(&mut self, idx: usize) {
-        let wake = self.agents[idx].driver.next_wake();
-        if self.agents[idx].scheduled_at == Some(wake) {
-            return;
-        }
-        let slot = &mut self.agents[idx];
-        slot.gen += 1;
-        slot.scheduled_at = Some(wake);
-        let gen = slot.gen;
-        self.push_event(wake, EventKind::AgentWake { id: AgentId(idx), gen });
+    fn schedule_intervention(&mut self, at: Timestamp, intervention: Intervention<E>) {
+        self.interventions.schedule(at, intervention);
+        self.intervention_at = self.intervention_at.min(at);
     }
 
     /// Runs all agents for `horizon` of virtual time and returns the final
@@ -763,16 +739,16 @@ impl<E: Environment + 'static> NodeRuntime<E> {
     }
 
     /// Advances the simulation to virtual time `end` (a no-op if `end` is not
-    /// in the future), leaving the runtime resumable: event queue, pending
+    /// in the future), leaving the runtime resumable: agent wakes, pending
     /// interventions, and per-agent state all carry over into the next
     /// segment, so consecutive `run_until` calls behave like one continuous
     /// run whose environment is additionally advanced at each segment
     /// boundary.
     pub fn run_until(&mut self, end: Timestamp) {
         if !self.started {
-            for idx in 0..self.agents.len() {
-                self.schedule_wake(idx);
-            }
+            // Read now, not at registration: a driver may have been delayed
+            // through `driver_mut` since.
+            self.wakes.extend(self.agents.iter().map(|slot| slot.driver.next_wake()));
             self.env_step_at = self.now + self.max_env_step;
             self.started = true;
         }
@@ -782,10 +758,10 @@ impl<E: Environment + 'static> NodeRuntime<E> {
         // batch instead of once per call (see [`Environment::begin_batch`]).
         self.environment.begin_batch();
 
-        // Agents touched by this tick's events (wakes popped, delays
-        // applied); only they are step-checked and rescheduled, so a tick
-        // costs O(events at that time), not O(agents). Both scratch buffers
-        // are reused across every tick of the run.
+        // Only the agents a tick touches (due by the table, or the target of
+        // an intervention) are step-checked and refreshed, so a tick costs
+        // O(agents due at that time), not O(agents). Both scratch buffers are
+        // reused across every tick of the run.
         let mut touched = std::mem::take(&mut self.touched);
         let mut due = std::mem::take(&mut self.due);
 
@@ -795,53 +771,54 @@ impl<E: Environment + 'static> NodeRuntime<E> {
                 break;
             }
 
-            // Earliest valid event (stale wakes are discarded on the way),
-            // capped by the environment-step boundary.
-            let agents = &self.agents;
-            let next = match self.events.peek(|kind| Self::event_valid(agents, kind)) {
-                None => end.min(self.env_step_at),
-                Some(at) => at.min(self.env_step_at),
-            };
-            let next = next.max(now).min(end);
+            // Earliest of the next wake, the next intervention and the
+            // environment-step boundary; a wake already in the past (a late
+            // registration, a segment boundary) is due now.
+            let mut next = end.min(self.env_step_at).min(self.intervention_at);
+            if let Some(wake) = self.wakes.earliest() {
+                next = next.min(wake);
+            }
+            let next = next.max(now);
 
             // Advance time and the environment exactly once per tick.
-            assert!(next >= now, "virtual time must not move backwards");
             self.now = next;
             self.environment.advance_to(next);
 
-            // Drain the whole run of events due at this tick as one batch
-            // slice (same timestamp, plus anything the clamp to `end` made
-            // due). Interventions apply in schedule order, before any agent
-            // steps. A delay intervention moves its target's wake, so the
-            // target needs rescheduling even if it was not due.
-            self.events.drain_due(next, &mut due);
-            for kind in due.drain(..) {
-                match kind {
-                    EventKind::AgentWake { id, gen } => {
-                        let slot = &mut self.agents[id.0];
-                        if slot.gen == gen {
-                            slot.scheduled_at = None;
-                            touched.push(id.0);
-                        }
-                    }
-                    EventKind::Intervention(iv) => match iv {
+            self.wakes.due(next, &mut touched);
+
+            // Interventions apply in schedule order, before any agent steps.
+            // A delay moves its target's wake, so the target is looked at
+            // even if it was not due — and then its key changes outside the
+            // due region the table remembered.
+            let mut outside_due_region = false;
+            if self.intervention_at <= next {
+                self.interventions.drain_due(next, &mut due);
+                for intervention in due.drain(..) {
+                    let id = match intervention {
                         Intervention::DelayModel { id, duration } => {
                             self.agents[id.0].driver.delay_model(next + duration);
-                            touched.push(id.0);
+                            id
                         }
                         Intervention::DelayActuator { id, duration } => {
                             self.agents[id.0].driver.delay_actuator(next + duration);
-                            touched.push(id.0);
+                            id
                         }
-                        Intervention::Mutate(mut f) => f(&mut self.environment, next),
-                    },
+                        Intervention::Mutate(mut f) => {
+                            f(&mut self.environment, next);
+                            continue;
+                        }
+                    };
+                    if self.wakes.wake(id.0) > next {
+                        touched.push(id.0);
+                        outside_due_region = true;
+                    }
                 }
+                self.intervention_at = self.interventions.peek(|_| true).unwrap_or(Timestamp::MAX);
             }
 
-            // Step the touched agents that are due, in registration order,
-            // then reschedule their wakes. Untouched agents cannot be due:
-            // their wake events (kept exactly at their wake times) did not
-            // fire.
+            // Step the touched agents that are due by their own account, in
+            // registration order whatever order the heap gave them up in,
+            // then record where each one's wake went.
             touched.sort_unstable();
             touched.dedup();
             for &idx in &touched {
@@ -850,13 +827,17 @@ impl<E: Environment + 'static> NodeRuntime<E> {
                     slot.driver.step(next, &mut self.environment);
                 }
             }
-            for &idx in &touched {
-                self.schedule_wake(idx);
+            for idx in touched.drain(..) {
+                self.wakes.set(idx, self.agents[idx].driver.next_wake());
             }
-            touched.clear();
+            if outside_due_region {
+                self.wakes.rebuild();
+            } else {
+                self.wakes.repair();
+            }
 
             // The environment advanced to `next`, so the boundary moves with
-            // it — a plain store, no heap traffic.
+            // it.
             self.env_step_at = next + self.max_env_step;
         }
 
@@ -865,10 +846,11 @@ impl<E: Environment + 'static> NodeRuntime<E> {
         self.due = due;
     }
 
-    /// Heap bytes retained by this node: the event queue's slab capacity plus
-    /// whatever the environment reports (see [`Environment::mem_bytes`]).
+    /// Heap bytes retained by this node: the agents' wake table, the
+    /// intervention queue's slot capacity, plus whatever the environment
+    /// reports (see [`Environment::mem_bytes`]).
     pub fn mem_bytes(&self) -> usize {
-        self.events.mem_bytes() + self.environment.mem_bytes()
+        self.wakes.mem_bytes() + self.interventions.mem_bytes() + self.environment.mem_bytes()
     }
 
     /// Consumes the runtime and returns the final state of the environment
@@ -995,9 +977,9 @@ mod tests {
 
     #[test]
     fn same_tick_interventions_apply_in_scheduling_order() {
-        // Two non-commuting mutations at the same timestamp: the wheel's
-        // per-bucket counters must preserve scheduling order exactly as the
-        // old global sequence number did ((x * 3) + 10, not (x + 10) * 3).
+        // Two non-commuting mutations at the same timestamp: the intervention
+        // wheel must preserve scheduling order ((x * 3) + 10, not
+        // (x + 10) * 3).
         let run = |flipped: bool| {
             let mut rt = NodeRuntime::new(StepEnv::default());
             rt.register_agent("a", ConstModel { value: 1.0 }, CountActuator::default(), {
@@ -1162,7 +1144,7 @@ mod tests {
             schedule(100),
         );
         rt.run_until(Timestamp::from_secs(2));
-        // A late joiner must be scheduled immediately, not sit inert.
+        // A late joiner's wake must enter the table immediately, not sit inert.
         let late =
             rt.register_agent("late", ConstModel { value: 2.0 }, CountActuator::default(), {
                 schedule(100)
@@ -1173,6 +1155,180 @@ mod tests {
         // The late agent's loops started at t=2s, so it completes the
         // remaining two seconds' worth of epochs.
         assert_eq!(report.agent_report(late).unwrap().stats.model.epochs_completed, 4);
+    }
+
+    /// An environment logging every tick and every [`Periodic`] step.
+    #[derive(Default)]
+    struct LogEnv {
+        ticks: Vec<Timestamp>,
+        steps: Vec<(u32, Timestamp)>,
+    }
+
+    impl Environment for LogEnv {
+        fn advance_to(&mut self, now: Timestamp) {
+            self.ticks.push(now);
+        }
+    }
+
+    impl LogEnv {
+        fn steps_of(&self, tag: u32) -> Vec<Timestamp> {
+            self.steps.iter().filter(|(t, _)| *t == tag).map(|&(_, at)| at).collect()
+        }
+    }
+
+    /// A bare driver: wakes at `wake`, logs its step under `tag`, sleeps for
+    /// `period`. Either delay replaces the wake, earlier or later.
+    struct Periodic {
+        tag: u32,
+        wake: Timestamp,
+        period: SimDuration,
+    }
+
+    impl AgentDriver<LogEnv> for Periodic {
+        fn next_wake(&self) -> Timestamp {
+            self.wake
+        }
+        fn step(&mut self, now: Timestamp, env: &mut LogEnv) {
+            env.steps.push((self.tag, now));
+            self.wake = now + self.period;
+        }
+        fn delay_model(&mut self, until: Timestamp) {
+            self.wake = until;
+        }
+        fn delay_actuator(&mut self, until: Timestamp) {
+            self.wake = until;
+        }
+        fn stats(&self) -> AgentStats {
+            AgentStats::default()
+        }
+        fn clean_up(&mut self, _now: Timestamp) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn into_any(self: Box<Self>) -> Box<dyn Any> {
+            self
+        }
+    }
+
+    /// A runtime over [`LogEnv`] whose environment-step boundary never
+    /// fires, so every logged tick is a wake, an intervention or a segment
+    /// end.
+    fn periodic_runtime(agents: &[(u64, u64)]) -> (NodeRuntime<LogEnv>, Vec<AgentId>) {
+        let mut rt = NodeRuntime::new(LogEnv::default())
+            .max_environment_step(SimDuration::from_secs(3_600))
+            .unwrap();
+        let ids = agents
+            .iter()
+            .enumerate()
+            .map(|(tag, &(wake_ms, period_ms))| {
+                rt.register_driver(
+                    format!("p{tag}"),
+                    Box::new(Periodic {
+                        tag: tag as u32,
+                        wake: Timestamp::from_millis(wake_ms),
+                        period: SimDuration::from_millis(period_ms),
+                    }),
+                )
+            })
+            .collect();
+        (rt, ids)
+    }
+
+    fn ms(n: u64) -> Timestamp {
+        Timestamp::from_millis(n)
+    }
+
+    #[test]
+    fn delay_on_an_agent_that_is_not_due_moves_its_wake_without_stepping_it() {
+        let (mut rt, ids) = periodic_runtime(&[(0, 300), (0, 1_000)]);
+        rt.delay_model_at(ids[0], ms(250), SimDuration::from_secs(2));
+        rt.run_until(ms(3_500));
+        let env = rt.finish().environment;
+        // Stepped at 0, asleep until 300 ms; the delay at 250 ms moves that
+        // to 2.25 s and steps nothing.
+        assert_eq!(
+            env.steps_of(0),
+            vec![ms(0), ms(2_250), ms(2_550), ms(2_850), ms(3_150), ms(3_450)]
+        );
+        assert!(env.ticks.contains(&ms(250)), "the intervention is a tick of its own");
+        // The table took the new wake: nothing is left to fire at 300 ms, and
+        // the delayed agent — the earliest wake until then — no longer hides
+        // the other one's.
+        assert!(!env.ticks.contains(&ms(300)));
+        assert_eq!(env.steps_of(1), vec![ms(0), ms(1_000), ms(2_000), ms(3_000)]);
+    }
+
+    #[test]
+    fn wake_moved_through_driver_mut_between_segments_still_ticks_at_the_cached_time() {
+        let (mut rt, ids) = periodic_runtime(&[(0, 300), (0, 1_000)]);
+        rt.run_until(ms(500));
+        // Behind the runtime's back: the table still says 1 s.
+        rt.driver_mut(ids[1]).delay_model(ms(2_500));
+        rt.run_until(ms(4_000));
+        let env = rt.finish().environment;
+        // A tick at the cached wake (the environment is advanced there), no
+        // step at it, and the table caught up: the next step is at 2.5 s.
+        assert!(env.ticks.contains(&ms(1_000)));
+        assert_eq!(env.steps_of(1), vec![ms(0), ms(2_500), ms(3_500)]);
+    }
+
+    #[test]
+    fn wake_moved_through_driver_mut_before_the_first_segment_is_read_at_the_start() {
+        let (mut rt, ids) = periodic_runtime(&[(0, 300), (100, 1_000)]);
+        rt.driver_mut(ids[1]).delay_model(ms(700));
+        rt.run_until(ms(1_000));
+        let env = rt.finish().environment;
+        assert!(!env.ticks.contains(&ms(100)), "no wake was cached at registration");
+        assert_eq!(env.steps_of(1), vec![ms(700)]);
+    }
+
+    #[test]
+    fn driver_registered_between_segments_with_a_past_wake_steps_at_the_next_tick() {
+        let (mut rt, _) = periodic_runtime(&[(0, 300)]);
+        rt.run_until(ms(1_000));
+        let ticks_before = rt.environment().ticks.len();
+        rt.register_driver(
+            "late",
+            Box::new(Periodic { tag: 7, wake: ms(200), period: SimDuration::from_millis(450) }),
+        );
+        rt.run_until(ms(2_000));
+        let env = rt.finish().environment;
+        // Its wake is in the past, so the first tick of the segment is "now".
+        assert_eq!(env.ticks[ticks_before], ms(1_000));
+        assert_eq!(env.steps_of(7), vec![ms(1_000), ms(1_450), ms(1_900)]);
+    }
+
+    #[test]
+    fn agents_sharing_a_tick_step_in_registration_order_whatever_the_heap_order() {
+        // First wakes in reverse registration order, so the heap's root is
+        // the last agent; from 400 ms on all five are due at every tick and
+        // each repair leaves them in another order.
+        let (mut rt, _) =
+            periodic_runtime(&[(400, 100), (300, 100), (200, 100), (100, 100), (0, 100)]);
+        rt.run_until(ms(1_000));
+        let env = rt.finish().environment;
+        let at = |t: Timestamp| -> Vec<u32> {
+            env.steps.iter().filter(|&&(_, at)| at == t).map(|&(tag, _)| tag).collect()
+        };
+        assert_eq!(at(ms(100)), vec![3, 4]);
+        for tick in (400..1_000).step_by(100) {
+            assert_eq!(at(ms(tick)), vec![0, 1, 2, 3, 4], "at {tick} ms");
+        }
+    }
+
+    #[test]
+    fn delay_that_pulls_a_wake_in_steps_the_agent_at_the_intervention() {
+        // An intervention can make an agent that was not due step: the
+        // driver's own account of its wake decides, not the table's.
+        let (mut rt, ids) = periodic_runtime(&[(0, 300), (5_000, 5_000)]);
+        rt.delay_model_at(ids[1], ms(700), SimDuration::ZERO);
+        rt.run_until(ms(1_000));
+        let env = rt.finish().environment;
+        assert_eq!(env.steps_of(1), vec![ms(700)]);
+        assert_eq!(env.ticks.iter().filter(|&&at| at == ms(700)).count(), 1, "in that same tick");
     }
 
     #[test]

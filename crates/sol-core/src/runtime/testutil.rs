@@ -16,8 +16,8 @@ use crate::time::{SimDuration, Timestamp};
 /// reference model for the wheel's pop order — the equivalence proptest in
 /// [`wheel`](crate::runtime::wheel) drives arbitrary
 /// schedule/invalidate/peek/drain sequences through both and asserts
-/// identical observable behaviour (a cancel+reschedule is an invalidate of
-/// the old entry plus a fresh schedule, exactly how the runtime models it).
+/// identical observable behaviour. (Invalidation dates from when agent wakes
+/// were queued events; the runtime's interventions are never invalidated.)
 pub(crate) struct ReferenceQueue<K> {
     heap: std::collections::BinaryHeap<ReferenceEntry<K>>,
     seq: u64,

@@ -1,11 +1,13 @@
-//! A two-level bucketed time wheel: the event queue under
-//! [`NodeRuntime`](crate::runtime::node::NodeRuntime).
+//! A two-level bucketed time wheel: the queue of scheduled interventions
+//! under [`NodeRuntime`](crate::runtime::node::NodeRuntime).
 //!
-//! A binary heap pays `O(log n)` pointer-chasing per event and a global `u64`
-//! sequence number per push. The simulation's event population is small but
-//! extremely hot (tens of thousands of 1 ms-cadence wakes per virtual
-//! minute), and almost every event fires within a few milliseconds of being
-//! scheduled. The wheel exploits that shape:
+//! The wheel was built as the runtime's one event queue, when agent wakes
+//! were events too — tens of thousands of 1 ms-cadence wakes per virtual
+//! minute, almost all firing within milliseconds of being scheduled — and
+//! its shape still shows that load. Wakes now live in the runtime's wake
+//! table; what is queued here is interventions only (a few dozen per run,
+//! off the tick path: the runtime touches the wheel only when one is due),
+//! and `benchmark/` drives the type in isolation. The two levels:
 //!
 //! * **Near horizon** — `BUCKETS` slots of `GRANULE` nanoseconds each
 //!   (~1 ms, a power of two so slot mapping is a shift+mask). An event due
@@ -139,10 +141,10 @@ impl<K> Ord for OverflowEntry<K> {
 /// The two-level wheel. `K` is the event payload; the scheduler itself only
 /// knows times and insertion order.
 ///
-/// The type is `#[doc(hidden)]` public: it is an internal scheduling
-/// primitive of [`NodeRuntime`](crate::runtime::node::NodeRuntime), exposed
-/// only so `benchmark/` can drive it in isolation (`wheel.ns_per_event_*`).
-/// It is exempt from semver.
+/// The type is `#[doc(hidden)]` public: it is the intervention queue of
+/// [`NodeRuntime`](crate::runtime::node::NodeRuntime), exposed only so
+/// `benchmark/` can drive it in isolation (`wheel.ns_per_event_*`). It is
+/// exempt from semver.
 pub struct TimeWheel<K> {
     /// Slot-aligned lower edge of the near horizon. Every undrained event in
     /// the slots satisfies `base <= at < base + SPAN` — except past-due
@@ -260,7 +262,8 @@ impl<K> TimeWheel<K> {
 
     /// Earliest pending event time, discarding invalidated head events along
     /// the way (matching the old heap's lazy invalidation on peek). `valid`
-    /// is consulted only for events that would define the wheel's head.
+    /// is consulted only for events that would define the wheel's head; the
+    /// runtime's interventions are always valid.
     pub fn peek(&mut self, valid: impl Fn(&K) -> bool) -> Option<Timestamp> {
         loop {
             match self.first_busy_slot() {
