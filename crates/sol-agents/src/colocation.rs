@@ -567,7 +567,8 @@ mod tests {
             compact < full,
             "512-sample windows ({compact} B) must undercut 4096-sample windows ({full} B)"
         );
-        // The harvest-side latency window alone shrinks by 3584 samples.
+        // The ObjectStore workload's window alone shrinks by 3584 samples (the
+        // harvest side's run-length windows by 224 reserved runs on top).
         assert!(full - compact >= 3_584 * std::mem::size_of::<f64>());
     }
 

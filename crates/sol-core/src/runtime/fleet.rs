@@ -871,7 +871,8 @@ impl<E: Environment + 'static> FleetRuntime<E> {
     /// an event comes due, so a plan event the [`NodeRegistry`] rejects as an
     /// illegal transition (crashing or draining a node that already left) is
     /// skipped — a machine that has left cannot crash — exactly as the
-    /// coordinator skips its own quarantine drain for such a node. A plan
+    /// coordinator skips its own quarantine drain for such a node, and
+    /// counted in [`FleetProfile::fault_events_skipped`]. A plan
     /// event addressing a node index outside the fleet is still an
     /// [`RuntimeError::InvalidConfig`], as is every illegal transition the
     /// *controller* issues.
@@ -889,8 +890,9 @@ impl<E: Environment + 'static> FleetRuntime<E> {
 
     /// [`run_with_faults`](Self::run_with_faults), also returning the run's
     /// [`FleetProfile`]: the coordinator's wall time by barrier phase, each
-    /// worker's busy time and claims, and how many task lists and change
-    /// buffers the barrier machinery built. The profile comes back *beside*
+    /// worker's busy time and claims, how many task lists and change
+    /// buffers the barrier machinery built, and how many fault-plan events it
+    /// skipped. The profile comes back *beside*
     /// the report, never inside it — the report stays a pure function of the
     /// run's inputs — and this is the one code path behind every `run*`
     /// method: the others drop the profile.
@@ -1281,7 +1283,9 @@ impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
                 // The plan's author cannot know which nodes the controller
                 // or the trust plane removed first, and a machine that has
                 // left cannot crash: the event's intent is already met.
-                Err(LifecycleError::IllegalTransition { .. }) if from_plan => {}
+                Err(LifecycleError::IllegalTransition { .. }) if from_plan => {
+                    self.profile.fault_events_skipped += 1;
+                }
                 // From the controller, an illegal transition is a loud
                 // error, never a silent repair.
                 Err(e) => return Err(RuntimeError::InvalidConfig(e.to_string())),

@@ -301,8 +301,11 @@ impl Default for FaultPlanConfig {
 /// Crash and drain targets are sampled *without replacement* from the initial
 /// node population, so a generated plan never asks the same node to both
 /// crash and drain (the second event would be an illegal transition, which
-/// the fleet skips for plan events: the node has already left). The plan is
-/// a pure function of `(seed, nodes, FaultPlanConfig)`.
+/// the fleet skips for plan events — the node has already left — and counts
+/// in [`FleetProfile::fault_events_skipped`]). The plan is a pure function of
+/// `(seed, nodes, FaultPlanConfig)`.
+///
+/// [`FleetProfile::fault_events_skipped`]: crate::runtime::profile::FleetProfile::fault_events_skipped
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,

@@ -87,8 +87,9 @@ pub struct WorkerProfile {
     pub nodes_claimed: u64,
 }
 
-/// Where one fleet run's wall time went, plus two deterministic counters of
-/// the barrier machinery's own allocations. See the [module docs](self).
+/// Where one fleet run's wall time went, plus deterministic counters of what
+/// the barrier machinery did that the report does not show: its own
+/// allocations and the fault events it skipped. See the [module docs](self).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FleetProfile {
     /// Epoch barriers the run went through.
@@ -104,6 +105,11 @@ pub struct FleetProfile {
     /// Change-list buffers created: one per worker, recycled through every
     /// later barrier. A pure function of the worker count.
     pub change_buffers_allocated: u64,
+    /// [`FaultPlan`](crate::runtime::lifecycle::FaultPlan) events dropped
+    /// because their target had already left the fleet (crashed, drained or
+    /// quarantined first): the report shows no trace of them, so they are
+    /// counted here. A pure function of the run's inputs.
+    pub fault_events_skipped: u64,
 }
 
 impl fmt::Display for FleetProfile {
@@ -134,8 +140,12 @@ impl fmt::Display for FleetProfile {
         }
         write!(
             f,
-            "{} barriers, {} task list(s) built, {} change buffer(s) allocated",
-            self.barriers, self.task_lists_built, self.change_buffers_allocated
+            "{} barriers, {} task list(s) built, {} change buffer(s) allocated, \
+             {} fault event(s) skipped",
+            self.barriers,
+            self.task_lists_built,
+            self.change_buffers_allocated,
+            self.fault_events_skipped
         )
     }
 }
@@ -183,6 +193,7 @@ mod tests {
             workers: vec![WorkerProfile { busy_ns: 2_500_000, nodes_claimed: 64 }],
             task_lists_built: 1,
             change_buffers_allocated: 1,
+            fault_events_skipped: 0,
         };
         let table = profile.to_string();
         for (name, _) in profile.phases.rows() {

@@ -11,7 +11,7 @@
 use sol_core::runtime::Environment;
 use sol_core::time::{SimDuration, Timestamp};
 use sol_ml::footprint::MemoryFootprint;
-use sol_ml::online_stats::SlidingWindow;
+use sol_ml::online_stats::RunWindow;
 
 /// A latency-sensitive service with bursty CPU demand, standing in for the
 /// TailBench workloads (`image-dnn`, `moses`) the paper uses as primary VMs.
@@ -132,8 +132,9 @@ pub struct HarvestNodeConfig {
     /// Window length for the P99 wait-time safeguard signal.
     pub wait_window: usize,
     /// Window length for the P99 request-latency signal. The default (4096)
-    /// matches the historical hardcoded window; large fleet grids can shrink
-    /// it to cut per-node memory (the window is the node's largest buffer).
+    /// matches the historical hardcoded window. Both windows are
+    /// [`RunWindow`]s — the simulated latency and wait time hold their value
+    /// between bursts — and reserve 10 bytes per 8 samples of length.
     pub latency_window: usize,
 }
 
@@ -167,11 +168,11 @@ pub struct HarvestNode {
     primary_cores: usize,
     now: Timestamp,
     last_used_cores: f64,
-    latencies: SlidingWindow,
+    latencies: RunWindow,
     all_latencies_worst: f64,
     latency_sum: f64,
     latency_count: u64,
-    wait_window: SlidingWindow,
+    wait_window: RunWindow,
     total_wait: SimDuration,
     harvested_core_seconds: f64,
     starved_steps: u64,
@@ -195,8 +196,8 @@ impl HarvestNode {
         );
         let primary = config.total_cores;
         HarvestNode {
-            latencies: SlidingWindow::new(config.latency_window),
-            wait_window: SlidingWindow::new(config.wait_window),
+            latencies: RunWindow::new(config.latency_window),
+            wait_window: RunWindow::new(config.wait_window),
             config,
             service,
             core_speed_factor: 1.0,
@@ -401,10 +402,10 @@ impl Environment for HarvestNode {
 
 impl MemoryFootprint for HarvestNode {
     fn mem_bytes(&self) -> usize {
-        // The two latency windows are the node's only heap buffers.
+        // The two windows' runs are the node's only heap buffers.
         std::mem::size_of::<Self>()
-            + (self.latencies.mem_bytes() - std::mem::size_of::<SlidingWindow>())
-            + (self.wait_window.mem_bytes() - std::mem::size_of::<SlidingWindow>())
+            + (self.latencies.mem_bytes() - std::mem::size_of::<RunWindow>())
+            + (self.wait_window.mem_bytes() - std::mem::size_of::<RunWindow>())
     }
 }
 

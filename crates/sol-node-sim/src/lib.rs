@@ -36,6 +36,7 @@ pub mod memory_node;
 pub mod metrics;
 pub mod multi_node;
 pub mod power;
+mod recent_steps;
 #[allow(unsafe_code)]
 pub mod shared;
 pub mod workload;

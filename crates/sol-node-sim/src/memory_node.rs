@@ -17,6 +17,8 @@ use sol_core::time::{SimDuration, Timestamp};
 use sol_ml::footprint::MemoryFootprint;
 use sol_ml::sampling::{seeded_rng, Zipf};
 
+use crate::recent_steps::RecentSteps;
+
 /// Which memory tier a batch currently lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier {
@@ -227,15 +229,9 @@ pub struct MemoryNode {
     migrations: u64,
     local_accesses: f64,
     remote_accesses: f64,
-    /// `(step start, local hits, remote hits)` of every step inside the recent
-    /// window; kept for expiry only.
-    window: std::collections::VecDeque<(Timestamp, f64, f64)>,
-    /// Running sums of `window`'s hit columns. Hit counts are integer-valued
-    /// `f64`s whose sums stay far below 2^53, so adding on push and
-    /// subtracting on expiry is exact: the sums equal a fresh pass over the
-    /// deque bit for bit, and drain to exactly `0.0`.
-    window_local: f64,
-    window_remote: f64,
+    /// Every step inside the recent window, kept for expiry only, with the
+    /// running sums of its hits.
+    recent: RecentSteps,
     second_local: f64,
     second_remote: f64,
     next_second: Timestamp,
@@ -304,9 +300,7 @@ impl MemoryNode {
             migrations: 0,
             local_accesses: 0.0,
             remote_accesses: 0.0,
-            window: std::collections::VecDeque::new(),
-            window_local: 0.0,
-            window_remote: 0.0,
+            recent: RecentSteps::default(),
             second_local: 0.0,
             second_remote: 0.0,
             next_second: Timestamp::from_secs(1),
@@ -472,7 +466,7 @@ impl MemoryNode {
     /// (the Actuator safeguard signal). Returns 0 when there were no recent
     /// accesses.
     pub fn recent_remote_fraction(&self) -> f64 {
-        let (local, remote) = (self.window_local, self.window_remote);
+        let (local, remote) = self.recent.sums();
         if local + remote == 0.0 {
             0.0
         } else {
@@ -644,19 +638,8 @@ impl MemoryNode {
         self.local_accesses += step_local;
         self.remote_accesses += step_remote;
 
-        // Recent-window bookkeeping.
-        self.window.push_back((now, step_local, step_remote));
-        self.window_local += step_local;
-        self.window_remote += step_remote;
-        while let Some(&(t, local, remote)) = self.window.front() {
-            if now.duration_since(t) > self.config.recent_window {
-                self.window.pop_front();
-                self.window_local -= local;
-                self.window_remote -= remote;
-            } else {
-                break;
-            }
-        }
+        self.recent.push(now, step_local, step_remote);
+        self.recent.expire(now, self.config.recent_window);
 
         // Per-second series for SLO attainment.
         self.second_local += step_local;
@@ -699,7 +682,7 @@ impl MemoryFootprint for MemoryNode {
             + self.batches.capacity() * std::mem::size_of::<MemBatch>()
             + (self.carry.capacity() + self.expected.capacity()) * std::mem::size_of::<f64>()
             + self.permutation.capacity() * std::mem::size_of::<usize>()
-            + self.window.capacity() * std::mem::size_of::<(Timestamp, f64, f64)>()
+            + self.recent.heap_bytes()
             + self.series.capacity() * std::mem::size_of::<RemoteFractionSample>()
             + (MemoryFootprint::mem_bytes(&self.zipf) - std::mem::size_of::<Zipf>())
     }
@@ -828,15 +811,17 @@ mod tests {
             node.migrate_to_remote(batch);
         }
         node.advance_to(Timestamp::from_secs(150));
-        assert!(node.window_local > 0.0 && node.window_remote > 0.0);
+        let (local, remote) = node.recent.sums();
+        assert!(local > 0.0 && remote > 0.0);
         assert!(node.recent_remote_fraction() > 0.0);
         // Asleep from 150 s; by 181 s every step with a hit has left the 30 s
         // window, and what was added has been subtracted again, exactly.
         node.advance_to(Timestamp::from_secs(181));
         assert!(!node.is_active());
-        assert!(!node.window.is_empty());
-        assert_eq!(node.window_local.to_bits(), 0.0f64.to_bits());
-        assert_eq!(node.window_remote.to_bits(), 0.0f64.to_bits());
+        assert!(node.recent.len() > 0);
+        let (local, remote) = node.recent.sums();
+        assert_eq!(local.to_bits(), 0.0f64.to_bits());
+        assert_eq!(remote.to_bits(), 0.0f64.to_bits());
         assert_eq!(node.recent_remote_fraction(), 0.0);
     }
 
@@ -935,30 +920,40 @@ mod tests {
         (step_local, step_remote)
     }
 
-    /// `Environment::advance_to` with the reference loop in the kernel's place.
-    fn reference_advance_to(node: &mut MemoryNode, to: Timestamp) {
-        while node.now < to {
-            let dt = to.duration_since(node.now).min(node.config.step);
-            let total = node.begin_step(dt);
-            let (step_local, step_remote) =
-                if total > 0.0 { reference_apply_accesses(node, total) } else { (0.0, 0.0) };
-            node.finish_step(dt, step_local, step_remote);
-        }
+    /// A node stepped by the reference loop, beside the recent window as it
+    /// was kept before [`RecentSteps`].
+    struct Reference {
+        node: MemoryNode,
+        window: crate::recent_steps::PlainSteps,
     }
 
-    /// `recent_remote_fraction` by a fresh pass over the window, as it was
-    /// computed before the running sums.
-    fn resummed_remote_fraction(node: &MemoryNode) -> f64 {
-        let mut local = 0.0;
-        let mut remote = 0.0;
-        for &(_, l, r) in &node.window {
-            local += l;
-            remote += r;
+    impl Reference {
+        fn new(kind: MemoryWorkloadKind, config: MemoryNodeConfig) -> Self {
+            Reference { node: MemoryNode::new(kind, config), window: Default::default() }
         }
-        if local + remote == 0.0 {
-            0.0
-        } else {
-            remote / (local + remote)
+
+        /// `Environment::advance_to` with the reference loop in the kernel's
+        /// place.
+        fn advance_to(&mut self, to: Timestamp) {
+            let node = &mut self.node;
+            while node.now < to {
+                let dt = to.duration_since(node.now).min(node.config.step);
+                let total = node.begin_step(dt);
+                let (step_local, step_remote) =
+                    if total > 0.0 { reference_apply_accesses(node, total) } else { (0.0, 0.0) };
+                self.window.push(node.now, step_local, step_remote);
+                self.window.expire(node.now, node.config.recent_window);
+                node.finish_step(dt, step_local, step_remote);
+            }
+        }
+
+        fn recent_remote_fraction(&self) -> f64 {
+            let (local, remote) = self.window.sums();
+            if local + remote == 0.0 {
+                0.0
+            } else {
+                remote / (local + remote)
+            }
         }
     }
 
@@ -1062,9 +1057,10 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
-            /// The table-driven kernel and the running window sums are
-            /// observationally identical, to the bit, to the per-rank loop
-            /// and the per-call window pass they replaced — for every
+            /// The table-driven kernel and the packed recent window with its
+            /// running sums are observationally identical, to the bit, to
+            /// the per-rank loop and the per-call pass over a plain deque
+            /// they replaced — for every
             /// workload kind, batch counts on both sides of one 64-bit mask
             /// with ragged tails, and arbitrary interleavings of uneven
             /// advances with everything that touches the kernel's inputs:
@@ -1076,7 +1072,7 @@ mod tests {
                 ops in proptest::collection::vec(op(), 1..60),
             ) {
                 let mut node = MemoryNode::new(KINDS[kind], config.clone());
-                let mut reference = MemoryNode::new(KINDS[kind], config.clone());
+                let mut reference = Reference::new(KINDS[kind], config.clone());
                 let mut to = Timestamp::ZERO;
                 for op in ops {
                     match op {
@@ -1085,30 +1081,30 @@ mod tests {
                                 config.step.as_nanos() / 1_000 * thousandths,
                             );
                             node.advance_to(to);
-                            reference_advance_to(&mut reference, to);
+                            reference.advance_to(to);
                         }
                         Op::Bandwidth(factor) => {
                             node.set_bandwidth_factor(factor);
-                            reference.set_bandwidth_factor(factor);
+                            reference.node.set_bandwidth_factor(factor);
                         }
                         Op::ToRemote(batch) => {
                             node.migrate_to_remote(batch % config.batches);
-                            reference.migrate_to_remote(batch % config.batches);
+                            reference.node.migrate_to_remote(batch % config.batches);
                         }
                         Op::ToLocal(batch) => {
                             node.migrate_to_local(batch % config.batches);
-                            reference.migrate_to_local(batch % config.batches);
+                            reference.node.migrate_to_local(batch % config.batches);
                         }
                         Op::Scan(batch) => {
                             prop_assert_eq!(
                                 node.scan_batch(batch % config.batches).unwrap(),
-                                reference.scan_batch(batch % config.batches).unwrap()
+                                reference.node.scan_batch(batch % config.batches).unwrap()
                             );
                         }
                     }
                     prop_assert_eq!(
                         observe(&node, node.recent_remote_fraction()),
-                        observe(&reference, resummed_remote_fraction(&reference))
+                        observe(&reference.node, reference.recent_remote_fraction())
                     );
                 }
             }

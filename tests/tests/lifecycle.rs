@@ -393,6 +393,43 @@ fn crashing_a_retired_node_is_a_loud_error() {
 }
 
 #[test]
+fn fault_plan_events_on_departed_nodes_are_skipped_and_counted() {
+    // The plan crashes node 1, then — as an author who cannot see the fleet
+    // would — crashes and drains it again; it drains node 0, which is empty
+    // and retires a barrier later, and crashes it after that.
+    let at = |secs: u64, event| FaultEvent { at: Timestamp::from_secs(secs), event };
+    let faults = FaultPlan::from_events(vec![
+        at(1, LifecycleEvent::Crash { node: 1 }),
+        at(2, LifecycleEvent::Drain { node: 0 }),
+        at(3, LifecycleEvent::Crash { node: 1 }),
+        at(4, LifecycleEvent::Drain { node: 1 }),
+        at(5, LifecycleEvent::Crash { node: 0 }),
+    ]);
+    let mut skipped = Vec::new();
+    for threads in [1usize, 2] {
+        let config = FleetConfig { nodes: 3, threads, ..FleetConfig::default() };
+        let fleet = FleetRuntime::new(toy_recipe(), config).unwrap();
+        let (report, profile) = fleet
+            .run_profiled(&mut NullController, faults.clone(), SimDuration::from_secs(8))
+            .expect("a plan event on a departed node must not abort the run");
+        assert_eq!(report.nodes[1].lifecycle.state, NodeState::Crashed);
+        assert_eq!(report.nodes[1].ended_at, Timestamp::from_secs(1));
+        assert_eq!(report.nodes[0].lifecycle.state, NodeState::Drained);
+        assert_eq!(report.nodes[2].lifecycle.state, NodeState::Active);
+        skipped.push(profile.fault_events_skipped);
+    }
+    assert_eq!(skipped, [3, 3], "three of the five events found their node gone");
+
+    // A plan whose every event lands skips nothing.
+    let config = FleetConfig { nodes: 3, threads: 1, ..FleetConfig::default() };
+    let fleet = FleetRuntime::new(toy_recipe(), config).unwrap();
+    let legal = FaultPlan::from_events(vec![at(1, LifecycleEvent::Crash { node: 1 })]);
+    let (_, profile) =
+        fleet.run_profiled(&mut NullController, legal, SimDuration::from_secs(8)).unwrap();
+    assert_eq!(profile.fault_events_skipped, 0);
+}
+
+#[test]
 fn commands_against_crashed_nodes_fail_counted_not_fatal() {
     // Crash node 0 and, at the next boundary, try to admit to it: the
     // admission must be counted failed, never resurrect the node.
