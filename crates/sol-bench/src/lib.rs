@@ -16,7 +16,7 @@
 //! | `fleet` | beyond the paper: recipe-stamped fleets under one clock | [`fleet_experiments`] |
 //! | `placement` | beyond the paper: fleet-level VM placement under churn | [`placement_experiments`] |
 //! | `failure` | beyond the paper: placement churn under crash/join/drain chaos | [`fleet_experiments`] |
-//! | `micro` | framework/ML/runtime micro-benchmarks (Criterion) | — |
+//! | `memory` | beyond the paper: bytes of simulation state per node at fleet scale | — |
 //!
 //! Experiments run on the deterministic simulation runtime, so the printed
 //! numbers are reproducible run to run.

@@ -57,10 +57,11 @@ pub fn pct(value: f64) -> String {
 }
 
 /// Reads a `u64` quick-mode knob from the environment (e.g.
-/// `SOL_FLEET_MAX_NODES`), falling back to `default` when unset or
-/// unparseable. The horizon has its own reader, [`horizon_secs`].
+/// `SOL_FLEET_MAX_NODES`), falling back to `default` when unset — and, at
+/// the cost of one line on stderr, when set but unparseable (`64k`). The
+/// horizon has its own reader, [`horizon_secs`].
 pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+    read_knob(name, 0, default)
 }
 
 /// The virtual horizon of a figure, table or fleet run, in seconds:
@@ -69,19 +70,21 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
 /// every runtime rejects as an empty horizon — costs one line on stderr, not
 /// a panic.
 pub fn horizon_secs(default: u64) -> u64 {
-    let raw = std::env::var("SOL_HORIZON_SECS").ok();
-    parse_horizon_secs(raw.as_deref()).unwrap_or_else(|| {
+    read_knob("SOL_HORIZON_SECS", 1, default)
+}
+
+fn read_knob(name: &str, min: u64, default: u64) -> u64 {
+    let raw = std::env::var(name).ok();
+    parse_knob(raw.as_deref(), min).unwrap_or_else(|| {
         if let Some(raw) = raw {
-            eprintln!(
-                "SOL_HORIZON_SECS={raw:?} is not a positive number of seconds; using {default}"
-            );
+            eprintln!("{name}={raw:?} is not a whole number >= {min}; using {default}");
         }
         default
     })
 }
 
-fn parse_horizon_secs(raw: Option<&str>) -> Option<u64> {
-    raw?.parse().ok().filter(|&secs| secs > 0)
+fn parse_knob(raw: Option<&str>, min: u64) -> Option<u64> {
+    raw?.parse().ok().filter(|&value| value >= min)
 }
 
 /// Renders rows of named numeric fields as a JSON array of flat objects —
@@ -114,9 +117,18 @@ mod tests {
 
     #[test]
     fn zero_and_garbage_horizons_fall_back_like_an_unset_one() {
-        assert_eq!(parse_horizon_secs(Some("45")), Some(45));
+        assert_eq!(parse_knob(Some("45"), 1), Some(45));
         for unusable in [None, Some("0"), Some(""), Some("ten"), Some("-3"), Some("1.5")] {
-            assert_eq!(parse_horizon_secs(unusable), None, "{unusable:?}");
+            assert_eq!(parse_knob(unusable, 1), None, "{unusable:?}");
+        }
+    }
+
+    #[test]
+    fn a_set_but_unparseable_knob_is_rejected_and_zero_is_a_value() {
+        assert_eq!(parse_knob(Some("4096"), 0), Some(4096));
+        assert_eq!(parse_knob(Some("0"), 0), Some(0), "only the horizon rejects zero");
+        for unusable in [None, Some("64k"), Some(""), Some("-1"), Some("1e3")] {
+            assert_eq!(parse_knob(unusable, 0), None, "{unusable:?}");
         }
     }
 

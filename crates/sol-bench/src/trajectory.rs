@@ -181,14 +181,14 @@ pub fn compare_fleet_rows(
 /// a [`json_rows`](crate::report::json_rows) document), leaving every other
 /// row byte-untouched — the idempotent merge under the multi-bench
 /// `BENCH_fleet.json`: the fleet bench owns rows keyed `"nodes"`, the
-/// learning bench `"learning_nodes"`, the memory bench `"memory_nodes"`.
+/// memory bench `"memory_nodes"`.
 /// Re-running one bench therefore never perturbs another's committed cells,
 /// and running it twice is a fixed point. The writer emits one row per line,
 /// so the merge is line-based — but both inputs and the result are validated
 /// with the trajectory parser before anything is returned.
 ///
 /// A key only matches exactly: row keys are matched as `"key_field"` with
-/// quotes, so `"nodes"` does not claim `"learning_nodes"` rows.
+/// quotes, so `"nodes"` does not claim `"memory_nodes"` rows.
 ///
 /// # Errors
 ///
@@ -269,10 +269,9 @@ mod tests {
         assert!(compare_fleet_rows(&parent, &branch, 0.2).is_empty());
     }
 
-    /// Rows keyed by foreign fields — like the learning bench's
-    /// `learning_nodes`/`learning_agg_ms_per_round` cells sharing the
-    /// artifact — are invisible to the fleet diff on both sides, no matter
-    /// how wildly their values move.
+    /// Rows keyed by foreign fields (`learning_nodes`/
+    /// `learning_agg_ms_per_round` here) are invisible to the fleet diff on
+    /// both sides, no matter how wildly their values move.
     #[test]
     fn rows_under_new_keys_are_skipped_on_both_sides() {
         let learning = |ms: f64| {
@@ -288,11 +287,9 @@ mod tests {
         assert!(compare_fleet_rows(&parent, &branch, 0.2).is_empty());
     }
 
-    /// The trust bench's rows are keyed `trust_nodes` and carry none of the
-    /// fleet cells' required fields, so the fleet diff skips them by
-    /// construction — detection latency may move freely (it measures the
-    /// adversary, not the runtime) without ever reading as a perf regression,
-    /// and a fleet merge never claims them.
+    /// Rows keyed by another bench's field (`trust_nodes` here) carry none
+    /// of the fleet cells' required fields, so the fleet diff skips them by
+    /// construction and a fleet merge never claims them.
     #[test]
     fn trust_rows_are_invisible_to_the_fleet_diff() {
         let trust = |rounds: f64| {

@@ -128,5 +128,5 @@ pub mod prelude {
     pub use crate::runtime::{Environment, NullEnvironment};
     pub use crate::schedule::Schedule;
     pub use crate::stats::AgentStats;
-    pub use crate::time::{Clock, SimDuration, SystemClock, Timestamp, VirtualClock};
+    pub use crate::time::{SimDuration, SystemClock, Timestamp};
 }

@@ -4,8 +4,9 @@
 //!
 //! * [`NodeRuntime`](node::NodeRuntime) — the multi-agent discrete-event
 //!   driver: agent wakes as keys in a dense per-agent table under an index
-//!   heap, interventions (the only queued events) in a two-level bucketed
-//!   time wheel, environment-step boundaries merged into the tick time —
+//!   heap, interventions (the only queued events) in a binary heap over
+//!   `(time, schedule order)`, environment-step boundaries merged into the
+//!   tick time —
 //!   hosting *N* heterogeneous agents, each erased behind the object-safe
 //!   [`AgentDriver`](node::AgentDriver) trait, on one shared
 //!   [`Environment`]. This is what the paper's co-location scenario (§4.2,

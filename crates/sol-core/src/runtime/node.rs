@@ -24,8 +24,8 @@
 //!   ([`NodeRuntime::delay_model_at`], [`NodeRuntime::delay_actuator_at`]) or
 //!   at the environment ([`NodeRuntime::mutate_environment_at`]), mirroring
 //!   the failure-injection methodology of paper §6. These are the only queued
-//!   events; they wait in a [`TimeWheel`] that the tick loop touches only
-//!   when one is due.
+//!   events; they wait in a binary heap ([`TimeWheel`], named for what it
+//!   replaced) that the tick loop touches only when one is due.
 //! * **Environment-step boundaries** — the environment is advanced at least
 //!   every `max_environment_step` of virtual time so workload dynamics are
 //!   never skipped over entirely between sparse agent wakes.
@@ -278,9 +278,9 @@ where
 
 /// An intervention targeted at one agent or at the shared environment.
 ///
-/// Interventions wait in a [`TimeWheel`], which pops earliest-time first with
-/// ties broken by schedule order — same-time interventions apply in the order
-/// they were scheduled.
+/// Interventions wait in a [`TimeWheel`] — a heap that pops earliest-time
+/// first with ties broken by schedule order — so same-time interventions apply
+/// in the order they were scheduled.
 enum Intervention<E> {
     /// Delay the agent's Model loop for `duration` starting at the trigger
     /// time (models throttling/starvation of the expensive ML component).
@@ -444,7 +444,7 @@ pub struct NodeRuntime<E: Environment + 'static> {
     wakes: WakeTable,
     interventions: TimeWheel<Intervention<E>>,
     /// Time of the earliest pending intervention, `Timestamp::MAX` when there
-    /// is none, so a tick without one never touches the wheel.
+    /// is none, so a tick without one never touches the queue.
     intervention_at: Timestamp,
     /// Scratch buffer the tick loop drains due interventions into; reused
     /// across ticks and across [`run_until`](Self::run_until) segments.
@@ -847,8 +847,8 @@ impl<E: Environment + 'static> NodeRuntime<E> {
     }
 
     /// Heap bytes retained by this node: the agents' wake table, the
-    /// intervention queue's slot capacity, plus whatever the environment
-    /// reports (see [`Environment::mem_bytes`]).
+    /// intervention queue (no heap buffer until an intervention is scheduled),
+    /// plus whatever the environment reports (see [`Environment::mem_bytes`]).
     pub fn mem_bytes(&self) -> usize {
         self.wakes.mem_bytes() + self.interventions.mem_bytes() + self.environment.mem_bytes()
     }
@@ -978,7 +978,7 @@ mod tests {
     #[test]
     fn same_tick_interventions_apply_in_scheduling_order() {
         // Two non-commuting mutations at the same timestamp: the intervention
-        // wheel must preserve scheduling order ((x * 3) + 10, not
+        // queue must preserve scheduling order ((x * 3) + 10, not
         // (x + 10) * 3).
         let run = |flipped: bool| {
             let mut rt = NodeRuntime::new(StepEnv::default());
@@ -1340,6 +1340,36 @@ mod tests {
         let report = rt.finish();
         assert_eq!(report.ended_at, Timestamp::ZERO);
         assert_eq!(report.agent_report(a).unwrap().stats.model.epochs_completed, 0);
+    }
+
+    #[test]
+    fn a_node_without_interventions_retains_no_queue_buffer() {
+        let mut rt = NodeRuntime::new(NullEnvironment);
+        let agents: Vec<AgentId> = (0..16)
+            .map(|i| {
+                let (model, actuator) = (ConstModel { value: 1.0 }, CountActuator::default());
+                rt.register_agent(format!("a{i}"), model, actuator, schedule(100))
+            })
+            .collect();
+        rt.run_until(Timestamp::from_secs(1));
+        let bare = rt.mem_bytes();
+        let queue = std::mem::size_of::<TimeWheel<Intervention<NullEnvironment>>>();
+        assert_eq!(bare, rt.wakes.mem_bytes() + queue, "wake table + the queue's own fields");
+
+        // 30 delays cost exactly the buffer a queue of 30 holds, and it is
+        // kept, not regrown, once they have all fired.
+        let mut alone = TimeWheel::<Intervention<NullEnvironment>>::new();
+        let duration = SimDuration::from_millis(250);
+        for k in 0..30 {
+            let at = Timestamp::from_secs(2 + k as u64);
+            rt.delay_model_at(agents[k % 16], at, duration);
+            alone.schedule(at, Intervention::DelayModel { id: agents[0], duration });
+        }
+        let buffer = alone.mem_bytes() - queue;
+        assert_eq!(rt.mem_bytes(), bare + buffer);
+        rt.run_until(Timestamp::from_secs(40));
+        assert_eq!(rt.intervention_at, Timestamp::MAX, "every delay fired");
+        assert_eq!(rt.mem_bytes(), bare + buffer);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Shared test fixtures for the runtime drivers: a counting environment and
-//! a trivial agent, used by the `node` and `builder` test suites — plus
-//! [`ReferenceQueue`], the pre-wheel event queue kept alive as the oracle for
-//! the scheduler-equivalence proptest.
+//! a trivial agent, used by the `node` and `builder` test suites.
 
 use crate::actuator::{Actuator, ActuatorAssessment};
 use crate::error::DataError;
@@ -10,77 +8,6 @@ use crate::prediction::Prediction;
 use crate::runtime::Environment;
 use crate::schedule::Schedule;
 use crate::time::{SimDuration, Timestamp};
-
-/// The event queue [`NodeRuntime`](crate::runtime::node::NodeRuntime) used
-/// before the time wheel: a binary heap over `(at, global_seq)`. It is the
-/// reference model for the wheel's pop order — the equivalence proptest in
-/// [`wheel`](crate::runtime::wheel) drives arbitrary
-/// schedule/invalidate/peek/drain sequences through both and asserts
-/// identical observable behaviour. (Invalidation dates from when agent wakes
-/// were queued events; the runtime's interventions are never invalidated.)
-pub(crate) struct ReferenceQueue<K> {
-    heap: std::collections::BinaryHeap<ReferenceEntry<K>>,
-    seq: u64,
-}
-
-struct ReferenceEntry<K> {
-    at: u64,
-    seq: u64,
-    kind: K,
-}
-
-impl<K> PartialEq for ReferenceEntry<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<K> Eq for ReferenceEntry<K> {}
-
-impl<K> PartialOrd for ReferenceEntry<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<K> Ord for ReferenceEntry<K> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: `BinaryHeap` is a max-heap, pops want earliest-first.
-        other.at.cmp(&self.at).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl<K> ReferenceQueue<K> {
-    pub(crate) fn new() -> Self {
-        ReferenceQueue { heap: std::collections::BinaryHeap::new(), seq: 0 }
-    }
-
-    pub(crate) fn schedule(&mut self, at: Timestamp, kind: K) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(ReferenceEntry { at: at.as_nanos(), seq, kind });
-    }
-
-    /// Earliest pending event time, lazily discarding invalidated heads —
-    /// the old runtime's peek semantics.
-    pub(crate) fn peek(&mut self, valid: impl Fn(&K) -> bool) -> Option<Timestamp> {
-        while let Some(e) = self.heap.peek() {
-            if valid(&e.kind) {
-                return Some(Timestamp::from_nanos(e.at));
-            }
-            self.heap.pop();
-        }
-        None
-    }
-
-    /// Pops every event due at or before `next` into `out`, in `(at, seq)`
-    /// order, invalidated events included — the old runtime's pop loop.
-    pub(crate) fn drain_due(&mut self, next: Timestamp, out: &mut Vec<K>) {
-        while self.heap.peek().is_some_and(|e| e.at <= next.as_nanos()) {
-            out.push(self.heap.pop().expect("peeked").kind);
-        }
-    }
-}
 
 /// A counter environment recording how far it was advanced.
 #[derive(Debug, Default)]

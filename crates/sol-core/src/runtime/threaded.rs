@@ -18,7 +18,7 @@ use crate::model::Model;
 use crate::prediction::Prediction;
 use crate::schedule::Schedule;
 use crate::stats::AgentStats;
-use crate::time::{Clock, SimDuration, SystemClock};
+use crate::time::{SimDuration, SystemClock};
 
 /// Outcome of a completed threaded run.
 #[derive(Debug)]

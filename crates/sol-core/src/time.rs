@@ -1,14 +1,13 @@
 //! Virtual and wall-clock time for SOL agents.
 //!
 //! All framework logic is expressed in terms of [`Timestamp`] and
-//! [`SimDuration`], nanosecond-resolution newtypes. Experiments run against a
-//! [`VirtualClock`] so they are fast and fully deterministic; the threaded
-//! runtime uses a [`SystemClock`] backed by [`std::time::Instant`].
+//! [`SimDuration`], nanosecond-resolution newtypes. Experiments run in
+//! virtual time — a plain [`Timestamp`] the node runtime moves itself — so
+//! they are fast and fully deterministic; the threaded runtime uses a
+//! [`SystemClock`] backed by [`std::time::Instant`].
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A point in time, measured in nanoseconds since an arbitrary epoch.
@@ -271,70 +270,9 @@ impl From<std::time::Duration> for SimDuration {
     }
 }
 
-/// A source of the current time.
-///
-/// The SOL runtime relies on the system clock for accurate timekeeping (paper
-/// §4.1); in this reproduction the same logic also runs against a virtual
-/// clock so that experiments are deterministic.
-pub trait Clock: Send + Sync + 'static {
-    /// Returns the current time.
-    fn now(&self) -> Timestamp;
-}
-
-/// A manually-advanced clock used by the deterministic simulation runtime.
-///
-/// Cloning a `VirtualClock` yields a handle to the *same* underlying time
-/// source: one atomic nanosecond counter, so handles on different threads
-/// agree on the time without a lock.
-///
-/// # Examples
-///
-/// ```
-/// use sol_core::time::{Clock, SimDuration, Timestamp, VirtualClock};
-///
-/// let clock = VirtualClock::new();
-/// assert_eq!(clock.now(), Timestamp::ZERO);
-/// clock.advance(SimDuration::from_secs(2));
-/// assert_eq!(clock.now(), Timestamp::from_secs(2));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct VirtualClock {
-    nanos: Arc<AtomicU64>,
-}
-
-impl VirtualClock {
-    /// Creates a clock starting at [`Timestamp::ZERO`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advances the clock by `d`.
-    pub fn advance(&self, d: SimDuration) {
-        self.nanos.fetch_add(d.as_nanos(), Ordering::SeqCst);
-    }
-
-    /// Moves the clock to `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is earlier than the current time: simulated time never
-    /// moves backwards.
-    pub fn set(&self, t: Timestamp) {
-        // `fetch_max` leaves a later time in place, so a rejected `set` never
-        // moves the clock.
-        let before = self.nanos.fetch_max(t.as_nanos(), Ordering::SeqCst);
-        assert!(t.as_nanos() >= before, "virtual time must not move backwards");
-    }
-}
-
-impl Clock for VirtualClock {
-    fn now(&self) -> Timestamp {
-        Timestamp::from_nanos(self.nanos.load(Ordering::SeqCst))
-    }
-}
-
-/// A wall-clock [`Clock`] backed by [`std::time::Instant`], used by the
-/// threaded runtime.
+/// A wall clock backed by [`std::time::Instant`], used by the threaded
+/// runtime: the SOL runtime relies on the system clock for accurate
+/// timekeeping (paper §4.1).
 #[derive(Debug, Clone)]
 pub struct SystemClock {
     origin: Instant,
@@ -345,17 +283,16 @@ impl SystemClock {
     pub fn new() -> Self {
         SystemClock { origin: Instant::now() }
     }
+
+    /// Time elapsed since the clock was created.
+    pub fn now(&self) -> Timestamp {
+        Timestamp::from_nanos(self.origin.elapsed().as_nanos() as u64)
+    }
 }
 
 impl Default for SystemClock {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Clock for SystemClock {
-    fn now(&self) -> Timestamp {
-        Timestamp::from_nanos(self.origin.elapsed().as_nanos() as u64)
     }
 }
 
@@ -386,42 +323,6 @@ mod tests {
         let b = Timestamp::from_secs(3);
         assert_eq!(a.duration_since(b), SimDuration::ZERO);
         assert_eq!(b.duration_since(a), SimDuration::from_secs(2));
-    }
-
-    #[test]
-    fn virtual_clock_is_shared_between_clones() {
-        let clock = VirtualClock::new();
-        let other = clock.clone();
-        clock.advance(SimDuration::from_millis(10));
-        assert_eq!(other.now(), Timestamp::from_millis(10));
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn virtual_clock_rejects_backwards_time() {
-        let clock = VirtualClock::new();
-        clock.set(Timestamp::from_secs(5));
-        clock.set(Timestamp::from_secs(4));
-    }
-
-    #[test]
-    fn virtual_clock_is_shared_across_threads_and_never_moves_backwards() {
-        let clock = VirtualClock::new();
-        let remote = clock.clone();
-        let (advanced_tx, advanced_rx) = std::sync::mpsc::channel::<()>();
-        // The channel orders the `advance` before the remote read.
-        let observer = std::thread::spawn(move || {
-            advanced_rx.recv().unwrap();
-            remote.now()
-        });
-        clock.advance(SimDuration::from_secs(5));
-        advanced_tx.send(()).unwrap();
-        assert_eq!(observer.join().unwrap(), Timestamp::from_secs(5));
-
-        let remote = clock.clone();
-        let rejected = std::thread::spawn(move || remote.set(Timestamp::from_secs(4))).join();
-        assert!(rejected.is_err(), "a backwards set must panic");
-        assert_eq!(clock.now(), Timestamp::from_secs(5), "a rejected set leaves the time alone");
     }
 
     #[test]
