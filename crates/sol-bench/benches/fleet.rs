@@ -11,8 +11,7 @@
 //! with total and per-node wall costs plus `mem_bytes_per_node`), so every
 //! PR carries the perf trajectory in-history and CI can diff a branch
 //! against its parent. This bench owns only the rows keyed `"nodes"`: it
-//! merges into the artifact, leaving the learning and memory benches' rows
-//! untouched.
+//! merges into the artifact, leaving the memory bench's rows untouched.
 //!
 //! Quick-mode knobs (used by CI so the table cannot silently rot):
 //! * `SOL_HORIZON_SECS` — virtual horizon per fleet run (default 60).

@@ -100,7 +100,7 @@ pub fn scaling_table(
 
 /// One row of the churn-under-failure sweep: a fault-plan intensity crossed
 /// with the lifecycle, placement, and safety readings of the run — the
-/// `benches/failure.rs` table.
+/// `paper` bench's `failure` table.
 #[derive(Debug, Clone)]
 pub struct FailureSweepRow {
     /// Crashes injected by the fault plan.
@@ -124,8 +124,6 @@ pub struct FailureSweepRow {
     pub harvest_safeguard_rate: f64,
     /// Mean p99 request latency across surviving nodes (ms).
     pub mean_p99_latency_ms: f64,
-    /// Wall-clock milliseconds spent per virtual minute of fleet time.
-    pub wall_ms_per_virtual_minute: f64,
 }
 
 /// Runs a placeable co-location fleet under the `GreedyPacker` while a
@@ -150,11 +148,7 @@ pub fn failure_sweep_row(
     let mut packer = GreedyPacker::new(churn_trace(arrivals, horizon));
     let plan = FaultPlan::generate(fault_seed, nodes, faults);
 
-    let start = Instant::now();
     let report = fleet.run_with_faults(&mut packer, plan, horizon).expect("chaos run succeeds");
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    let virtual_minutes = horizon.as_secs_f64() / 60.0;
     let harvest = report.role(preset.harvest);
     let p99 = report.metric("p99_latency_ms").expect("recipe reports p99 latency");
     FailureSweepRow {
@@ -168,7 +162,6 @@ pub fn failure_sweep_row(
         failed_placements: report.placement.failed_placements,
         harvest_safeguard_rate: harvest.safeguard_activation_rate,
         mean_p99_latency_ms: p99.mean,
-        wall_ms_per_virtual_minute: wall_ms / virtual_minutes,
     }
 }
 

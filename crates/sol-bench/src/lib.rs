@@ -1,25 +1,35 @@
 //! # sol-bench — the experiment harness
 //!
-//! One module per group of paper experiments. Each figure or table of the
-//! paper's evaluation has a bench target (`cargo bench -p sol-bench`) that
-//! regenerates the corresponding rows or series by calling into these
-//! modules:
+//! One module per group of paper experiments. The `paper` bench target prints
+//! every table below, or the named ones
+//! (`cargo bench -p sol-bench --bench paper -- fig6 table1`), each from one
+//! generator here:
 //!
-//! | Target | Paper artifact | Module |
-//! |---|---|---|
-//! | `table1`, `table2` | Tables 1 and 2 | [`sol_core::taxonomy`] |
-//! | `fig1` … `fig5` | Figures 1–5 (SmartOverclock) | [`overclock_experiments`] |
-//! | `fig6` | Figure 6 (SmartHarvest) | [`harvest_experiments`] |
-//! | `fig7`, `fig8` | Figures 7–8 (SmartMemory) | [`memory_experiments`] |
-//! | `ablation` | design-choice ablations | [`overclock_experiments`] |
-//! | `colocation` | beyond the paper: agents co-located on one node | [`colocation_experiments`] |
-//! | `fleet` | beyond the paper: recipe-stamped fleets under one clock | [`fleet_experiments`] |
-//! | `placement` | beyond the paper: fleet-level VM placement under churn | [`placement_experiments`] |
-//! | `failure` | beyond the paper: placement churn under crash/join/drain chaos | [`fleet_experiments`] |
-//! | `memory` | beyond the paper: bytes of simulation state per node at fleet scale | — |
+//! | Table | Paper artifact | Generator | Unit test that reads its rows |
+//! |---|---|---|---|
+//! | `table1` | Table 1 | [`sol_core::taxonomy::table1`] | none |
+//! | `table2` | Table 2 | [`sol_core::taxonomy::table2`] | none |
+//! | `fig1` | Figure 1 (SmartOverclock) | [`overclock_experiments::fig1`] | `fig1_smartoverclock_beats_nominal_on_cpu_bound_workloads` |
+//! | `fig2` | Figure 2 | [`overclock_experiments::fig2`] | `fig2_validation_recovers_performance` |
+//! | `fig3` | Figure 3 | [`overclock_experiments::fig3`] | `fig3_safeguard_limits_power_increase_on_disk_bound` |
+//! | `fig4` | Figure 4 | [`overclock_experiments::fig4`] | `fig4_blocking_actuator_wastes_more_power` |
+//! | `fig5` | Figure 5 | [`overclock_experiments::fig5`] | `fig5_safeguard_reduces_idle_power` |
+//! | `fig6` | Figure 6 (SmartHarvest) | [`harvest_experiments::fig6`] | one per panel: `invalid_data_safeguard_reduces_latency_impact`, `broken_model_safeguard_reduces_starvation`, `non_blocking_actuator_beats_blocking_under_delays` |
+//! | `fig7` | Figure 7 (SmartMemory) | [`memory_experiments::fig7`] | `fig7_smart_memory_scans_less_and_offloads_memory` |
+//! | `fig8` | Figure 8 | [`memory_experiments::fig8`] | `fig8_all_safeguards_attain_more_of_the_slo` |
+//! | `ablation` | SmartOverclock exploration rate | [`overclock_experiments::run_smart_overclock`] | none |
+//! | `colocation` | beyond the paper: agents co-located on one node | [`colocation_experiments::interference_table`] | `interference_table_has_expected_scenarios` |
+//! | `placement` | beyond the paper: fleet-level VM placement under churn | [`placement_experiments::churn_sweep`] | none (`placement_row`, one row of it, has two) |
+//! | `failure` | beyond the paper: placement churn under crash/join/drain chaos | [`fleet_experiments::failure_sweep`] | `failure_sweep_reports_chaos_and_safety` |
 //!
-//! Experiments run on the deterministic simulation runtime, so the printed
-//! numbers are reproducible run to run.
+//! These tests check direction or shape, never the paper's magnitudes. Two more bench
+//! targets measure the simulator rather than the paper and write
+//! `BENCH_fleet.json`: `fleet` (recipe-stamped fleets under one clock,
+//! [`fleet_experiments::scaling_table`]) and `memory` (bytes of simulation
+//! state per node at fleet scale).
+//!
+//! Experiments run on the deterministic simulation runtime, so `paper`'s
+//! output is byte-identical run to run.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -3,7 +3,7 @@
 
 use sol_agents::memory::{memory_blueprint, MemoryConfig, SCAN_INTERVALS};
 use sol_core::prelude::*;
-use sol_node_sim::memory_node::{MemoryNode, MemoryNodeConfig, MemoryWorkloadKind, Tier};
+use sol_node_sim::memory_node::{MemoryNode, MemoryNodeConfig, MemoryWorkloadKind};
 use sol_node_sim::shared::Shared;
 
 /// Number of 2 MB batches managed in the experiments.
@@ -225,12 +225,6 @@ pub fn fig8(horizon: SimDuration) -> Vec<Fig8Row> {
         });
     }
     rows
-}
-
-/// Checks that a batch index is placed where a plan said it should be
-/// (helper used by integration tests).
-pub fn tier_of(node: &Shared<MemoryNode>, batch: usize) -> Tier {
-    node.with(|n| n.tier(batch))
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //!
 //! * **Placement behaviour** — admissions, departures, rebalancing
 //!   migrations, failed placements, per-node occupancy percentiles, and
-//!   packing efficiency, the `benches/placement.rs` churn-sweep table.
+//!   packing efficiency, the `paper` bench's `placement` table.
 //! * **Safety under churn** — the on-node learners' safeguard-activation
 //!   rates and the primary VMs' tail latency as the platform reshuffles work
 //!   under them, compared against the churn-free `NullController` baseline

@@ -64,7 +64,7 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
     read_knob(name, 0, default)
 }
 
-/// The virtual horizon of a figure, table or fleet run, in seconds:
+/// The virtual horizon of a fleet scaling run, in seconds:
 /// `SOL_HORIZON_SECS` when it is set to a positive whole number, `default`
 /// otherwise. A value that is set but unusable — unparseable, or `0`, which
 /// every runtime rejects as an empty horizon — costs one line on stderr, not
