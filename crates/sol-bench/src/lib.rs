@@ -22,14 +22,13 @@
 //! | `placement` | beyond the paper: fleet-level VM placement under churn | [`placement_experiments::churn_sweep`] | none (`placement_row`, one row of it, has two) |
 //! | `failure` | beyond the paper: placement churn under crash/join/drain chaos | [`fleet_experiments::failure_sweep`] | `failure_sweep_reports_chaos_and_safety` |
 //!
-//! These tests check direction or shape, never the paper's magnitudes. Two more bench
-//! targets measure the simulator rather than the paper and write
-//! `BENCH_fleet.json`: `fleet` (recipe-stamped fleets under one clock,
-//! [`fleet_experiments::scaling_table`]) and `memory` (bytes of simulation
-//! state per node at fleet scale).
+//! These tests check direction or shape, never the paper's magnitudes.
 //!
 //! Experiments run on the deterministic simulation runtime, so `paper`'s
-//! output is byte-identical run to run.
+//! output is byte-identical run to run. Nothing here times the simulator:
+//! its wall time, CPU time and bytes per node are the `benchmark/` crate's
+//! metrics (`benchmark/run.sh`), and `tests/tests/footprint.rs` pins the
+//! per-node footprint.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -42,4 +41,3 @@ pub mod memory_experiments;
 pub mod overclock_experiments;
 pub mod placement_experiments;
 pub mod report;
-pub mod trajectory;

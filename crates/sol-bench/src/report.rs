@@ -56,81 +56,9 @@ pub fn pct(value: f64) -> String {
     format!("{:.1}%", value * 100.0)
 }
 
-/// Reads a `u64` quick-mode knob from the environment (e.g.
-/// `SOL_FLEET_MAX_NODES`), falling back to `default` when unset — and, at
-/// the cost of one line on stderr, when set but unparseable (`64k`). The
-/// horizon has its own reader, [`horizon_secs`].
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    read_knob(name, 0, default)
-}
-
-/// The virtual horizon of a fleet scaling run, in seconds:
-/// `SOL_HORIZON_SECS` when it is set to a positive whole number, `default`
-/// otherwise. A value that is set but unusable — unparseable, or `0`, which
-/// every runtime rejects as an empty horizon — costs one line on stderr, not
-/// a panic.
-pub fn horizon_secs(default: u64) -> u64 {
-    read_knob("SOL_HORIZON_SECS", 1, default)
-}
-
-fn read_knob(name: &str, min: u64, default: u64) -> u64 {
-    let raw = std::env::var(name).ok();
-    parse_knob(raw.as_deref(), min).unwrap_or_else(|| {
-        if let Some(raw) = raw {
-            eprintln!("{name}={raw:?} is not a whole number >= {min}; using {default}");
-        }
-        default
-    })
-}
-
-fn parse_knob(raw: Option<&str>, min: u64) -> Option<u64> {
-    raw?.parse().ok().filter(|&value| value >= min)
-}
-
-/// Renders rows of named numeric fields as a JSON array of flat objects —
-/// the machine-readable artifact (`BENCH_*.json`) CI uploads alongside the
-/// printed tables. Hand-rolled on purpose: the repo vendors no JSON crate,
-/// and flat `name: number` objects need nothing more.
-///
-/// Non-finite values (JSON has no NaN/Infinity) are emitted as `null`.
-pub fn json_rows(rows: &[Vec<(&str, f64)>]) -> String {
-    let object = |fields: &[(&str, f64)]| {
-        let body: Vec<String> = fields
-            .iter()
-            .map(|(name, value)| {
-                if value.is_finite() {
-                    format!("\"{name}\": {value}")
-                } else {
-                    format!("\"{name}\": null")
-                }
-            })
-            .collect();
-        format!("  {{{}}}", body.join(", "))
-    };
-    let body: Vec<String> = rows.iter().map(|fields| object(fields)).collect();
-    format!("[\n{}\n]\n", body.join(",\n"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn zero_and_garbage_horizons_fall_back_like_an_unset_one() {
-        assert_eq!(parse_knob(Some("45"), 1), Some(45));
-        for unusable in [None, Some("0"), Some(""), Some("ten"), Some("-3"), Some("1.5")] {
-            assert_eq!(parse_knob(unusable, 1), None, "{unusable:?}");
-        }
-    }
-
-    #[test]
-    fn a_set_but_unparseable_knob_is_rejected_and_zero_is_a_value() {
-        assert_eq!(parse_knob(Some("4096"), 0), Some(4096));
-        assert_eq!(parse_knob(Some("0"), 0), Some(0), "only the horizon rejects zero");
-        for unusable in [None, Some("64k"), Some(""), Some("-1"), Some("1e3")] {
-            assert_eq!(parse_knob(unusable, 0), None, "{unusable:?}");
-        }
-    }
 
     #[test]
     fn formatting_helpers() {
@@ -161,18 +89,6 @@ mod tests {
             assert!(!cell.is_empty() && cell.chars().all(|c| c == '-'), "bad cell {cell:?}");
             assert!(cell.len() >= 3, "GFM needs at least three dashes per cell");
         }
-    }
-
-    #[test]
-    fn json_rows_render_flat_objects() {
-        let rendered = json_rows(&[
-            vec![("nodes", 8.0), ("wall_ms", 1.25)],
-            vec![("nodes", 64.0), ("wall_ms", f64::NAN)],
-        ]);
-        assert_eq!(
-            rendered,
-            "[\n  {\"nodes\": 8, \"wall_ms\": 1.25},\n  {\"nodes\": 64, \"wall_ms\": null}\n]\n"
-        );
     }
 
     #[test]

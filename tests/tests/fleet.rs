@@ -5,6 +5,8 @@
 //!   fleets of varying size, thread count, and epoch quantum).
 //! * Per-node seed derivation must never collide for any fleet seed up to
 //!   4096 nodes.
+//! * A 65536-node fleet (the scale ceiling) runs every node under its own
+//!   seed and agrees with `run_node`.
 //! * The real-agent recipes must produce heterogeneous fleets whose handles
 //!   key the fleet dashboard.
 
@@ -150,6 +152,28 @@ proptest! {
             );
         }
     }
+}
+
+/// The scale ceiling, on every push: a 65536-node fleet stamps, runs and
+/// reports every node, each under its own seed, and its last node is exactly
+/// what an inline `run_node` of that index computes.
+#[test]
+fn fleet_of_65536_nodes_runs_under_distinct_seeds() {
+    const NODES: usize = 65_536;
+    let horizon = SimDuration::from_secs(1);
+    let config = FleetConfig { nodes: NODES, threads: 2, ..FleetConfig::default() };
+    let fleet_seed = config.seed;
+    let fleet = FleetRuntime::new(toy_recipe(), config).unwrap();
+    let report = fleet.run(horizon).unwrap();
+
+    assert_eq!(report.nodes.len(), NODES);
+    let mut seen = std::collections::HashSet::with_capacity(NODES);
+    for (index, node) in report.nodes.iter().enumerate() {
+        assert_eq!(node.seed, NodeSeed::derive(fleet_seed, index as u64).seed());
+        assert!(seen.insert(node.seed), "seed collision at node {index}");
+    }
+    let last = fleet.run_node(NODES - 1, horizon).unwrap();
+    assert_eq!(format!("{:#?}", report.nodes[NODES - 1]), format!("{last:#?}"));
 }
 
 /// The real three-agent recipe drives a heterogeneous fleet whose dashboard
