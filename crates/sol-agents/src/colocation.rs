@@ -76,12 +76,14 @@ pub struct ColocationConfig {
     /// (0 — the default — declines all fleet-level placement; see
     /// `CpuNodeConfig::placeable_cores`).
     pub placeable_cores: f64,
-    /// Capacity of the node's latency sliding windows (the harvest
-    /// substrate's request-latency window and the ObjectStore workload's
-    /// operation-latency window). The default (4096 samples) matches the
-    /// historical hardcoded size; large fleets shrink it to cut per-node
-    /// memory (see `FleetReport::mem_bytes_per_node`). Quantile estimates
-    /// get noisier below ~512 samples.
+    /// Capacity of the node's latency windows (the harvest substrate's
+    /// request-latency window and the ObjectStore workload's
+    /// operation-latency window): how many recent samples their P99 is taken
+    /// over. The default (4096 samples) matches the historical hardcoded
+    /// size. Both windows store runs and reserve them in proportion to the
+    /// capacity, so shrinking it trims a few KB of reservations per node
+    /// (see `FleetReport::mem_bytes_per_node`), not a buffer of samples.
+    /// Quantile estimates get noisier below ~512 samples.
     pub latency_window: usize,
 }
 
@@ -200,8 +202,8 @@ pub struct ThreeAgentConfig {
     /// Cores' worth of dynamically placeable VM slots on the CPU substrate
     /// (0 — the default — declines all fleet-level placement).
     pub placeable_cores: f64,
-    /// Capacity of the node's latency sliding windows (see
-    /// [`ColocationConfig::latency_window`]).
+    /// Capacity of the node's latency windows: the P99's sample count, not
+    /// a memory knob (see [`ColocationConfig::latency_window`]).
     pub latency_window: usize,
 }
 
@@ -567,9 +569,11 @@ mod tests {
             compact < full,
             "512-sample windows ({compact} B) must undercut 4096-sample windows ({full} B)"
         );
-        // The ObjectStore workload's window alone shrinks by 3584 samples (the
-        // harvest side's run-length windows by 224 reserved runs on top).
-        assert!(full - compact >= 3_584 * std::mem::size_of::<f64>());
+        // What the knob sizes is reservations, not samples: the harvest
+        // latency window reserves a 10-byte run per 8 samples of capacity,
+        // 448 fewer at 512 (the ObjectStore window's few reserved runs shrink
+        // on top).
+        assert!(full - compact >= 448 * 10, "{full} B vs {compact} B");
     }
 
     #[test]

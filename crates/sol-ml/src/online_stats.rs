@@ -289,6 +289,42 @@ fn select_nth(mut s: &mut [f64], mut n: usize) -> f64 {
     }
 }
 
+/// Exact quantile `q` in `[0, 1]` of `samples`, using linear interpolation
+/// between order statistics; 0 for no samples. Reorders `samples`.
+///
+/// This is [`SlidingWindow::quantile`] over a slice: a window kept in
+/// another layout rebuilds its samples, oldest first, and gets the same bits.
+///
+/// # Panics
+///
+/// Panics if `q` is outside `[0, 1]`.
+pub fn quantile_in_place(samples: &mut [f64], q: f64) -> f64 {
+    assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
+    if samples.is_empty() {
+        return 0.0;
+    }
+    // Selection, not a full sort: agents query one quantile per call on
+    // windows of thousands of samples, so an expected-O(n) selection
+    // replaces the O(n log n) sort the hot safeguard paths used to pay.
+    // The two order statistics interpolate exactly as a sorted array
+    // would, so results are bit-identical to the sorting implementation.
+    let pos = q * (samples.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    let lo_v = select_nth(samples, lo);
+    if lo == hi {
+        lo_v
+    } else {
+        // After selection the slice is partitioned around index `lo`, so
+        // the hi-th order statistic is the minimum of the tail — rarely
+        // more than a handful of elements for the high quantiles agents
+        // ask for.
+        let frac = pos - lo as f64;
+        let hi_v = samples[lo + 1..].iter().copied().fold(f64::INFINITY, f64::min);
+        lo_v * (1.0 - frac) + hi_v * frac
+    }
+}
+
 /// A sliding window over the last `capacity` samples with exact quantiles.
 ///
 /// Agents use this for safeguard signals such as "the P90 of α over the last
@@ -377,34 +413,11 @@ impl SlidingWindow {
     ///
     /// Panics if `q` is outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        // Selection, not a full sort: agents query one quantile per call on
-        // windows of thousands of samples, so an expected-O(n) selection
-        // replaces the O(n log n) sort the hot safeguard paths used to pay.
-        // The two order statistics interpolate exactly as a sorted array
-        // would, so results are bit-identical to the sorting implementation.
         let (front, back) = self.samples.as_slices();
         let mut scratch = Vec::with_capacity(self.samples.len());
         scratch.extend_from_slice(front);
         scratch.extend_from_slice(back);
-        let pos = q * (scratch.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let lo_v = select_nth(&mut scratch, lo);
-        if lo == hi {
-            lo_v
-        } else {
-            // After selection the slice is partitioned around index `lo`, so
-            // the hi-th order statistic is the minimum of the tail — rarely
-            // more than a handful of elements for the high quantiles agents
-            // ask for.
-            let frac = pos - lo as f64;
-            let hi_v = scratch[lo + 1..].iter().copied().fold(f64::INFINITY, f64::min);
-            lo_v * (1.0 - frac) + hi_v * frac
-        }
+        quantile_in_place(&mut scratch, q)
     }
 
     /// Iterates over the samples from oldest to newest.

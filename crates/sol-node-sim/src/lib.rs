@@ -39,6 +39,7 @@ pub mod power;
 mod recent_steps;
 #[allow(unsafe_code)]
 pub mod shared;
+mod start_runs;
 pub mod workload;
 
 /// Commonly used items, re-exported for convenience.

@@ -8,8 +8,8 @@
 //! `(Timestamp, f64, f64)` deque. Both columns compress exactly:
 //!
 //! * step starts advance by a fixed stride for long stretches, so they are
-//!   stored as arithmetic runs `(first, stride, count)` — 24 bytes per run,
-//!   one run for as long as the caller advances on a regular grid;
+//!   stored as arithmetic runs (`StartRuns`) — 24 bytes per run, one run
+//!   for as long as the caller advances on a regular grid;
 //! * hit counts are whole numbers, stored as LEB128 bytes — one byte each
 //!   below 128, so two bytes per step at tens of accesses a step.
 //!
@@ -21,25 +21,18 @@ use std::collections::VecDeque;
 
 use sol_core::time::{SimDuration, Timestamp};
 
+use crate::start_runs::StartRuns;
+
 /// Whole `f64`s from here up are no longer consecutive: the bound below
 /// which a hit count survives the trip through a `u64` and the running sums
 /// stay exact.
 const EXACT_BELOW: f64 = (1u64 << f64::MANTISSA_DIGITS) as f64;
 
-/// Step starts `first`, `first + stride`, … — `count >= 1` of them. The
-/// stride of a one-step run is not known yet and reads zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct StartRun {
-    first: Timestamp,
-    stride: SimDuration,
-    count: u64,
-}
-
 /// A FIFO of `(step start, local hits, remote hits)` with running sums of
 /// the two hit columns. See the [module docs](self).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RecentSteps {
-    starts: VecDeque<StartRun>,
+    starts: StartRuns,
     /// Two LEB128 counts per step, local then remote, oldest step first.
     hits: VecDeque<u8>,
     /// Sums over the steps held. Hit counts are whole and their sums stay
@@ -57,18 +50,7 @@ impl RecentSteps {
     ///
     /// Panics if a hit count is not a whole number in `[0, 2^53)`.
     pub(crate) fn push(&mut self, start: Timestamp, local: f64, remote: f64) {
-        match self.starts.back_mut() {
-            Some(run) if run.count == 1 => {
-                run.stride = start.duration_since(run.first);
-                run.count = 2;
-            }
-            Some(run) if run.first + run.stride * run.count == start => run.count += 1,
-            _ => self.starts.push_back(StartRun {
-                first: start,
-                stride: SimDuration::ZERO,
-                count: 1,
-            }),
-        }
+        self.starts.push(start);
         for hits in [local, remote] {
             assert!(
                 hits < EXACT_BELOW && hits as u64 as f64 == hits,
@@ -88,15 +70,11 @@ impl RecentSteps {
     /// Drops, oldest first, every step that started more than `window`
     /// before `now`.
     pub(crate) fn expire(&mut self, now: Timestamp, window: SimDuration) {
-        while let Some(run) = self.starts.front_mut() {
-            if now.duration_since(run.first) <= window {
+        while let Some(first) = self.starts.front() {
+            if now.duration_since(first) <= window {
                 break;
             }
-            run.first += run.stride;
-            run.count -= 1;
-            if run.count == 0 {
-                self.starts.pop_front();
-            }
+            self.starts.pop_front();
             self.local -= self.pop_count();
             self.remote -= self.pop_count();
         }
@@ -117,7 +95,7 @@ impl RecentSteps {
     /// Number of steps held.
     #[cfg(test)]
     pub(crate) fn len(&self) -> u64 {
-        self.starts.iter().map(|run| run.count).sum()
+        self.starts.iter().count() as u64
     }
 
     /// `(local, remote)` hits summed over the steps held.
@@ -127,7 +105,7 @@ impl RecentSteps {
 
     /// Heap bytes retained.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.starts.capacity() * std::mem::size_of::<StartRun>() + self.hits.capacity()
+        self.starts.heap_bytes() + self.hits.capacity()
     }
 }
 
@@ -192,7 +170,7 @@ mod tests {
             assert_eq!(packed.len(), held);
             assert_same(&packed, &plain);
         }
-        assert!(packed.hits.is_empty() && packed.starts.is_empty());
+        assert!(packed.hits.is_empty() && packed.starts.front().is_none());
         assert_eq!(packed.sums(), (0.0, 0.0));
         // The largest count the sums can hold exactly: eight bytes.
         packed.push(now, EXACT_BELOW - 1.0, 0.0);
@@ -219,8 +197,10 @@ mod tests {
         // takes whatever stride its successor gives it.
         let runs: Vec<(u64, u64, u64)> = packed
             .starts
-            .iter()
-            .map(|run| (run.first.as_nanos() / 1_000, run.stride.as_nanos() / 1_000, run.count))
+            .runs()
+            .map(|(first, stride, count)| {
+                (first.as_nanos() / 1_000, stride.as_nanos() / 1_000, count)
+            })
             .collect();
         assert_eq!(runs, [(0, 1_000, 5), (4_400, 1_000, 5), (78_400, 1_000, 3)]);
         // Expiry walks through the runs, across their seams, like the deque.

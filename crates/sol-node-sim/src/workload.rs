@@ -17,9 +17,12 @@
 //! metrics. This reproduces the dynamics the agent learns from (phases, idle
 //! periods, frequency sensitivity) without simulating individual instructions.
 
+use std::collections::VecDeque;
+
 use sol_core::time::{SimDuration, Timestamp};
-use sol_ml::footprint::MemoryFootprint;
-use sol_ml::online_stats::SlidingWindow;
+use sol_ml::online_stats::quantile_in_place;
+
+use crate::start_runs::StartRuns;
 
 /// The CPU demand a workload places on the node during one step.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,7 +82,9 @@ pub struct SyntheticBatch {
     remaining: f64,
     batch_started: Option<Timestamp>,
     next_arrival: Timestamp,
-    completions: Vec<SimDuration>,
+    completions: u64,
+    /// Completion times summed, in nanoseconds.
+    completion_nanos: u64,
     work_done: f64,
 }
 
@@ -108,24 +113,20 @@ impl SyntheticBatch {
             remaining: 0.0,
             batch_started: None,
             next_arrival: Timestamp::ZERO,
-            completions: Vec::new(),
+            completions: 0,
+            completion_nanos: 0,
             work_done: 0.0,
         }
     }
 
     /// Number of batches completed so far.
     pub fn batches_completed(&self) -> usize {
-        self.completions.len()
+        self.completions as usize
     }
 
     /// Mean batch completion time, if any batch completed.
     pub fn mean_completion(&self) -> Option<SimDuration> {
-        if self.completions.is_empty() {
-            None
-        } else {
-            let total: u64 = self.completions.iter().map(|d| d.as_nanos()).sum();
-            Some(SimDuration::from_nanos(total / self.completions.len() as u64))
-        }
+        self.completion_nanos.checked_div(self.completions).map(SimDuration::from_nanos)
     }
 
     /// Whether the workload is currently in a processing phase.
@@ -173,7 +174,8 @@ impl CpuWorkload for SyntheticBatch {
             self.remaining = 0.0;
             if let Some(start) = self.batch_started.take() {
                 let end = now + dt;
-                self.completions.push(end.duration_since(start));
+                self.completions += 1;
+                self.completion_nanos += end.duration_since(start).as_nanos();
             }
         }
     }
@@ -192,9 +194,119 @@ impl CpuWorkload for SyntheticBatch {
             p99_latency_ms: None,
         }
     }
+}
 
-    fn mem_bytes(&self) -> usize {
-        self.completions.capacity() * std::mem::size_of::<SimDuration>()
+/// One ObjectStore request latency in milliseconds: `base_ms` with a
+/// deterministic jitter standing in for request size variation, divided by
+/// the speedup the step delivered.
+fn latency_ms(base_ms: f64, now: Timestamp, speedup: f64) -> f64 {
+    let jitter = 1.0 + 0.3 * ((now.as_secs_f64() * 7.3).sin().abs());
+    base_ms * jitter / speedup
+}
+
+/// The last `capacity` ObjectStore latencies, kept as the inputs each was
+/// computed from — the step's start and its speedup — and turned back into
+/// samples by [`latency_ms`] when a quantile is read. `len` and `quantile`
+/// return what a `SlidingWindow` of the same capacity fed the latencies
+/// returns, to the bit.
+///
+/// Every sample differs (the jitter follows the clock), but its inputs do
+/// not: a node advanced on a regular grid holds one run of starts, and the
+/// speedup moves only when the frequency or the supply does. A full window
+/// is a handful of runs where the samples take 32 KB. The worst case, a
+/// speedup that changes on every sample, is a 10-byte run per sample where
+/// `SlidingWindow` pays 8.
+#[derive(Debug, Clone)]
+struct LatencyWindow {
+    capacity: usize,
+    len: usize,
+    starts: StartRuns,
+    /// The speedups' values, oldest run first.
+    speedups: VecDeque<f64>,
+    /// Their run lengths, beside `speedups` (apart from it so a run costs 10
+    /// bytes, not a padded 16). A stretch longer than `u16::MAX` is several
+    /// runs.
+    counts: VecDeque<u16>,
+}
+
+impl LatencyWindow {
+    /// Samples of capacity per start run reserved at the first sample: 4 in
+    /// a 4096-sample window, where a node advanced on its grid holds 1.
+    const SAMPLES_PER_START_RUN: usize = 1024;
+    /// Samples of capacity per speedup run reserved at the first sample: 16
+    /// in a 4096-sample window, where a preset node, its agent moving the
+    /// frequency at most once a ~1 s epoch, holds at most 6. Within both, a
+    /// preset node's footprint is one number whatever its trajectory.
+    const SAMPLES_PER_SPEEDUP_RUN: usize = 256;
+
+    fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "window capacity must be positive");
+        LatencyWindow {
+            capacity,
+            len: 0,
+            starts: StartRuns::default(),
+            speedups: VecDeque::new(),
+            counts: VecDeque::new(),
+        }
+    }
+
+    /// Books the sample of a step that started at `start` and ran at
+    /// `speedup`, evicting the oldest if the window is full.
+    fn push(&mut self, start: Timestamp, speedup: f64) {
+        if self.len == self.capacity {
+            self.starts.pop_front();
+            let oldest = self.counts.front_mut().expect("a full window holds a run");
+            *oldest -= 1;
+            if *oldest == 0 {
+                self.speedups.pop_front();
+                self.counts.pop_front();
+            }
+            self.len -= 1;
+        }
+        if self.len == 0 {
+            // Here and not in `new`: stamping a node allocates nothing.
+            self.starts.reserve_exact(self.capacity.div_ceil(Self::SAMPLES_PER_START_RUN));
+            let runs = self.capacity.div_ceil(Self::SAMPLES_PER_SPEEDUP_RUN);
+            self.speedups.reserve_exact(runs);
+            self.counts.reserve_exact(runs);
+        }
+        self.starts.push(start);
+        match (self.speedups.back(), self.counts.back_mut()) {
+            (Some(last), Some(count))
+                if last.to_bits() == speedup.to_bits() && *count < u16::MAX =>
+            {
+                *count += 1
+            }
+            _ => {
+                self.speedups.push_back(speedup);
+                self.counts.push_back(1);
+            }
+        }
+        self.len += 1;
+    }
+
+    /// Exact quantile `q` of the samples, as `SlidingWindow::quantile`
+    /// computes it over the same samples in the same order.
+    fn quantile(&self, base_ms: f64, q: f64) -> f64 {
+        let speedups = self
+            .speedups
+            .iter()
+            .zip(&self.counts)
+            .flat_map(|(&speedup, &count)| std::iter::repeat_n(speedup, count.into()));
+        let mut samples = Vec::with_capacity(self.len);
+        samples.extend(
+            self.starts
+                .iter()
+                .zip(speedups)
+                .map(|(start, speedup)| latency_ms(base_ms, start, speedup)),
+        );
+        quantile_in_place(&mut samples, q)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.starts.heap_bytes()
+            + self.speedups.capacity() * std::mem::size_of::<f64>()
+            + self.counts.capacity() * std::mem::size_of::<u16>()
     }
 }
 
@@ -207,10 +319,9 @@ pub struct ObjectStore {
     cores: f64,
     load: f64,
     base_latency_ms: f64,
-    latencies: SlidingWindow,
+    latencies: LatencyWindow,
     latency_sum: f64,
     latency_count: u64,
-    requests_served: f64,
 }
 
 impl ObjectStore {
@@ -220,9 +331,10 @@ impl ObjectStore {
         Self::with_window(cores, 4096)
     }
 
-    /// Like [`new`](Self::new) with an explicit latency-window capacity. The
-    /// window is the workload's only heap buffer; large fleet grids shrink
-    /// it to cut per-node memory.
+    /// Like [`new`](Self::new) with an explicit latency-window capacity: the
+    /// number of recent samples the P99 is taken over. The window stores
+    /// each sample's inputs as runs, so its size barely moves the
+    /// footprint.
     ///
     /// # Panics
     ///
@@ -232,16 +344,15 @@ impl ObjectStore {
             cores: cores as f64,
             load: 0.85,
             base_latency_ms: 2.0,
-            latencies: SlidingWindow::new(window),
+            latencies: LatencyWindow::new(window),
             latency_sum: 0.0,
             latency_count: 0,
-            requests_served: 0.0,
         }
     }
 
     /// P99 request latency over the recent window, in milliseconds.
     pub fn p99_latency_ms(&self) -> f64 {
-        self.latencies.quantile(0.99)
+        self.latencies.quantile(self.base_latency_ms, 0.99)
     }
 
     /// Mean request latency over the whole run, in milliseconds.
@@ -263,20 +374,15 @@ impl CpuWorkload for ObjectStore {
         WorkloadDemand { cores: self.load * self.cores, cpu_bound_fraction: 0.95 }
     }
 
-    fn deliver(&mut self, now: Timestamp, dt: SimDuration, granted_cores: f64, freq_factor: f64) {
+    fn deliver(&mut self, now: Timestamp, _dt: SimDuration, granted_cores: f64, freq_factor: f64) {
         let wanted = self.load * self.cores;
         let supply = (granted_cores / wanted).min(1.0);
         // Service time shrinks with frequency; starvation inflates it.
         let speedup = freq_factor * supply.max(1e-3);
-        // A mild queueing term keeps P99 above the mean and adds sensitivity
-        // to sustained overload. Deterministic jitter stands in for request
-        // size variation.
-        let jitter = 1.0 + 0.3 * ((now.as_secs_f64() * 7.3).sin().abs());
-        let latency = self.base_latency_ms * jitter / speedup;
-        self.latencies.push(latency);
+        let latency = latency_ms(self.base_latency_ms, now, speedup);
+        self.latencies.push(now, speedup);
         self.latency_sum += latency;
         self.latency_count += 1;
-        self.requests_served += 1000.0 * dt.as_secs_f64() * supply * freq_factor;
     }
 
     fn performance(&self) -> PerfReport {
@@ -294,7 +400,7 @@ impl CpuWorkload for ObjectStore {
     }
 
     fn mem_bytes(&self) -> usize {
-        self.latencies.mem_bytes() - std::mem::size_of::<SlidingWindow>()
+        self.latencies.heap_bytes()
     }
 }
 
@@ -392,8 +498,9 @@ impl OverclockWorkloadKind {
     }
 
     /// Like [`build`](Self::build) with an explicit latency-window capacity
-    /// for the workloads that keep one ([`ObjectStore`]); the others ignore
-    /// it. `build` is `build_with_window(cores, 4096)`.
+    /// — the number of recent samples the P99 is taken over — for the
+    /// workloads that keep one ([`ObjectStore`]); the others ignore it.
+    /// `build` is `build_with_window(cores, 4096)`.
     pub fn build_with_window(self, cores: usize, window: usize) -> Box<dyn CpuWorkload> {
         match self {
             OverclockWorkloadKind::ObjectStore => Box::new(ObjectStore::with_window(cores, window)),
@@ -413,6 +520,8 @@ impl OverclockWorkloadKind {
 
 #[cfg(test)]
 mod tests {
+    use sol_ml::online_stats::SlidingWindow;
+
     use super::*;
 
     fn run_workload(w: &mut dyn CpuWorkload, secs: u64, freq_factor: f64, cores: f64) {
@@ -492,5 +601,130 @@ mod tests {
         let idle = w.demand(Timestamp::from_secs(30));
         assert!(idle.cores < 1.0);
         assert!(idle.cpu_bound_fraction < 0.5);
+    }
+
+    #[test]
+    fn a_speedup_that_changes_every_sample_costs_ten_bytes_a_sample() {
+        let mut window = LatencyWindow::new(4096);
+        let mut plain = SlidingWindow::new(4096);
+        for i in 0..2 * 4096 {
+            let (now, speedup) = (Timestamp::from_millis(i), 1.0 + i as f64 * 1e-4);
+            window.push(now, speedup);
+            plain.push(latency_ms(2.0, now, speedup));
+        }
+        // A 10-byte speedup run per sample beside the 4 reserved start runs,
+        // of which the grid uses one.
+        let bytes = window.heap_bytes();
+        assert!((4096 * 10..=4096 * 10 + 4 * 24).contains(&bytes), "{bytes} B");
+        assert_eq!(window.quantile(2.0, 0.99).to_bits(), plain.quantile(0.99).to_bits());
+    }
+
+    #[test]
+    fn cpu_workload_footprints_are_constant() {
+        let mut store = ObjectStore::new(8);
+        let mut batch = SyntheticBatch::new(SimDuration::from_secs(2), 4.0, 8.0);
+        assert_eq!(store.mem_bytes(), 0);
+        // 20 s on the 1 ms grid, the frequency moving every second: a full
+        // window holds 5 speedup runs.
+        for ms in 0..20_000 {
+            let now = Timestamp::from_millis(ms);
+            let freq_factor = [1.0, 1.2, 1.5][(ms / 1_000) as usize % 3];
+            for w in [&mut store as &mut dyn CpuWorkload, &mut batch] {
+                let granted = w.demand(now).cores;
+                w.deliver(now, SimDuration::from_millis(1), granted, freq_factor);
+            }
+            // The reserved 4 start runs and 16 speedup runs, from the first
+            // sample on.
+            assert_eq!(store.mem_bytes(), 4 * 24 + 16 * 10);
+        }
+        assert_eq!(batch.batches_completed(), 10);
+        assert_eq!(batch.mem_bytes(), 0);
+    }
+
+    mod latency_window {
+        use proptest::prelude::*;
+
+        use super::*;
+
+        /// Speedups that recur, so equal ones meet both inside a run and
+        /// across runs; the last is a starved step's.
+        const SPEEDUPS: [f64; 5] = [1.0, 1.2, 2.3 / 1.5, 0.25, 1e-3];
+        const STEP_NS: u64 = 1_000_000;
+
+        #[derive(Debug, Clone)]
+        enum Speedup {
+            /// One speedup held: a single run.
+            Hold(usize),
+            /// Two speedups taking turns: a run per sample of few values.
+            Alternate(usize, usize),
+            /// A different speedup every sample: the 10 B/sample worst case.
+            EverySample(f64),
+        }
+
+        /// How far a segment advances the clock, in nanoseconds, and the
+        /// speedups its steps run at.
+        fn segment() -> impl Strategy<Value = (u64, Speedup)> {
+            let letter = || 0..SPEEDUPS.len();
+            let advance = prop_oneof![
+                3 => (1u64..=8).prop_map(|steps| steps * STEP_NS),
+                2 => 1u64..8 * STEP_NS,
+            ];
+            let speedup = prop_oneof![
+                3 => letter().prop_map(Speedup::Hold),
+                1 => (letter(), letter()).prop_map(|(a, b)| Speedup::Alternate(a, b)),
+                2 => (0.5f64..4.0).prop_map(Speedup::EverySample),
+            ];
+            (advance, speedup)
+        }
+
+        /// Advances the clock through `segments` the way `CpuNode` does —
+        /// whole steps, then a partial one to an off-grid target — pushing
+        /// every step into both windows and comparing `len` and four
+        /// quantiles after each push, by their bits.
+        fn check(capacity: usize, segments: Vec<(u64, Speedup)>) -> Result<(), TestCaseError> {
+            let mut window = LatencyWindow::new(capacity);
+            let mut plain = SlidingWindow::new(capacity);
+            let mut now = Timestamp::ZERO;
+            for (advance, speedup) in segments {
+                let target = now + SimDuration::from_nanos(advance);
+                let mut i = 0;
+                while now < target {
+                    let x = match speedup {
+                        Speedup::Hold(a) => SPEEDUPS[a],
+                        Speedup::Alternate(a, b) => SPEEDUPS[if i % 2 == 0 { a } else { b }],
+                        Speedup::EverySample(from) => from + i as f64 * 0.125,
+                    };
+                    window.push(now, x);
+                    plain.push(latency_ms(2.0, now, x));
+                    prop_assert_eq!(window.len, plain.len());
+                    for q in [0.0, 0.5, 0.99, 1.0] {
+                        prop_assert_eq!(
+                            window.quantile(2.0, q).to_bits(),
+                            plain.quantile(q).to_bits()
+                        );
+                    }
+                    now += target.duration_since(now).min(SimDuration::from_nanos(STEP_NS));
+                    i += 1;
+                }
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// The window is a `SlidingWindow` of the latencies in another
+            /// layout: after every push — through fills, evictions that
+            /// split and exhaust runs of both columns, partial steps that
+            /// break the grid, and capacity 1 — `len` and every quantile
+            /// agree to the bit.
+            #[test]
+            fn latency_window_matches_sliding_window(
+                capacity in prop_oneof![7 => 1usize..=48, 1 => Just(1usize)],
+                segments in proptest::collection::vec(segment(), 1..24),
+            ) {
+                check(capacity, segments)?;
+            }
+        }
     }
 }

@@ -7,7 +7,9 @@
 //! boundaries, and the per-node results are folded into fleet-level safety
 //! dashboards: per-role totals and percentiles, safeguard-activation rates,
 //! and SLO-violation counts. The dashboard is byte-identical regardless of
-//! the worker-thread count — verified at the end of this example.
+//! the worker-thread count — verified at the end of this example. Beside it
+//! the run returns a `FleetProfile`, where the coordinator's wall time went
+//! barrier phase by barrier phase; being wall-clock, it differs run to run.
 //!
 //! Run with: `cargo run --release --example fleet`
 
@@ -24,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let config = FleetConfig { nodes: 8, threads: 4, ..FleetConfig::default() };
     let fleet = FleetRuntime::new(preset.recipe.clone(), config.clone())?;
-    let report = fleet.run(horizon)?;
+    let (report, profile) = fleet.run_profiled(&mut NullController, FaultPlan::empty(), horizon)?;
 
     println!(
         "fleet: {} nodes x 3 agents, horizon {horizon}, {} sync epochs",
@@ -61,10 +63,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.nodes.len()
     );
 
+    println!("\nwhere the coordinator's wall time went:\n{profile}");
+
     // Seeded heterogeneity: the overclock learners explored differently, so
     // the fleet shows a spread of per-node outcomes.
     let oc = report.role(preset.overclock);
     assert!(report.nodes.len() == 8);
+    assert_eq!(profile.barriers, report.epochs);
     assert!(oc.totals.model.epochs_completed > 0);
     assert!(
         report.nodes.iter().map(|n| n.seed).collect::<std::collections::HashSet<_>>().len() == 8,

@@ -1,14 +1,16 @@
 //! What a simulated server costs to keep resident.
 //!
-//! The two substrate histories that used to dominate a node — the harvest
-//! substrate's latency windows and the memory substrate's recent window —
-//! are stored compactly and sized by the configuration, not by what the
-//! samples happen to be. These tests hold both halves: the footprint stays
-//! under its ceiling, and it is one number whatever the node's seed, so
-//! `mem_bytes_per_node` can carry a tight bound in the benchmark. The
-//! ceilings (tighter than the round figures in the test names) sit between
-//! today's 41,444 B and 118,284 B and the 1.3 KB more that an intervention
-//! queue with a bucket array would cost every node.
+//! The substrate histories that used to dominate a node — the harvest
+//! substrate's latency windows, the ObjectStore workload's 32 KB latency
+//! window and the memory substrate's recent window — are stored compactly
+//! (as runs of samples or of the inputs they are computed from) and sized by
+//! the configuration, not by what the samples happen to be. These tests hold
+//! both halves: the footprint stays under its ceiling, and it is one number
+//! whatever the node's seed, so `mem_bytes_per_node` can carry a tight bound
+//! in the benchmark. The ceilings (tighter than the round figures in the test
+//! names) sit just above today's 8,932 B and 85,772 B: a node that starts
+//! keeping a few hundred bytes more, or a latency window that outgrows its
+//! reserved runs on some seed, fails them.
 
 use sol_agents::prelude::*;
 use sol_core::prelude::*;
@@ -35,13 +37,13 @@ fn assert_one_value_under(footprints: &[usize], ceiling: usize) {
 }
 
 #[test]
-fn two_agent_node_stays_under_45_kb_on_every_seed() {
+fn two_agent_node_stays_under_10_kb_on_every_seed() {
     let preset = colocated_recipe(ColocationConfig::default());
-    assert_one_value_under(&footprints(&preset.recipe), 42_000);
+    assert_one_value_under(&footprints(&preset.recipe), 9_000);
 }
 
 #[test]
-fn three_agent_node_stays_under_125_kb_on_every_seed() {
+fn three_agent_node_stays_under_90_kb_on_every_seed() {
     let preset = three_agents_recipe(ThreeAgentConfig::default());
-    assert_one_value_under(&footprints(&preset.recipe), 119_000);
+    assert_one_value_under(&footprints(&preset.recipe), 86_000);
 }
