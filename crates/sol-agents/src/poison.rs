@@ -180,11 +180,6 @@ impl<M> PoisonedLearner<M> {
         self.attack
     }
 
-    /// Unwraps the inner model.
-    pub fn into_inner(self) -> M {
-        self.inner
-    }
-
     fn corrupt(&self, state: LearnedState) -> Option<LearnedState> {
         let values: Vec<f64> = match self.attack {
             PoisonAttack::Honest => return Some(state),

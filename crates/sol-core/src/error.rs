@@ -56,34 +56,6 @@ impl fmt::Display for RuntimeError {
 
 impl StdError for RuntimeError {}
 
-/// Errors produced while reading a [`NodeReport`](crate::runtime::node::NodeReport).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReportError {
-    /// The requested agent is not in the report: either the id/handle was
-    /// produced by a different runtime, or the agent's report was already
-    /// removed with a `take` call.
-    UnknownAgent(String),
-    /// The agent exists but its driver is not of the type the handle claims —
-    /// only possible when a handle is used against a report from a different
-    /// runtime whose agent at that position has another type.
-    WrongAgentType(String),
-}
-
-impl fmt::Display for ReportError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReportError::UnknownAgent(id) => {
-                write!(f, "{id} not in report (foreign id or already taken)")
-            }
-            ReportError::WrongAgentType(id) => {
-                write!(f, "{id} is not of the type the handle was created with")
-            }
-        }
-    }
-}
-
-impl StdError for ReportError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -94,12 +94,11 @@ pub mod time;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::actuator::{Actuator, ActuatorAssessment};
-    pub use crate::error::{DataError, ReportError, RuntimeError};
+    pub use crate::error::{DataError, RuntimeError};
     pub use crate::model::{Model, ModelAssessment};
     pub use crate::prediction::{Prediction, PredictionSource};
     pub use crate::runtime::builder::{
-        AgentBlueprint, AgentHandle, AgentView, DriverHandle, ScenarioBuilder, ScenarioRecipe,
-        TakenAgent,
+        AgentBlueprint, AgentHandle, AgentView, ScenarioBuilder, ScenarioRecipe, TakenAgent,
     };
     pub use crate::runtime::fleet::{
         FleetAgentReport, FleetConfig, FleetNodeReport, FleetReport, FleetRuntime, MetricSummary,
@@ -110,9 +109,7 @@ pub mod prelude {
         FaultEvent, FaultPlan, FaultPlanConfig, LifecycleError, LifecycleEvent, NodeRecord,
         NodeRegistry, NodeState,
     };
-    pub use crate::runtime::node::{
-        AgentDriver, AgentId, AgentReport, LoopAgent, NodeReport, NodeRuntime,
-    };
+    pub use crate::runtime::node::{AgentId, AgentReport, NodeReport, NodeRuntime};
     pub use crate::runtime::placement::{
         AgentTelemetry, ArrivalTrace, ArrivalTraceConfig, FleetCommand, FleetController, FleetView,
         GreedyPacker, GreedyPackerConfig, NodeDelta, NodeInit, NodePlacement, NodeView,
@@ -120,7 +117,6 @@ pub mod prelude {
         WorkloadUnit,
     };
     pub use crate::runtime::profile::{FleetProfile, PhaseProfile, WorkerProfile};
-    pub use crate::runtime::replay::{ReplayDriver, ReplayEntry};
     pub use crate::runtime::threaded::{leaked_threads, run_agent, ThreadedAgent, ThreadedReport};
     pub use crate::runtime::trust::{
         NodeTrustRecord, TrustAction, TrustPolicy, TrustStats, TrustVerdict,

@@ -1,32 +1,27 @@
 //! `ScenarioBuilder`: a typed, composable node-assembly API.
 //!
-//! [`NodeRuntime`] hosts arbitrary agent
-//! populations behind the type-erased [`AgentDriver`] trait; this module is
-//! the typed front door to it. A [`ScenarioBuilder`] registers each agent and
-//! hands back an [`AgentHandle`] carrying the agent's concrete `Model` and
-//! `Actuator` types, so post-run inspection needs no `Any` downcasting at
-//! call sites:
+//! [`NodeRuntime`] hosts heterogeneous agent populations with their
+//! `Model`/`Actuator` types erased; this module is the one way to put an
+//! agent on it. A [`ScenarioBuilder`] registers each agent and hands back an
+//! [`AgentHandle`] carrying the agent's concrete `Model` and `Actuator`
+//! types, so post-run inspection needs no `Any` downcasting at call sites:
 //!
 //! * [`ScenarioBuilder::agent`] registers a `Model`/`Actuator` pair and
 //!   returns a typed [`AgentHandle<M, A>`].
 //! * [`ScenarioBuilder::register`] consumes a pre-packaged
 //!   [`AgentBlueprint`] (what the `sol-agents` crate exports for each paper
 //!   agent).
-//! * [`ScenarioBuilder::driver`] registers a custom [`AgentDriver`] (a replay
-//!   agent, an adversarial load generator) and returns a typed
-//!   [`DriverHandle<D>`].
-//! * [`ScenarioBuilder::build`] yields the assembled `NodeRuntime`; the
-//!   handles then index into it and into the final
+//! * [`ScenarioBuilder::build`] yields the assembled `NodeRuntime`, whose
+//!   population is then fixed; the handles index into it and into the final
 //!   [`NodeReport`]:
 //!   [`NodeReport::agent`](crate::runtime::node::NodeReport::agent) returns a
 //!   typed [`AgentView`] and
 //!   [`NodeReport::take`](crate::runtime::node::NodeReport::take) recovers the
 //!   concrete halves by value.
 //!
-//! The untyped [`AgentId`] +
-//! [`AgentReport::inner`](crate::runtime::node::AgentReport::inner) pattern
-//! remains available as the escape hatch for code that genuinely needs type
-//! erasure (e.g. looping over heterogeneous agents).
+//! Code that loops over heterogeneous agents reads the untyped
+//! [`NodeReport::agents`](crate::runtime::node::NodeReport::agents) list:
+//! every entry's id, name and stats.
 //!
 //! # Examples
 //!
@@ -82,14 +77,15 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use std::any::Any;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::actuator::Actuator;
-use crate::error::{ReportError, RuntimeError};
+use crate::error::RuntimeError;
 use crate::model::Model;
 use crate::runtime::fleet::NodeSeed;
-use crate::runtime::node::{AgentDriver, AgentId, LoopAgent, NodeReport, NodeRuntime};
+use crate::runtime::node::{AgentId, LoopAgent, NodeReport, NodeRuntime};
 use crate::runtime::Environment;
 use crate::schedule::Schedule;
 use crate::stats::AgentStats;
@@ -135,44 +131,6 @@ impl<M, A> std::fmt::Debug for AgentHandle<M, A> {
 
 impl<M, A> From<AgentHandle<M, A>> for AgentId {
     fn from(handle: AgentHandle<M, A>) -> AgentId {
-        handle.id
-    }
-}
-
-/// A typed token for a custom [`AgentDriver`] registered through
-/// [`ScenarioBuilder::driver`], carrying the driver's concrete type.
-pub struct DriverHandle<D> {
-    id: AgentId,
-    _driver: PhantomData<fn() -> D>,
-}
-
-impl<D> DriverHandle<D> {
-    fn new(id: AgentId) -> Self {
-        DriverHandle { id, _driver: PhantomData }
-    }
-
-    /// The untyped id of this agent.
-    pub fn id(self) -> AgentId {
-        self.id
-    }
-}
-
-impl<D> Clone for DriverHandle<D> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<D> Copy for DriverHandle<D> {}
-
-impl<D> std::fmt::Debug for DriverHandle<D> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "DriverHandle({})", self.id)
-    }
-}
-
-impl<D> From<DriverHandle<D>> for AgentId {
-    fn from(handle: DriverHandle<D>) -> AgentId {
         handle.id
     }
 }
@@ -259,22 +217,6 @@ impl<E: Environment + 'static> ScenarioBuilder<E> {
         A: Actuator<Pred = M::Pred> + Send + 'static,
     {
         self.agent(blueprint.name, blueprint.model, blueprint.actuator, blueprint.schedule)
-    }
-
-    /// Registers a custom [`AgentDriver`] (e.g. a
-    /// [`ReplayDriver`](crate::runtime::replay::ReplayDriver)) under `name`
-    /// and returns a typed handle to it.
-    ///
-    /// Custom drivers declare no schedule, so they do not influence the
-    /// default environment step; set
-    /// [`max_environment_step`](Self::max_environment_step) explicitly if the
-    /// scenario contains only drivers.
-    pub fn driver<D: AgentDriver<E>>(
-        &mut self,
-        name: impl Into<String>,
-        driver: D,
-    ) -> DriverHandle<D> {
-        DriverHandle::new(self.runtime.register_driver(name, Box::new(driver)))
     }
 
     /// Number of agents registered so far.
@@ -477,36 +419,16 @@ impl<E: Environment + 'static> NodeReport<E> {
     /// # Panics
     ///
     /// Panics if the handle came from a different runtime or the agent was
-    /// already taken; use [`try_agent`](Self::try_agent) to handle that as a
-    /// [`ReportError`] instead.
+    /// already taken.
     pub fn agent<M, A>(&self, handle: AgentHandle<M, A>) -> AgentView<'_, M, A>
     where
         M: Model + 'static,
         A: Actuator<Pred = M::Pred> + 'static,
     {
-        self.try_agent(handle).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`agent`](Self::agent).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReportError::UnknownAgent`] for a foreign or already-taken
-    /// handle, [`ReportError::WrongAgentType`] if a foreign handle aliases an
-    /// agent of a different type.
-    pub fn try_agent<M, A>(
-        &self,
-        handle: AgentHandle<M, A>,
-    ) -> Result<AgentView<'_, M, A>, ReportError>
-    where
-        M: Model + 'static,
-        A: Actuator<Pred = M::Pred> + 'static,
-    {
-        let report = self.agent_report(handle.id)?;
-        let agent = report
-            .inner::<LoopAgent<M, A>>()
-            .ok_or_else(|| ReportError::WrongAgentType(handle.id.to_string()))?;
-        Ok(AgentView { name: &report.name, stats: &report.stats, agent })
+        let report = self.agent_report(handle.id);
+        let driver: &dyn Any = &*report.driver;
+        let agent = driver.downcast_ref().unwrap_or_else(|| wrong_type(handle.id));
+        AgentView { name: &report.name, stats: &report.stats, agent }
     }
 
     /// Removes one agent from the report and returns its concrete halves by
@@ -514,63 +436,24 @@ impl<E: Environment + 'static> NodeReport<E> {
     ///
     /// # Panics
     ///
-    /// Panics if the handle came from a different runtime or the agent was
-    /// already taken; use [`try_take`](Self::try_take) to handle that as a
-    /// [`ReportError`] instead.
+    /// As [`agent`](Self::agent).
     pub fn take<M, A>(&mut self, handle: AgentHandle<M, A>) -> TakenAgent<M, A>
     where
         M: Model + 'static,
         A: Actuator<Pred = M::Pred> + 'static,
     {
-        self.try_take(handle).unwrap_or_else(|e| panic!("{e}"))
+        let report = self.take_agent(handle.id);
+        let driver: Box<dyn Any> = report.driver;
+        let agent = driver.downcast::<LoopAgent<M, A>>().unwrap_or_else(|_| wrong_type(handle.id));
+        let (model, actuator, stats) = agent.into_parts();
+        TakenAgent { name: report.name, model, actuator, stats }
     }
+}
 
-    /// Fallible variant of [`take`](Self::take).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReportError::UnknownAgent`] for a foreign or already-taken
-    /// handle, [`ReportError::WrongAgentType`] if a foreign handle aliases an
-    /// agent of a different type. The report is left untouched on error.
-    pub fn try_take<M, A>(
-        &mut self,
-        handle: AgentHandle<M, A>,
-    ) -> Result<TakenAgent<M, A>, ReportError>
-    where
-        M: Model + 'static,
-        A: Actuator<Pred = M::Pred> + 'static,
-    {
-        // Verify the type before removing so errors leave the report intact.
-        self.try_agent(handle)?;
-        let report = self.take_agent(handle.id)?;
-        let name = report.name.clone();
-        let (model, actuator, stats) =
-            report.into_inner::<LoopAgent<M, A>>().expect("type verified above").into_parts();
-        Ok(TakenAgent { name, model, actuator, stats })
-    }
-
-    /// Typed access to a custom driver through its [`DriverHandle`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle came from a different runtime or the driver was
-    /// already taken; use [`try_driver`](Self::try_driver) instead to handle
-    /// that as a [`ReportError`].
-    pub fn driver<D: 'static>(&self, handle: DriverHandle<D>) -> &D {
-        self.try_driver(handle).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`driver`](Self::driver).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReportError::UnknownAgent`] for a foreign or already-taken
-    /// handle, [`ReportError::WrongAgentType`] if a foreign handle aliases an
-    /// agent of a different type.
-    pub fn try_driver<D: 'static>(&self, handle: DriverHandle<D>) -> Result<&D, ReportError> {
-        let report = self.agent_report(handle.id)?;
-        report.inner::<D>().ok_or_else(|| ReportError::WrongAgentType(handle.id.to_string()))
-    }
+/// A handle used against a report from a different runtime whose agent at
+/// that position has another type.
+fn wrong_type(id: AgentId) -> ! {
+    panic!("{id} is not of the type the handle was created with")
 }
 
 #[cfg(test)]
@@ -627,10 +510,7 @@ mod tests {
             builder.agent("a", ConstModel { value: 3.0 }, CountActuator::default(), schedule(100));
         assert_eq!(builder.environment().advances, 0);
         let rt = builder.build();
-        let driver =
-            rt.driver(agent).as_any().downcast_ref::<LoopAgent<ConstModel, CountActuator>>();
-        assert_eq!(driver.unwrap().model().value, 3.0);
-        assert_eq!(driver.unwrap().actuator().actions, 0);
+        assert_eq!(rt.agent_count(), 1);
         assert_eq!(rt.now(), Timestamp::ZERO);
         assert_eq!(rt.agent_stats(agent), AgentStats::default());
         assert_eq!(rt.environment().advances, 0);
@@ -648,8 +528,8 @@ mod tests {
             });
             let report = rt.run_for(SimDuration::from_secs(7)).unwrap();
             (
-                format!("{:#?}", report.agent_report(a).unwrap().stats),
-                format!("{:#?}", report.agent_report(b).unwrap().stats),
+                format!("{:#?}", report.agent_report(a).stats),
+                format!("{:#?}", report.agent_report(b).stats),
                 report.environment.advances,
                 report.ended_at,
             )
@@ -711,12 +591,24 @@ mod tests {
         assert_eq!(taken.model.value, 4.0);
         assert!(taken.actuator.actions > 0);
         assert!(taken.stats.model.epochs_completed > 0);
-        // A second take reports the agent as gone.
-        assert!(matches!(report.try_take(agent), Err(ReportError::UnknownAgent(_))));
+        // The agent left the report with its halves.
+        assert!(report.agents.is_empty());
     }
 
     #[test]
-    fn try_take_leaves_report_intact_on_type_mismatch() {
+    #[should_panic(expected = "agent#0 not in report (foreign id or already taken)")]
+    fn agent_after_take_panics() {
+        let mut builder = NodeRuntime::builder(NullEnvironment);
+        let agent =
+            builder.agent("a", ConstModel { value: 4.0 }, CountActuator::default(), schedule(100));
+        let mut report = builder.build().run_for(SimDuration::from_secs(2)).unwrap();
+        report.take(agent);
+        report.agent(agent);
+    }
+
+    #[test]
+    #[should_panic(expected = "agent#0 is not of the type the handle was created with")]
+    fn take_with_a_foreign_type_panics() {
         // Two runtimes with different agent types at position 0: using the
         // first runtime's handle on the second report is a type error.
         let mut builder = NodeRuntime::builder(NullEnvironment);
@@ -746,10 +638,7 @@ mod tests {
         let mut other = NodeRuntime::builder(NullEnvironment);
         other.agent("b", ConstModel { value: 1.0 }, OtherActuator, schedule(100));
         let mut report = other.build().run_for(SimDuration::from_secs(1)).unwrap();
-        assert!(matches!(report.try_agent(typed), Err(ReportError::WrongAgentType(_))));
-        assert!(matches!(report.try_take(typed), Err(ReportError::WrongAgentType(_))));
-        // The mismatch did not remove the agent.
-        assert_eq!(report.agents.len(), 1);
+        report.take(typed);
     }
 
     #[test]

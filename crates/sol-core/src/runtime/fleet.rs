@@ -164,7 +164,7 @@ use std::time::Instant;
 
 use sol_ml::exchange::LearnedState;
 
-use crate::error::{ReportError, RuntimeError};
+use crate::error::RuntimeError;
 use crate::runtime::builder::ScenarioRecipe;
 use crate::runtime::learning::{LearningExchange, LearningPlane, LearningStats, NodeLearnedExport};
 use crate::runtime::lifecycle::{
@@ -527,21 +527,13 @@ impl FleetReport {
     ///
     /// # Panics
     ///
-    /// Panics if the handle does not name a role of this fleet; use
-    /// [`try_role`](Self::try_role) to handle that as a [`ReportError`].
+    /// Panics if the handle's position is out of range for the recipe's agent
+    /// population.
     pub fn role(&self, handle: impl Into<AgentId>) -> &RoleAggregate {
-        self.try_role(handle).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`role`](Self::role).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReportError::UnknownAgent`] if the handle's position is out
-    /// of range for the recipe's agent population.
-    pub fn try_role(&self, handle: impl Into<AgentId>) -> Result<&RoleAggregate, ReportError> {
         let id = handle.into();
-        self.roles.get(id.index()).ok_or_else(|| ReportError::UnknownAgent(id.to_string()))
+        self.roles
+            .get(id.index())
+            .unwrap_or_else(|| panic!("{id} not in report (foreign id or already taken)"))
     }
 
     /// The summary of one recipe-extracted environment metric, by name.
@@ -2471,7 +2463,16 @@ mod tests {
         let report = fleet.run(SimDuration::from_secs(4)).unwrap();
         assert_eq!(report.role(fast).name, "fast");
         assert_eq!(report.role(slow).name, "slow");
-        assert!(report.try_role(AgentId::from(fast)).is_ok());
+        assert_eq!(report.role(AgentId::from(1)).name, "slow");
+    }
+
+    #[test]
+    #[should_panic(expected = "agent#2 not in report")]
+    fn role_lookup_out_of_range_panics() {
+        let config = FleetConfig { nodes: 1, threads: 1, ..FleetConfig::default() };
+        let fleet = FleetRuntime::new(heterogeneous_recipe(), config).unwrap();
+        let report = fleet.run(SimDuration::from_secs(1)).unwrap();
+        report.role(AgentId::from(2));
     }
 
     #[test]

@@ -124,30 +124,6 @@ pub struct LearningStats {
     pub warm_starts: u64,
 }
 
-impl LearningStats {
-    /// Adds another run's counters onto this one, field by field (used by
-    /// callers comparing or pooling runs). The exhaustive destructuring (no
-    /// `..`) makes adding a field without accumulating it a compile error.
-    pub fn accumulate(&mut self, other: &LearningStats) {
-        let LearningStats {
-            rounds,
-            participants,
-            bytes_exchanged,
-            bytes_redistributed,
-            rejected,
-            redistributed,
-            warm_starts,
-        } = other;
-        self.rounds += rounds;
-        self.participants += participants;
-        self.bytes_exchanged += bytes_exchanged;
-        self.bytes_redistributed += bytes_redistributed;
-        self.rejected += rejected;
-        self.redistributed += redistributed;
-        self.warm_starts += warm_starts;
-    }
-}
-
 /// One node's learning-plane payload for a barrier: the learned states that
 /// changed since the node's last export, keyed by agent slot (registration
 /// order). Piggybacks on the change list the worker answers the barrier with.
@@ -511,35 +487,5 @@ mod tests {
         exchange.grow(3);
         exchange.absorb(vec![export(2, 0, &[7.0])]);
         assert_eq!(exchange.local(2, 0).unwrap().values(), &[7.0]);
-    }
-
-    #[test]
-    fn stats_accumulate_field_by_field() {
-        // Reminder: this destructuring must stay exhaustive. If adding a
-        // field here just broke the build, extend `accumulate` (and this
-        // test) rather than papering over it with `..`.
-        let a = LearningStats {
-            rounds: 1,
-            participants: 2,
-            bytes_exchanged: 3,
-            bytes_redistributed: 4,
-            rejected: 5,
-            redistributed: 6,
-            warm_starts: 7,
-        };
-        let mut total = a;
-        total.accumulate(&a);
-        assert_eq!(
-            total,
-            LearningStats {
-                rounds: 2,
-                participants: 4,
-                bytes_exchanged: 6,
-                bytes_redistributed: 8,
-                rejected: 10,
-                redistributed: 12,
-                warm_starts: 14,
-            }
-        );
     }
 }

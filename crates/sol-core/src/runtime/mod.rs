@@ -7,14 +7,14 @@
 //!   heap, interventions (the only queued events) in a binary heap over
 //!   `(time, schedule order)`, environment-step boundaries merged into the
 //!   tick time —
-//!   hosting *N* heterogeneous agents, each erased behind the object-safe
-//!   [`AgentDriver`](node::AgentDriver) trait, on one shared
-//!   [`Environment`]. This is what the paper's co-location scenario (§4.2,
-//!   §6) runs on. Scenarios are normally assembled through the typed
+//!   hosting *N* heterogeneous SOL agents (each a `Model`/`Actuator` pair run
+//!   by its two safeguarded control loops) on one shared [`Environment`].
+//!   This is what the paper's co-location scenario (§4.2, §6) runs on.
+//!   Agents are registered only through the typed
 //!   [`ScenarioBuilder`](builder::ScenarioBuilder) front door
 //!   ([`NodeRuntime::builder`](node::NodeRuntime::builder)), whose
 //!   [`AgentHandle`](builder::AgentHandle)s give downcast-free access to the
-//!   final report.
+//!   final report; the population is fixed once the builder is built.
 //! * [`FleetRuntime`](fleet::FleetRuntime) — the scale layer: stamps out *N*
 //!   nodes from a [`ScenarioRecipe`](builder::ScenarioRecipe) (seeded per
 //!   node via [`NodeSeed`](fleet::NodeSeed)), shards them across a
@@ -36,10 +36,6 @@
 //!   paper describes: the Model and Actuator run in separately scheduled OS
 //!   threads connected by a prediction queue, so the Actuator keeps taking
 //!   safe actions while the Model is throttled.
-//!
-//! Custom [`AgentDriver`](node::AgentDriver)s plug into the same scheduler; the
-//! first one shipped is [`ReplayDriver`](replay::ReplayDriver), which replays
-//! a recorded action trace.
 
 pub mod builder;
 pub mod fleet;
@@ -48,7 +44,6 @@ pub mod lifecycle;
 pub mod node;
 pub mod placement;
 pub mod profile;
-pub mod replay;
 #[cfg(test)]
 pub(crate) mod testutil;
 pub mod threaded;

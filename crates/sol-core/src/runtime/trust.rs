@@ -239,23 +239,6 @@ pub struct TrustStats {
     pub excluded: u64,
 }
 
-impl TrustStats {
-    /// Adds another run's counters onto this one, field by field. The
-    /// exhaustive destructuring (no `..`) makes adding a field without
-    /// accumulating it a compile error, exactly like
-    /// [`LearningStats::accumulate`](crate::runtime::learning::LearningStats::accumulate).
-    pub fn accumulate(&mut self, other: &TrustStats) {
-        let TrustStats { rounds_scored, nodes_scored, divergent, suspects, quarantines, excluded } =
-            other;
-        self.rounds_scored += rounds_scored;
-        self.nodes_scored += nodes_scored;
-        self.divergent += divergent;
-        self.suspects += suspects;
-        self.quarantines += quarantines;
-        self.excluded += excluded;
-    }
-}
-
 /// The z-score scale floor, as a fraction of `1 + ‖consensus‖₂`.
 ///
 /// In a live fleet the honest distance spread routinely *collapses*: under
@@ -538,33 +521,5 @@ mod tests {
         // Shrinking never happens; a smaller `nodes` is a no-op.
         trust.grow(1);
         assert_eq!(trust.record(3).node, 3);
-    }
-
-    #[test]
-    fn stats_accumulate_field_by_field() {
-        // Reminder: this destructuring must stay exhaustive. If adding a
-        // field here just broke the build, extend `accumulate` (and this
-        // test) rather than papering over it with `..`.
-        let a = TrustStats {
-            rounds_scored: 1,
-            nodes_scored: 2,
-            divergent: 3,
-            suspects: 4,
-            quarantines: 5,
-            excluded: 6,
-        };
-        let mut total = a;
-        total.accumulate(&a);
-        assert_eq!(
-            total,
-            TrustStats {
-                rounds_scored: 2,
-                nodes_scored: 4,
-                divergent: 6,
-                suspects: 8,
-                quarantines: 10,
-                excluded: 12,
-            }
-        );
     }
 }

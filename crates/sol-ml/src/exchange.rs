@@ -76,8 +76,8 @@ pub enum ExchangeError {
     },
     /// [`AggregationRule::aggregate`] was called with zero states.
     EmptyAggregation,
-    /// The receiver has no learned state to exchange (e.g. a replay driver
-    /// asked to import).
+    /// The receiver has no learned state to exchange (e.g. a model without
+    /// an exchangeable learner asked to import).
     Unsupported,
 }
 

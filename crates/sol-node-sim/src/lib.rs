@@ -14,9 +14,9 @@
 //! * [`memory_node`] — a two-tier memory system with per-batch access bits,
 //!   Zipf-skewed access generators, and local/remote access counters
 //!   (SmartMemory).
-//! * [`multi_node`] — one physical node composing any set of substrates
-//!   (CPU, harvest, memory, extras) with declared couplings for multi-agent
-//!   co-location runs.
+//! * [`multi_node`] — one physical node composing any set of the three
+//!   substrates (CPU, harvest, memory) with declared couplings for
+//!   multi-agent co-location runs.
 //! * [`workload`] — the CPU workload models from the paper's evaluation
 //!   (Synthetic, ObjectStore, DiskSpeed).
 //! * [`power`], [`counters`], [`metrics`], [`shared`] — supporting pieces.

@@ -3,9 +3,9 @@
 //! The paper's headline scenario (§4.2, §6) is multiple learning agents
 //! sharing one server. [`MultiNode`] composes an arbitrary set of registered
 //! substrates — the CPU/DVFS node (SmartOverclock), the harvesting node
-//! (SmartHarvest), the two-tier memory node (SmartMemory), plus any extra
-//! [`Environment`] — into one environment that advances everything in
-//! lockstep under the runtime's virtual clock. A
+//! (SmartHarvest) and the two-tier memory node (SmartMemory) — into one
+//! environment that advances everything in lockstep under the runtime's
+//! virtual clock. A
 //! [`NodeRuntime`](sol_core::runtime::node::NodeRuntime) assembled through
 //! [`ScenarioBuilder`](sol_core::runtime::builder::ScenarioBuilder) can then
 //! drive any agent population against it.
@@ -121,7 +121,6 @@ pub struct MultiNodeBuilder {
     cpu: Option<Shared<CpuNode>>,
     harvest: Option<Shared<HarvestNode>>,
     memory: Option<Shared<MemoryNode>>,
-    extras: Vec<Box<dyn Environment + Send>>,
     couplings: Vec<Coupling>,
 }
 
@@ -141,14 +140,6 @@ impl MultiNodeBuilder {
     /// Registers the two-tier memory substrate (the SmartMemory surface).
     pub fn memory(mut self, node: Shared<MemoryNode>) -> Self {
         self.memory = Some(node);
-        self
-    }
-
-    /// Registers an additional substrate advanced in lockstep after the typed
-    /// ones ([`Shared`] handles work directly). Extras take part in the
-    /// shared clock but in no declared coupling.
-    pub fn substrate(mut self, env: impl Environment + Send + 'static) -> Self {
-        self.extras.push(Box::new(env));
         self
     }
 
@@ -190,7 +181,6 @@ impl MultiNodeBuilder {
             cpu: self.cpu,
             harvest: self.harvest,
             memory: self.memory,
-            extras: self.extras,
             couplings: self.couplings,
             scopes: None,
         })
@@ -213,7 +203,6 @@ pub struct MultiNode {
     cpu: Option<Shared<CpuNode>>,
     harvest: Option<Shared<HarvestNode>>,
     memory: Option<Shared<MemoryNode>>,
-    extras: Vec<Box<dyn Environment + Send>>,
     couplings: Vec<Coupling>,
     /// Open substrate scopes while inside a `begin_batch`/`end_batch` pair.
     scopes: Option<BatchScopes>,
@@ -225,7 +214,6 @@ impl std::fmt::Debug for MultiNode {
             .field("cpu", &self.cpu.is_some())
             .field("harvest", &self.harvest.is_some())
             .field("memory", &self.memory.is_some())
-            .field("extras", &self.extras.len())
             .field("couplings", &self.couplings)
             .finish()
     }
@@ -302,15 +290,9 @@ impl Environment for MultiNode {
             _harvest: self.harvest.as_ref().map(Shared::scope),
             _memory: self.memory.as_ref().map(Shared::scope),
         });
-        for extra in &mut self.extras {
-            extra.begin_batch();
-        }
     }
 
     fn end_batch(&mut self) {
-        for extra in &mut self.extras {
-            extra.end_batch();
-        }
         self.scopes = None;
     }
 
@@ -324,9 +306,6 @@ impl Environment for MultiNode {
         }
         if let Some(memory) = &self.memory {
             memory.with(|m| m.advance_to(now));
-        }
-        for extra in &mut self.extras {
-            extra.advance_to(now);
         }
     }
 
@@ -364,9 +343,6 @@ impl Environment for MultiNode {
         }
         if let Some(memory) = &self.memory {
             total += MemoryFootprint::mem_bytes(memory);
-        }
-        for extra in &self.extras {
-            total += Environment::mem_bytes(&**extra);
         }
         total
     }
@@ -603,24 +579,5 @@ mod tests {
         // After end_batch other threads can lock the substrates again.
         let c2 = c.clone();
         std::thread::spawn(move || c2.lock().frequency_ghz()).join().unwrap();
-    }
-
-    #[test]
-    fn extra_substrates_share_the_clock() {
-        #[derive(Debug, Default)]
-        struct Probe(std::sync::Arc<std::sync::atomic::AtomicU64>);
-        impl Environment for Probe {
-            fn advance_to(&mut self, now: Timestamp) {
-                self.0.store(now.as_nanos(), std::sync::atomic::Ordering::SeqCst);
-            }
-        }
-        let probe = Probe::default();
-        let seen = probe.0.clone();
-        let mut node = MultiNode::builder().substrate(probe).build().unwrap();
-        node.advance_to(Timestamp::from_secs(4));
-        assert_eq!(
-            seen.load(std::sync::atomic::Ordering::SeqCst),
-            Timestamp::from_secs(4).as_nanos()
-        );
     }
 }
