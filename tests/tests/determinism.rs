@@ -101,9 +101,10 @@ fn debug_digest<T: std::fmt::Debug>(value: &T) -> u64 {
 /// Every other test here compares a run with itself, which a substrate that
 /// is fast and slightly wrong passes. This one compares the default
 /// three-agent node against a pinned constant: the whole report (its `Debug`
-/// rendering) plus the memory substrate's counters. A change that moves it
-/// changed what is simulated or how the report renders, and has to say
-/// which.
+/// rendering) plus the memory substrate's counters, its hot-set ranking, its
+/// tier split and its recent and per-second remote fractions (floats by their
+/// bits). A change that moves it changed what is simulated or how the report
+/// renders, and has to say which.
 #[test]
 fn three_agent_run_matches_the_pinned_digest() {
     let agents = three_agents(ThreeAgentConfig::default());
@@ -116,9 +117,16 @@ fn three_agent_run_matches_the_pinned_digest() {
             n.local_accesses(),
             n.remote_accesses(),
             n.slo_attainment(0.8),
+            n.hottest_batches(),
+            n.remote_batch_count(),
+            n.recent_remote_fraction().to_bits(),
+            n.remote_fraction_series()
+                .iter()
+                .map(|s| (s.at, s.remote_fraction.to_bits(), s.active))
+                .collect::<Vec<_>>(),
         )
     });
-    assert_eq!(debug_digest(&(report, memory)), 0x65f3_2620_40a7_25b6, "memory = {memory:?}");
+    assert_eq!(debug_digest(&(&report, &memory)), 0x95c4_b697_9816_26a0, "memory = {memory:?}");
 }
 
 // ---------------------------------------------------------------------------
