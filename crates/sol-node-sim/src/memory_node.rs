@@ -41,10 +41,10 @@ pub struct ScanResult {
 }
 
 /// Per-batch state the hit pass and the agent-facing calls touch. The
-/// fractional carry lives apart from it, in [`MemoryNode::carry`].
+/// fractional carry, the share and the tier live apart from it, in the
+/// batch's [`Chunk`].
 #[derive(Debug, Clone)]
 struct MemBatch {
-    tier: Tier,
     accesses_since_scan: f64,
     last_access: Option<Timestamp>,
     total_accesses: f64,
@@ -52,27 +52,82 @@ struct MemBatch {
 
 impl MemBatch {
     fn new() -> Self {
-        MemBatch {
-            tier: Tier::Local,
-            accesses_since_scan: 0.0,
-            last_access: None,
-            total_accesses: 0.0,
-        }
+        MemBatch { accesses_since_scan: 0.0, last_access: None, total_accesses: 0.0 }
+    }
+
+    fn hit(&mut self, hits: f64, now: Timestamp) {
+        self.accesses_since_scan += hits;
+        self.total_accesses += hits;
+        self.last_access = Some(now);
     }
 }
 
-/// Batches per hit mask in [`MemoryNode::apply_accesses`].
+/// Batches per [`Chunk`], one bit each in its masks.
 const MASK_BITS: usize = u64::BITS as usize;
 
-/// Adds each batch's share to its carry and returns the batches whose carry
-/// reached a whole access, one bit each (at most [`MASK_BITS`] batches).
-fn add_shares(carry: &mut [f64], expected: &[f64]) -> u64 {
-    let mut due = 0u64;
-    for (bit, (c, e)) in carry.iter_mut().zip(expected).enumerate() {
-        *c += e;
-        due |= u64::from(*c >= 1.0) << bit;
+/// The dense tables of [`MASK_BITS`] consecutive batches, by batch index
+/// within the chunk. Slots past the last batch hold a zero share and a zero
+/// carry, so they never hit.
+#[derive(Debug, Clone)]
+struct Chunk {
+    /// Fractional accesses each batch carries into the next step; in
+    /// `[0, 1)` between steps.
+    carry: [f64; MASK_BITS],
+    /// Each batch's share of a step's accesses:
+    /// `expected[permutation[rank]] == expected_total * zipf.probability(rank)`.
+    expected: [f64; MASK_BITS],
+    /// The batches in the remote tier.
+    remote: u64,
+    /// The batches whose share is below `1.0`, rebuilt with `expected`.
+    single: u64,
+}
+
+impl Chunk {
+    const EMPTY: Chunk =
+        Chunk { carry: [0.0; MASK_BITS], expected: [0.0; MASK_BITS], remote: 0, single: 0 };
+}
+
+/// One bit per value that passes `test`, built eight values at a time so no
+/// bit waits on a serial chain of shifts through the whole word.
+fn mask(values: &[f64; MASK_BITS], test: impl Fn(f64) -> bool) -> u64 {
+    let mut bits = 0u64;
+    for (byte, octet) in values.chunks_exact(8).enumerate() {
+        let mut b = 0u8;
+        for (bit, &v) in octet.iter().enumerate() {
+            b |= u8::from(test(v)) << bit;
+        }
+        bits |= u64::from(b) << (8 * byte);
     }
-    due
+    bits
+}
+
+/// Adds each batch's share to its carry and returns the batches whose carry
+/// reached a whole access.
+fn add_shares(carry: &mut [f64; MASK_BITS], expected: &[f64; MASK_BITS]) -> u64 {
+    for (c, e) in carry.iter_mut().zip(expected) {
+        *c += e;
+    }
+    mask(carry, |c| c >= 1.0)
+}
+
+/// Takes the whole part of each `due` batch's carry as its hits and returns
+/// their sum.
+fn take_hits(
+    carry: &mut [f64; MASK_BITS],
+    batches: &mut [MemBatch],
+    mut due: u64,
+    now: Timestamp,
+) -> f64 {
+    let mut sum = 0.0;
+    while due != 0 {
+        let i = due.trailing_zeros() as usize;
+        due &= due - 1;
+        let hits = floor_non_negative(carry[i]);
+        carry[i] -= hits;
+        batches[i].hit(hits, now);
+        sum += hits;
+    }
+    sum
 }
 
 /// `x.floor()` for `x >= 0.0`, without the libm call baseline x86-64 (no
@@ -207,15 +262,12 @@ pub struct MemoryNode {
     config: MemoryNodeConfig,
     kind: MemoryWorkloadKind,
     batches: Vec<MemBatch>,
-    /// Fractional accesses each batch carries into the next step, by batch
-    /// index; never negative. A dense table of its own so the per-step
-    /// add-and-compare pass streams over plain `f64`s.
-    carry: Vec<f64>,
-    /// Each batch's share of a step's accesses, by batch index:
-    /// `expected[permutation[rank]] == expected_total * zipf.probability(rank)`.
-    expected: Vec<f64>,
-    /// The step total `expected` holds the shares of, compared by bits. `0.0`
-    /// marks the table stale: accesses are only applied for a total above it.
+    /// Batch `i`'s carry, share and tier are slot `i % MASK_BITS` of chunk
+    /// `i / MASK_BITS`: dense tables the per-step pass streams over.
+    chunks: Vec<Chunk>,
+    /// The step total the chunks' `expected` hold the shares of, compared by
+    /// bits. `0.0` marks the tables stale: accesses are only applied for a
+    /// total above it.
     expected_total: f64,
     zipf: Zipf,
     permutation: Vec<usize>,
@@ -287,8 +339,7 @@ impl MemoryNode {
         let next_shift = kind.hot_set_shift_period().map(|p| Timestamp::ZERO + p);
         MemoryNode {
             batches: vec![MemBatch::new(); config.batches],
-            carry: vec![0.0; config.batches],
-            expected: vec![0.0; config.batches],
+            chunks: vec![Chunk::EMPTY; config.batches.div_ceil(MASK_BITS)],
             expected_total: 0.0,
             zipf,
             permutation,
@@ -329,12 +380,12 @@ impl MemoryNode {
 
     /// Number of batches currently in the local (first) tier.
     pub fn local_batch_count(&self) -> usize {
-        self.batches.iter().filter(|b| b.tier == Tier::Local).count()
+        self.batches.len() - self.remote_batch_count()
     }
 
     /// Number of batches currently in the remote (second) tier.
     pub fn remote_batch_count(&self) -> usize {
-        self.batches.iter().filter(|b| b.tier == Tier::Remote).count()
+        self.chunks.iter().map(|c| c.remote.count_ones() as usize).sum()
     }
 
     /// The tier a batch currently lives in.
@@ -343,7 +394,29 @@ impl MemoryNode {
     ///
     /// Panics if `batch` is out of range.
     pub fn tier(&self, batch: usize) -> Tier {
-        self.batches[batch].tier
+        let (chunk, bit) = self.locate(batch);
+        if self.chunks[chunk].remote & bit == 0 {
+            Tier::Local
+        } else {
+            Tier::Remote
+        }
+    }
+
+    /// The chunk holding `batch` and the batch's bit in the chunk's masks.
+    fn locate(&self, batch: usize) -> (usize, u64) {
+        let n = self.batches.len();
+        assert!(batch < n, "batch {batch} is out of range for {n} batches");
+        (batch / MASK_BITS, 1 << (batch % MASK_BITS))
+    }
+
+    /// Moves a batch to `tier`, counting a migration if it was not there.
+    fn move_to(&mut self, batch: usize, tier: Tier) {
+        let (chunk, bit) = self.locate(batch);
+        let remote = &mut self.chunks[chunk].remote;
+        if (*remote & bit != 0) != (tier == Tier::Remote) {
+            *remote ^= bit;
+            self.migrations += 1;
+        }
     }
 
     /// Whether the workload is currently in an active phase (always true for
@@ -401,10 +474,7 @@ impl MemoryNode {
     ///
     /// Panics if `batch` is out of range.
     pub fn migrate_to_remote(&mut self, batch: usize) {
-        if self.batches[batch].tier != Tier::Remote {
-            self.batches[batch].tier = Tier::Remote;
-            self.migrations += 1;
-        }
+        self.move_to(batch, Tier::Remote);
     }
 
     /// Moves a batch back to the local tier.
@@ -413,10 +483,7 @@ impl MemoryNode {
     ///
     /// Panics if `batch` is out of range.
     pub fn migrate_to_local(&mut self, batch: usize) {
-        if self.batches[batch].tier != Tier::Local {
-            self.batches[batch].tier = Tier::Local;
-            self.migrations += 1;
-        }
+        self.move_to(batch, Tier::Local);
     }
 
     /// Restores every batch to the local tier (clean-up). Stops after
@@ -425,7 +492,7 @@ impl MemoryNode {
     pub fn restore_all_local(&mut self, limit: Option<usize>) {
         let mut moved = 0;
         for i in 0..self.batches.len() {
-            if self.batches[i].tier == Tier::Remote {
+            if self.tier(i) == Tier::Remote {
                 if let Some(l) = limit {
                     if moved >= l {
                         break;
@@ -496,12 +563,13 @@ impl MemoryNode {
     /// were local (the paper's SLO attainment metric; `slo_local` is 0.8 for
     /// an 80% local-access SLO).
     pub fn slo_attainment(&self, slo_local: f64) -> f64 {
-        let active: Vec<&RemoteFractionSample> = self.series.iter().filter(|s| s.active).collect();
-        if active.is_empty() {
+        let (active, met) = self.series.iter().filter(|s| s.active).fold((0, 0), |(n, met), s| {
+            (n + 1, met + usize::from(1.0 - s.remote_fraction >= slo_local - 1e-9))
+        });
+        if active == 0 {
             return 1.0;
         }
-        let met = active.iter().filter(|s| 1.0 - s.remote_fraction >= slo_local - 1e-9).count();
-        met as f64 / active.len() as f64
+        met as f64 / active as f64
     }
 
     /// Sets the multiplier applied to the workload's access rate. Co-location
@@ -588,47 +656,61 @@ impl MemoryNode {
     /// between steps so low-rate batches are still touched occasionally
     /// (deterministically).
     ///
-    /// Two passes per 64-batch chunk: a branch-free one over the dense tables
-    /// that adds each batch's share to its carry and collects `carry >= 1` in
-    /// a mask, then the hit bookkeeping for the set bits only — on a Zipf
-    /// tail most batches get a hit once in many steps. Each batch sees the
-    /// same float operations on the same operands as a walk by rank would
-    /// give it, and the hit sums are order-free (integer-valued, far below
-    /// 2^53), so the results are those of that walk to the bit; the tests pin
-    /// it against one.
+    /// Per 64-batch chunk, a branch-free pass over the dense tables adds each
+    /// batch's share to its carry, then a second one collects `carry >= 1`
+    /// into a `due` mask, eight batches at a time. Only the set bits get hit
+    /// bookkeeping — on a Zipf tail most batches get a hit once in many
+    /// steps — and the chunk's masks split them with no per-hit branch:
+    ///
+    /// - `due & single` are batches whose share is below `1.0`. A carry
+    ///   starts a step in `[0, 1)`, so theirs is now at most `2 - 2^-52` and
+    ///   they hit exactly once: `carry -= 1.0`, and a popcount each of
+    ///   `& !remote` and `& remote` sums the tiers' hits.
+    /// - The rest take the `floor` of their carry, summed per tier from
+    ///   `& !remote` and `& remote` separately. A share of exactly `1.0`
+    ///   belongs here: `(1 - 2^-53) + 1.0` rounds to `2.0`.
+    ///
+    /// Each batch sees the same float operations on the same operands as a
+    /// walk by rank would give it, and the hit sums are order-free
+    /// (integer-valued, far below 2^53), so the results are those of that
+    /// walk to the bit; the tests pin it against one.
     fn apply_accesses(&mut self, total: f64) -> (f64, f64) {
         let now = self.now;
         if total.to_bits() != self.expected_total.to_bits() {
-            for (rank, &batch) in self.permutation.iter().enumerate() {
-                self.expected[batch] = total * self.zipf.probability(rank);
-            }
-            self.expected_total = total;
+            self.set_shares(total);
         }
         let mut step_local = 0.0;
         let mut step_remote = 0.0;
-        let chunks = self
-            .carry
-            .chunks_mut(MASK_BITS)
-            .zip(self.expected.chunks(MASK_BITS))
-            .zip(self.batches.chunks_mut(MASK_BITS));
-        for ((carry, expected), batches) in chunks {
-            let mut due = add_shares(carry, expected);
-            while due != 0 {
-                let i = due.trailing_zeros() as usize;
-                due &= due - 1;
-                let hits = floor_non_negative(carry[i]);
-                carry[i] -= hits;
-                let b = &mut batches[i];
-                b.accesses_since_scan += hits;
-                b.total_accesses += hits;
-                b.last_access = Some(now);
-                match b.tier {
-                    Tier::Local => step_local += hits,
-                    Tier::Remote => step_remote += hits,
-                }
+        for (chunk, batches) in self.chunks.iter_mut().zip(self.batches.chunks_mut(MASK_BITS)) {
+            let due = add_shares(&mut chunk.carry, &chunk.expected);
+            let once = due & chunk.single;
+            step_local += f64::from((once & !chunk.remote).count_ones());
+            step_remote += f64::from((once & chunk.remote).count_ones());
+            let mut rest = once;
+            while rest != 0 {
+                let i = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                chunk.carry[i] -= 1.0;
+                batches[i].hit(1.0, now);
             }
+            let many = due & !chunk.single;
+            step_local += take_hits(&mut chunk.carry, batches, many & !chunk.remote, now);
+            step_remote += take_hits(&mut chunk.carry, batches, many & chunk.remote, now);
         }
         (step_local, step_remote)
+    }
+
+    /// Fills the chunks' `expected` with each batch's share of `total` and
+    /// rebuilds their `single` masks.
+    fn set_shares(&mut self, total: f64) {
+        for (rank, &batch) in self.permutation.iter().enumerate() {
+            self.chunks[batch / MASK_BITS].expected[batch % MASK_BITS] =
+                total * self.zipf.probability(rank);
+        }
+        for chunk in &mut self.chunks {
+            chunk.single = mask(&chunk.expected, |e| e < 1.0);
+        }
+        self.expected_total = total;
     }
 
     /// Books a step's hits into the totals, the recent window and the
@@ -680,7 +762,7 @@ impl MemoryFootprint for MemoryNode {
     fn mem_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.batches.capacity() * std::mem::size_of::<MemBatch>()
-            + (self.carry.capacity() + self.expected.capacity()) * std::mem::size_of::<f64>()
+            + self.chunks.capacity() * std::mem::size_of::<Chunk>()
             + self.permutation.capacity() * std::mem::size_of::<usize>()
             + self.recent.heap_bytes()
             + self.series.capacity() * std::mem::size_of::<RemoteFractionSample>()
@@ -866,10 +948,149 @@ mod tests {
         };
         let mut node = MemoryNode::new(MemoryWorkloadKind::ObjectStore, config);
         node.advance_to(Timestamp::from_secs(3));
-        assert_eq!((node.carry[0], node.local_accesses()), (0.75, 0.0));
+        assert_eq!((node.chunks[0].carry[0], node.local_accesses()), (0.75, 0.0));
         node.advance_to(Timestamp::from_secs(4));
-        assert_eq!((node.carry[0], node.local_accesses()), (0.0, 1.0));
+        assert_eq!((node.chunks[0].carry[0], node.local_accesses()), (0.0, 1.0));
         assert_eq!(node.batches[0].last_access, Some(Timestamp::from_secs(3)));
+    }
+
+    /// `1 - 2^-53`, the largest carry below one.
+    const LARGEST_CARRY: f64 = 1.0 - f64::EPSILON / 2.0;
+
+    /// A one-batch node and its reference, both with `carry` carried in and
+    /// a share of `share` a one-second step.
+    fn one_batch(carry: f64, share: f64) -> (MemoryNode, Reference) {
+        let config = MemoryNodeConfig {
+            batches: 1,
+            accesses_per_sec: share,
+            step: SimDuration::from_secs(1),
+            ..MemoryNodeConfig::default()
+        };
+        let mut node = MemoryNode::new(MemoryWorkloadKind::ObjectStore, config.clone());
+        let mut reference = Reference::new(MemoryWorkloadKind::ObjectStore, config);
+        *carry_mut(&mut node, 0) = carry;
+        *carry_mut(&mut reference.node, 0) = carry;
+        (node, reference)
+    }
+
+    #[test]
+    fn a_share_below_one_on_the_largest_carry_is_one_hit() {
+        let (mut node, mut reference) = one_batch(LARGEST_CARRY, LARGEST_CARRY);
+        node.advance_to(Timestamp::from_secs(1));
+        reference.advance_to(Timestamp::from_secs(1));
+        assert_eq!(node.chunks[0].single & 1, 1, "on the single-hit path");
+        // (1 - 2^-53) + (1 - 2^-53) is 2 - 2^-52 exactly: one hit.
+        assert_eq!(node.chunks[0].carry[0], 1.0 - f64::EPSILON);
+        assert_eq!(node.local_accesses(), 1.0);
+        assert_eq!(
+            observe(&node, node.recent_remote_fraction()),
+            observe(&reference.node, reference.recent_remote_fraction())
+        );
+    }
+
+    #[test]
+    fn a_share_of_exactly_one_on_the_largest_carry_is_two_hits() {
+        let (mut node, mut reference) = one_batch(LARGEST_CARRY, 1.0);
+        node.migrate_to_remote(0);
+        reference.node.migrate_to_remote(0);
+        node.advance_to(Timestamp::from_secs(1));
+        reference.advance_to(Timestamp::from_secs(1));
+        assert_eq!(node.chunks[0].single & 1, 0, "on the floor path");
+        // (1 - 2^-53) + 1.0 rounds to 2.0: two hits, nothing carried.
+        assert_eq!(node.chunks[0].carry[0].to_bits(), 0.0f64.to_bits());
+        assert_eq!((node.local_accesses(), node.remote_accesses()), (0.0, 2.0));
+        assert_eq!(
+            observe(&node, node.recent_remote_fraction()),
+            observe(&reference.node, reference.recent_remote_fraction())
+        );
+    }
+
+    #[test]
+    fn a_bandwidth_change_moves_batches_between_the_single_and_floor_paths() {
+        // Two accesses a 100 ms step at factor 1: every share is below one.
+        let config = MemoryNodeConfig { batches: 65, accesses_per_sec: 20.0, ..small_config() };
+        let mut node = MemoryNode::new(MemoryWorkloadKind::ObjectStore, config.clone());
+        let mut reference = Reference::new(MemoryWorkloadKind::ObjectStore, config);
+        for batch in (0..65).step_by(3) {
+            node.migrate_to_remote(batch);
+            reference.node.migrate_to_remote(batch);
+        }
+        let singles = |node: &MemoryNode| node.chunks.iter().map(|c| c.single).collect::<Vec<_>>();
+        let mut seen = Vec::new();
+        for (secs, factor) in [(5, 1.0), (10, 4.0), (15, 1.0)] {
+            node.set_bandwidth_factor(factor);
+            reference.node.set_bandwidth_factor(factor);
+            node.advance_to(Timestamp::from_secs(secs));
+            reference.advance_to(Timestamp::from_secs(secs));
+            assert_eq!(
+                observe(&node, node.recent_remote_fraction()),
+                observe(&reference.node, reference.recent_remote_fraction()),
+                "at {secs} s"
+            );
+            seen.push(singles(&node));
+        }
+        // The hottest shares cross 1.0 at factor 4 and come back below it.
+        assert_eq!(seen[0], seen[2]);
+        assert!(seen[0].iter().zip(&seen[1]).any(|(before, after)| before & !after != 0));
+        assert!(seen[1].iter().zip(&seen[2]).all(|(during, after)| during & !after == 0));
+    }
+
+    #[test]
+    fn batch_counts_around_the_chunk_width_match_the_reference_with_mixed_tiers() {
+        for batches in [63, 64, 65, 129] {
+            // 50 accesses a 10 ms step: the head hits many times, the tail once.
+            let config = MemoryNodeConfig {
+                batches,
+                accesses_per_sec: 5_000.0,
+                step: SimDuration::from_millis(10),
+                ..MemoryNodeConfig::default()
+            };
+            let mut node = MemoryNode::new(MemoryWorkloadKind::Sql, config.clone());
+            let mut reference = Reference::new(MemoryWorkloadKind::Sql, config);
+            for batch in (0..batches).step_by(3).chain([batches - 1]) {
+                node.migrate_to_remote(batch);
+                reference.node.migrate_to_remote(batch);
+            }
+            for (secs, factor) in [(2, 1.0), (4, 3.0), (6, 0.5)] {
+                node.set_bandwidth_factor(factor);
+                reference.node.set_bandwidth_factor(factor);
+                node.advance_to(Timestamp::from_secs(secs));
+                reference.advance_to(Timestamp::from_secs(secs));
+                assert_eq!(
+                    observe(&node, node.recent_remote_fraction()),
+                    observe(&reference.node, reference.recent_remote_fraction()),
+                    "{batches} batches at {secs} s"
+                );
+            }
+            assert!(node.local_accesses() > 0.0 && node.remote_accesses() > 0.0);
+            assert_eq!(node.remote_batch_count() + node.local_batch_count(), batches);
+        }
+    }
+
+    #[test]
+    fn every_carry_is_below_one_after_every_step() {
+        let kinds = [
+            MemoryWorkloadKind::ObjectStore,
+            MemoryWorkloadKind::Sql,
+            MemoryWorkloadKind::SpecJbb,
+            MemoryWorkloadKind::OscillatingSpecJbb,
+        ];
+        for kind in kinds {
+            let config = MemoryNodeConfig { batches: 129, ..small_config() };
+            let mut node = MemoryNode::new(kind, config);
+            // 310 s of 100 ms steps: past the sleep at 150 s, the activation
+            // at 230 s and SQL's shift at 300 s, at three access rates.
+            for step in 1..=3_100 {
+                if step % 400 == 0 {
+                    node.set_bandwidth_factor([0.25, 1.0, 4.0][step as usize / 400 % 3]);
+                }
+                node.advance_to(Timestamp::from_millis(step * 100));
+                let carries = node.chunks.iter().flat_map(|c| c.carry);
+                for (batch, carry) in carries.enumerate() {
+                    assert!((0.0..1.0).contains(&carry), "{kind:?} batch {batch}: {carry}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -893,6 +1114,10 @@ mod tests {
         }
     }
 
+    fn carry_mut(node: &mut MemoryNode, batch: usize) -> &mut f64 {
+        &mut node.chunks[batch / MASK_BITS].carry[batch % MASK_BITS]
+    }
+
     /// The access loop this module had before `apply_accesses`: a walk by
     /// popularity rank through `zipf.probability`, the permutation and libm's
     /// `floor`. Kept as the reference the table-driven kernel is held to.
@@ -903,15 +1128,16 @@ mod tests {
         for rank in 0..node.batches.len() {
             let expected = total * node.zipf.probability(rank);
             let idx = node.permutation[rank];
-            node.carry[idx] += expected;
-            let hits = node.carry[idx].floor();
-            node.carry[idx] -= hits;
+            let carry = carry_mut(node, idx);
+            *carry += expected;
+            let hits = carry.floor();
+            *carry -= hits;
             if hits > 0.0 {
                 let b = &mut node.batches[idx];
                 b.accesses_since_scan += hits;
                 b.total_accesses += hits;
                 b.last_access = Some(now);
-                match b.tier {
+                match node.tier(idx) {
                     Tier::Local => step_local += hits,
                     Tier::Remote => step_remote += hits,
                 }
@@ -971,14 +1197,15 @@ mod tests {
             batches: node
                 .batches
                 .iter()
-                .zip(&node.carry)
-                .map(|(b, carry)| {
+                .zip(node.chunks.iter().flat_map(|c| c.carry))
+                .enumerate()
+                .map(|(i, (b, carry))| {
                     (
                         carry.to_bits(),
                         b.accesses_since_scan.to_bits(),
                         b.total_accesses.to_bits(),
                         b.last_access,
-                        b.tier,
+                        node.tier(i),
                     )
                 })
                 .collect(),
