@@ -87,18 +87,26 @@ impl Chunk {
         Chunk { carry: [0.0; MASK_BITS], expected: [0.0; MASK_BITS], remote: 0, single: 0 };
 }
 
-/// One bit per value that passes `test`, built eight values at a time so no
-/// bit waits on a serial chain of shifts through the whole word.
-fn mask(values: &[f64; MASK_BITS], test: impl Fn(f64) -> bool) -> u64 {
-    let mut bits = 0u64;
-    for (byte, octet) in values.chunks_exact(8).enumerate() {
-        let mut b = 0u8;
-        for (bit, &v) in octet.iter().enumerate() {
-            b |= u8::from(test(v)) << bit;
-        }
-        bits |= u64::from(b) << (8 * byte);
+/// `1 << k` for each slot `k` of a chunk.
+const BITS: [u64; MASK_BITS] = {
+    let mut bits = [0; MASK_BITS];
+    let mut k = 0;
+    while k < MASK_BITS {
+        bits[k] = 1 << k;
+        k += 1;
     }
     bits
+};
+
+/// One bit per value that passes `test`. Each value selects its bit from
+/// [`BITS`] and the bits are or-ed eight at a time: there is no serial chain
+/// of variable shifts, and the selects compile to packed compares and ands.
+fn mask(values: &[f64; MASK_BITS], test: impl Fn(f64) -> bool) -> u64 {
+    let mut lanes = [0u64; MASK_BITS];
+    for ((lane, &v), &bit) in lanes.iter_mut().zip(values).zip(&BITS) {
+        *lane = if test(v) { bit } else { 0 };
+    }
+    lanes.chunks_exact(8).fold(0, |bits, octet| bits | octet.iter().fold(0, |b, &lane| b | lane))
 }
 
 /// Adds each batch's share to its carry and returns the batches whose carry
