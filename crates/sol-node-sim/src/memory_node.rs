@@ -73,8 +73,8 @@ struct Chunk {
     /// Fractional accesses each batch carries into the next step; in
     /// `[0, 1)` between steps.
     carry: [f64; MASK_BITS],
-    /// Each batch's share of a step's accesses:
-    /// `expected[permutation[rank]] == expected_total * zipf.probability(rank)`.
+    /// Each batch's share of a step's accesses: batch `permutation[rank]`
+    /// gets `expected_total * zipf.probability(rank)`.
     expected: [f64; MASK_BITS],
     /// The batches in the remote tier.
     remote: u64,
