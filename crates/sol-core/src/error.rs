@@ -39,8 +39,8 @@ pub enum RuntimeError {
     InvalidConfig(String),
     /// The agent was asked to run for a zero-length horizon.
     EmptyHorizon,
-    /// A worker thread of the threaded runtime panicked.
-    WorkerPanicked(&'static str),
+    /// A worker thread of the fleet runtime panicked.
+    WorkerPanicked,
 }
 
 impl fmt::Display for RuntimeError {
@@ -49,7 +49,7 @@ impl fmt::Display for RuntimeError {
             RuntimeError::InvalidSchedule(s) => write!(f, "invalid schedule: {s}"),
             RuntimeError::InvalidConfig(s) => write!(f, "invalid runtime configuration: {s}"),
             RuntimeError::EmptyHorizon => write!(f, "agent horizon must be non-empty"),
-            RuntimeError::WorkerPanicked(which) => write!(f, "{which} control loop panicked"),
+            RuntimeError::WorkerPanicked => write!(f, "a fleet worker thread panicked"),
         }
     }
 }
@@ -68,6 +68,7 @@ mod tests {
         assert!(e.to_string().starts_with("invalid schedule"));
         let e = RuntimeError::InvalidConfig("environment step is zero".into());
         assert_eq!(e.to_string(), "invalid runtime configuration: environment step is zero");
+        assert_eq!(RuntimeError::WorkerPanicked.to_string(), "a fleet worker thread panicked");
     }
 
     #[test]

@@ -19,12 +19,13 @@
 //!   not, backed by a watchdog-style performance safeguard and an idempotent
 //!   clean-up routine.
 //!
-//! The [`runtime`] module provides two drivers for these loops: a
+//! The [`runtime`] module drives these loops in virtual time: a
 //! deterministic event-queue runtime
-//! ([`NodeRuntime`](runtime::node::NodeRuntime)) hosting one agent or several
-//! co-located ones on a shared environment, and a threaded runtime
-//! ([`runtime::threaded`]) matching the paper's deployment shape (two
-//! separately scheduled control loops).
+//! ([`NodeRuntime`](runtime::node::NodeRuntime)) hosts one agent or several
+//! co-located ones on a shared environment, scheduling each agent's Model
+//! and Actuator loops separately as the paper's deployment does (§4.2), and
+//! [`FleetRuntime`](runtime::fleet::FleetRuntime) shards many such nodes
+//! across worker threads.
 //!
 //! ## Quick start
 //!
@@ -117,12 +118,11 @@ pub mod prelude {
         WorkloadUnit,
     };
     pub use crate::runtime::profile::{FleetProfile, PhaseProfile, WorkerProfile};
-    pub use crate::runtime::threaded::{leaked_threads, run_agent, ThreadedAgent, ThreadedReport};
     pub use crate::runtime::trust::{
         NodeTrustRecord, TrustAction, TrustPolicy, TrustStats, TrustVerdict,
     };
     pub use crate::runtime::{Environment, NullEnvironment};
     pub use crate::schedule::Schedule;
     pub use crate::stats::AgentStats;
-    pub use crate::time::{SimDuration, SystemClock, Timestamp};
+    pub use crate::time::{SimDuration, Timestamp};
 }

@@ -1,9 +1,8 @@
 //! The Model and Actuator control-loop state machines.
 //!
-//! These implement the runtime semantics of paper §4.2 in a driver-agnostic
-//! way: both the deterministic simulation runtime and the threaded runtime
-//! step the same state machines, so experiments exercise exactly the logic a
-//! production deployment would run.
+//! These implement the runtime semantics of paper §4.2 as state machines the
+//! node runtime steps in virtual time, scheduling the two loops separately so
+//! a delayed Model never stalls its Actuator.
 
 use std::collections::VecDeque;
 

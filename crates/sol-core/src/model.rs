@@ -54,7 +54,7 @@ impl ModelAssessment {
 /// [`default_predict`] to the Actuator instead.
 ///
 /// Implementations run inside the Model control loop and must be `Send` so
-/// the threaded runtime can host them on their own OS thread.
+/// a fleet worker thread can advance the node that holds the agent.
 ///
 /// [`collect_data`]: Model::collect_data
 /// [`validate_data`]: Model::validate_data

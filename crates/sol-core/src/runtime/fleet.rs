@@ -160,7 +160,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
-use std::time::Instant;
 
 use sol_ml::exchange::LearnedState;
 
@@ -985,7 +984,7 @@ impl<E: Environment + 'static> FleetRuntime<E> {
 }
 
 fn died() -> RuntimeError {
-    RuntimeError::WorkerPanicked("fleet worker")
+    RuntimeError::WorkerPanicked
 }
 
 /// The base-view entry of a node nothing is known about yet — before its
@@ -1892,7 +1891,7 @@ fn worker<E: Environment + Send + 'static>(
     done_tx: Sender<WorkerMsg>,
 ) {
     while let Ok(CoordMsg { work, tasks, mut changes }) = cmd_rx.recv() {
-        let start = Instant::now();
+        let mut lap = Lap::start();
         let mut claimed = 0;
         let done = match work {
             Work::Epoch { boundary, collect, learn } => {
@@ -1916,7 +1915,8 @@ fn worker<E: Environment + Send + 'static>(
                 Done::Finished(finished)
             }
         };
-        let busy_ns = start.elapsed().as_nanos() as u64;
+        let mut busy_ns = 0;
+        lap.charge(&mut busy_ns);
         if done_tx.send(WorkerMsg { done, busy_ns, claimed: claimed as u64 }).is_err() {
             return;
         }
@@ -2528,10 +2528,7 @@ mod tests {
         });
         let config = FleetConfig { nodes: 3, threads: 2, ..FleetConfig::default() };
         let fleet = FleetRuntime::new(recipe, config).unwrap();
-        assert!(matches!(
-            fleet.run(SimDuration::from_secs(1)),
-            Err(RuntimeError::WorkerPanicked("fleet worker"))
-        ));
+        assert!(matches!(fleet.run(SimDuration::from_secs(1)), Err(RuntimeError::WorkerPanicked)));
     }
 
     #[test]

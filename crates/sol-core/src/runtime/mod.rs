@@ -1,6 +1,6 @@
 //! Runtimes that schedule and execute agents' Model and Actuator loops.
 //!
-//! Three drivers are provided:
+//! Two drivers are provided, both on virtual time:
 //!
 //! * [`NodeRuntime`](node::NodeRuntime) — the multi-agent discrete-event
 //!   driver: agent wakes as keys in a dense per-agent table under an index
@@ -32,10 +32,6 @@
 //!   Reports are byte-identical regardless of the worker-thread count; where
 //!   a run's wall time went comes back beside the report as a
 //!   [`FleetProfile`](profile::FleetProfile).
-//! * [`ThreadedAgent`](threaded::ThreadedAgent) — the deployment shape the
-//!   paper describes: the Model and Actuator run in separately scheduled OS
-//!   threads connected by a prediction queue, so the Actuator keeps taking
-//!   safe actions while the Model is throttled.
 
 pub mod builder;
 pub mod fleet;
@@ -46,7 +42,6 @@ pub mod placement;
 pub mod profile;
 #[cfg(test)]
 pub(crate) mod testutil;
-pub mod threaded;
 pub mod trust;
 mod wake;
 #[doc(hidden)]
@@ -146,64 +141,4 @@ pub struct NullEnvironment;
 
 impl Environment for NullEnvironment {
     fn advance_to(&mut self, _now: Timestamp) {}
-}
-
-impl<E: Environment + ?Sized> Environment for &mut E {
-    fn advance_to(&mut self, now: Timestamp) {
-        (**self).advance_to(now);
-    }
-
-    fn begin_batch(&mut self) {
-        (**self).begin_batch();
-    }
-
-    fn end_batch(&mut self) {
-        (**self).end_batch();
-    }
-
-    fn mem_bytes(&self) -> usize {
-        (**self).mem_bytes()
-    }
-
-    fn attach_workload(&mut self, unit: WorkloadUnit) -> Result<(), PlacementError> {
-        (**self).attach_workload(unit)
-    }
-
-    fn detach_workload(&mut self, id: WorkloadId) -> Result<WorkloadUnit, PlacementError> {
-        (**self).detach_workload(id)
-    }
-
-    fn placement(&self) -> NodePlacement {
-        (**self).placement()
-    }
-}
-
-impl<E: Environment + ?Sized> Environment for Box<E> {
-    fn advance_to(&mut self, now: Timestamp) {
-        (**self).advance_to(now);
-    }
-
-    fn begin_batch(&mut self) {
-        (**self).begin_batch();
-    }
-
-    fn end_batch(&mut self) {
-        (**self).end_batch();
-    }
-
-    fn mem_bytes(&self) -> usize {
-        (**self).mem_bytes()
-    }
-
-    fn attach_workload(&mut self, unit: WorkloadUnit) -> Result<(), PlacementError> {
-        (**self).attach_workload(unit)
-    }
-
-    fn detach_workload(&mut self, id: WorkloadId) -> Result<WorkloadUnit, PlacementError> {
-        (**self).detach_workload(id)
-    }
-
-    fn placement(&self) -> NodePlacement {
-        (**self).placement()
-    }
 }

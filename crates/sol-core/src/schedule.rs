@@ -64,7 +64,7 @@ impl Schedule {
         self.data_collect_interval
     }
 
-    /// Maximum wall-clock length of one learning epoch.
+    /// Maximum length of one learning epoch.
     pub fn max_epoch_time(&self) -> SimDuration {
         self.max_epoch_time
     }

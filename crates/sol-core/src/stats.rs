@@ -62,7 +62,7 @@ pub struct ActuatorLoopStats {
     pub mitigations: u64,
     /// Calls to `clean_up`.
     pub cleanups: u64,
-    /// Total simulated/wall time spent with the Actuator halted by its
+    /// Total virtual time spent with the Actuator halted by its
     /// safeguard.
     pub halted_time: SimDuration,
 }

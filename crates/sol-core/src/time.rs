@@ -1,14 +1,12 @@
-//! Virtual and wall-clock time for SOL agents.
+//! Virtual time for SOL agents.
 //!
 //! All framework logic is expressed in terms of [`Timestamp`] and
-//! [`SimDuration`], nanosecond-resolution newtypes. Experiments run in
+//! [`SimDuration`], nanosecond-resolution newtypes. Every agent runs in
 //! virtual time — a plain [`Timestamp`] the node runtime moves itself — so
-//! they are fast and fully deterministic; the threaded runtime uses a
-//! [`SystemClock`] backed by [`std::time::Instant`].
+//! runs are fast and fully deterministic.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
-use std::time::Instant;
 
 /// A point in time, measured in nanoseconds since an arbitrary epoch.
 ///
@@ -181,11 +179,6 @@ impl SimDuration {
         self.0 == 0
     }
 
-    /// Converts to a [`std::time::Duration`] for use with the threaded runtime.
-    pub const fn to_std(self) -> std::time::Duration {
-        std::time::Duration::from_nanos(self.0)
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
@@ -264,38 +257,6 @@ impl std::ops::Div<u64> for SimDuration {
     }
 }
 
-impl From<std::time::Duration> for SimDuration {
-    fn from(d: std::time::Duration) -> Self {
-        SimDuration(d.as_nanos() as u64)
-    }
-}
-
-/// A wall clock backed by [`std::time::Instant`], used by the threaded
-/// runtime: the SOL runtime relies on the system clock for accurate
-/// timekeeping (paper §4.1).
-#[derive(Debug, Clone)]
-pub struct SystemClock {
-    origin: Instant,
-}
-
-impl SystemClock {
-    /// Creates a clock whose zero point is "now".
-    pub fn new() -> Self {
-        SystemClock { origin: Instant::now() }
-    }
-
-    /// Time elapsed since the clock was created.
-    pub fn now(&self) -> Timestamp {
-        Timestamp::from_nanos(self.origin.elapsed().as_nanos() as u64)
-    }
-}
-
-impl Default for SystemClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,14 +284,6 @@ mod tests {
         let b = Timestamp::from_secs(3);
         assert_eq!(a.duration_since(b), SimDuration::ZERO);
         assert_eq!(b.duration_since(a), SimDuration::from_secs(2));
-    }
-
-    #[test]
-    fn system_clock_is_monotonic() {
-        let clock = SystemClock::new();
-        let a = clock.now();
-        let b = clock.now();
-        assert!(b >= a);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! An agent's `Model` and `Actuator` both need access to the same node (one
 //! reads counters, the other changes hardware settings), and the SOL runtime
 //! needs to advance the node's simulated time. [`Shared`] wraps a node so all
-//! three can hold handles, in both the single-threaded simulation runtime and
-//! the threaded runtime.
+//! three can hold handles, whichever thread advances the node.
 //!
 //! # Locking model
 //!
@@ -24,8 +23,8 @@
 //!   owning thread skip the lock entirely: one relaxed atomic load plus a
 //!   borrow flag that turns aliasing into a panic (the old design deadlocked
 //!   on re-entrant access; the panic is strictly more debuggable).
-//! * Without a scope — tests, the threaded runtime's two OS threads, fleet
-//!   barriers — every access acquires and releases the lock as before.
+//! * Without a scope — tests, fleet barriers — every access acquires and
+//!   releases the lock as before.
 //!
 //! Dropping an [`EnvGuard`] while a borrow from [`lock`](Shared::lock) is
 //! still outstanding panics: releasing the lock under a live borrow would
@@ -80,7 +79,7 @@ impl<T> SharedInner<T> {
                 std::hint::spin_loop();
             } else {
                 // Contention is rare (cross-thread access only happens at
-                // barriers or in the threaded runtime); be a good citizen.
+                // fleet barriers); be a good citizen.
                 std::thread::yield_now();
             }
         }

@@ -3,7 +3,8 @@
 //! This facade crate re-exports the whole reproduction:
 //!
 //! * [`core`] — the SOL framework (Model/Actuator API, safeguards, the
-//!   multi-agent event-queue runtime, deterministic and threaded drivers).
+//!   multi-agent event-queue runtime and the fleet runtime, both on virtual
+//!   time).
 //! * [`ml`] — the online learners the agents use (Q-learning,
 //!   cost-sensitive classification, Thompson sampling, streaming statistics).
 //! * [`node_sim`] — the simulated cloud node (CPU/DVFS/power, hypervisor

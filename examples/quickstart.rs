@@ -1,5 +1,6 @@
-//! Quickstart: build a tiny SOL agent from scratch and run it on both the
-//! deterministic simulation runtime and the threaded runtime.
+//! Quickstart: build a tiny SOL agent from scratch and run it on the
+//! deterministic simulation runtime, once undisturbed and once with its Model
+//! loop starved for 30 seconds.
 //!
 //! The agent watches a noisy "queue depth" signal, learns its average, and
 //! throttles an (imaginary) background task whenever the predicted depth is
@@ -106,29 +107,29 @@ fn schedule() -> Schedule {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. Deterministic simulation: ideal for tests and experiments.
-    let mut builder = NodeRuntime::builder(NullEnvironment);
-    let agent = builder.agent("throttle", model(), ThrottleActuator::default(), schedule());
-    let report = builder.build().run_for(SimDuration::from_secs(60))?.take(agent);
-    println!(
-        "simulation: {} epochs, {} actions, throttled at end: {}",
-        report.stats.model.epochs_completed, report.actuator.actions, report.actuator.throttled
-    );
-    println!(
-        "            model predictions: {}, default predictions: {}",
-        report.stats.model.model_predictions, report.stats.model.default_predictions
-    );
-
-    // 2. Threaded runtime: the deployment shape from the paper (two OS
-    //    threads connected by a prediction queue). Runs for one wall-clock
-    //    second here.
-    let agent = run_agent(model(), ThrottleActuator::default(), schedule());
-    let report = agent.run_for(std::time::Duration::from_secs(1))?;
-    println!(
-        "threaded:   {} epochs, {} actions, clean-up ran: {}",
-        report.stats.model.epochs_completed,
-        report.actuator.actions,
-        report.stats.actuator.cleanups == 1
-    );
+    // 1. An undisturbed 60 s run in virtual time.
+    // 2. The same run with a 30-second delay injected into the Model loop at
+    //    t = 20 s (paper §6). The Actuator loop is scheduled on its own, so it
+    //    keeps acting on its maximum-actuation-delay timeout meanwhile.
+    let delays = [("undelayed:", None), ("delayed:  ", Some(SimDuration::from_secs(30)))];
+    for (label, delay) in delays {
+        let mut builder = NodeRuntime::builder(NullEnvironment);
+        let agent = builder.agent("throttle", model(), ThrottleActuator::default(), schedule());
+        let mut runtime = builder.build();
+        if let Some(delay) = delay {
+            runtime.delay_model_at(agent, Timestamp::from_secs(20), delay);
+        }
+        let report = runtime.run_for(SimDuration::from_secs(60))?.take(agent);
+        println!(
+            "{label} {} epochs, {} actions, throttled at end: {}",
+            report.stats.model.epochs_completed, report.actuator.actions, report.actuator.throttled
+        );
+        println!(
+            "           model predictions: {}, default predictions: {}, actuation timeouts: {}",
+            report.stats.model.model_predictions,
+            report.stats.model.default_predictions,
+            report.stats.actuator.actuation_timeouts
+        );
+    }
     Ok(())
 }

@@ -7,6 +7,8 @@ use sol_core::error::DataError;
 use sol_core::loops::{ActuatorLoop, ModelLoop};
 use sol_core::model::{Model, ModelAssessment};
 use sol_core::prediction::{Prediction, PredictionSource};
+use sol_core::runtime::node::NodeRuntime;
+use sol_core::runtime::NullEnvironment;
 use sol_core::schedule::Schedule;
 use sol_core::time::{SimDuration, Timestamp};
 
@@ -74,6 +76,27 @@ impl Actuator for PropActuator {
     }
     fn mitigate(&mut self, _now: Timestamp) {}
     fn clean_up(&mut self, _now: Timestamp) {}
+}
+
+/// Logs every action's time and the expiry of the prediction it acted on.
+#[derive(Default)]
+struct LogActuator {
+    actions: Vec<(Timestamp, Option<Timestamp>)>,
+    cleaned_up: bool,
+}
+
+impl Actuator for LogActuator {
+    type Pred = f64;
+    fn take_action(&mut self, now: Timestamp, pred: Option<&Prediction<f64>>) {
+        self.actions.push((now, pred.map(Prediction::expires_at)));
+    }
+    fn assess_performance(&mut self, _now: Timestamp) -> ActuatorAssessment {
+        ActuatorAssessment::Acceptable
+    }
+    fn mitigate(&mut self, _now: Timestamp) {}
+    fn clean_up(&mut self, _now: Timestamp) {
+        self.cleaned_up = true;
+    }
 }
 
 fn schedule(data_per_epoch: u32, collect_ms: u64) -> Schedule {
@@ -188,5 +211,46 @@ proptest! {
         let a = loop_.actuator();
         prop_assert_eq!(a.acted_on_model + a.acted_on_default + a.acted_without, 0);
         prop_assert_eq!(loop_.stats().mitigations, 1);
+    }
+
+    /// Paper §4.2: the Model and Actuator loops are scheduled separately, so
+    /// while the Model loop is delayed the Actuator keeps acting on its
+    /// maximum-actuation-delay timeout, never on an expired prediction, and
+    /// the Model resumes learning once the delay is over.
+    #[test]
+    fn actuator_keeps_acting_while_the_model_is_delayed(
+        data_per_epoch in 1u32..8,
+        collect_ms in 5u64..50,
+        at_ms in 0u64..2_000,
+        delay_permille in 3_000u64..=10_000,
+        validity_ms in 1u64..1_000,
+    ) {
+        let schedule = schedule(data_per_epoch, collect_ms);
+        let max_delay = schedule.max_actuation_delay();
+        let delay = SimDuration::from_nanos(max_delay.as_nanos() * delay_permille / 1_000);
+        let at = Timestamp::from_millis(at_ms);
+        let model = PropModel {
+            values: vec![1.0],
+            cursor: 0,
+            healthy: true,
+            validity: SimDuration::from_millis(validity_ms),
+        };
+        let mut builder = NodeRuntime::builder(NullEnvironment).cleanup_on_finish(true);
+        let agent = builder.agent("delayed", model, LogActuator::default(), schedule.clone());
+        let mut runtime = builder.build();
+        runtime.delay_model_at(agent, at, delay);
+        runtime.run_until(at + delay);
+        let epochs_after_delay = runtime.agent_stats(agent).model.epochs_completed;
+        let report = runtime.run_for(schedule.max_epoch_time() * 2).unwrap().take(agent);
+
+        let during = report.actuator.actions.iter().filter(|(t, _)| *t >= at && *t < at + delay);
+        let floor = delay.as_nanos() / max_delay.as_nanos();
+        prop_assert!(during.count() as u64 + 1 >= floor);
+        for &(now, expiry) in &report.actuator.actions {
+            prop_assert!(expiry.is_none_or(|e| e > now), "acted at {} on a stale prediction", now);
+        }
+        prop_assert!(report.stats.model.epochs_completed > epochs_after_delay);
+        prop_assert_eq!(report.stats.actuator.cleanups, 1);
+        prop_assert!(report.actuator.cleaned_up);
     }
 }
