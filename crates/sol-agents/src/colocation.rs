@@ -471,8 +471,8 @@ mod tests {
         assert_eq!(report.agent(hv).name(), "smart-harvest");
         // Both substrates reached the horizon under the shared clock.
         let env = &report.environment;
-        assert_eq!(env.cpu().unwrap().lock().now(), Timestamp::from_secs(30));
-        assert_eq!(env.harvest().unwrap().lock().now(), Timestamp::from_secs(30));
+        assert_eq!(env.cpu().unwrap().with(|n| n.now()), Timestamp::from_secs(30));
+        assert_eq!(env.harvest().unwrap().with(|n| n.now()), Timestamp::from_secs(30));
     }
 
     #[test]

@@ -134,11 +134,6 @@ pub struct TieringPlan {
 }
 
 impl TieringPlan {
-    /// Number of batches classified as hot.
-    pub fn hot_count(&self) -> usize {
-        self.classes.iter().filter(|c| **c == BatchClass::Hot).count()
-    }
-
     /// Number of batches classified as warm.
     pub fn warm_count(&self) -> usize {
         self.classes.iter().filter(|c| **c == BatchClass::Warm).count()

@@ -20,13 +20,6 @@ pub enum PredictionSource {
     Default,
 }
 
-impl PredictionSource {
-    /// Returns `true` for model-produced predictions.
-    pub fn is_model(self) -> bool {
-        matches!(self, PredictionSource::Model)
-    }
-}
-
 /// A prediction with an explicit expiration time.
 ///
 /// # Examples
@@ -86,11 +79,6 @@ impl<P> Prediction<P> {
     /// The predicted value.
     pub fn value(&self) -> &P {
         &self.value
-    }
-
-    /// Consumes the prediction and returns its value.
-    pub fn into_value(self) -> P {
-        self.value
     }
 
     /// When the prediction was produced.

@@ -240,7 +240,10 @@ where
     }
 
     fn delay_actuator(&mut self, until: Timestamp) {
-        self.actuator_delayed_until = Some(until);
+        // Like `ModelLoop::delay_until`: overlapping delays keep the later
+        // end, so a short delay never cuts a longer one short.
+        self.actuator_delayed_until =
+            Some(self.actuator_delayed_until.map_or(until, |cur| cur.max(until)));
     }
 
     fn stats(&self) -> AgentStats {
@@ -910,6 +913,22 @@ mod tests {
             actuator_of(report.agent_report(delayed)).actions
                 < actuator_of(report.agent_report(healthy)).actions
         );
+    }
+
+    #[test]
+    fn overlapping_actuator_delays_keep_the_later_end() {
+        let mut rt = NodeRuntime::new(NullEnvironment);
+        let id = rt.register_agent("a", ConstModel { value: 1.0 }, CountActuator::default(), {
+            schedule(100)
+        });
+        // A 1 s delay starting inside a 10 s one must not end it early.
+        rt.delay_actuator_at(id, Timestamp::from_secs(1), SimDuration::from_secs(10));
+        rt.delay_actuator_at(id, Timestamp::from_secs(2), SimDuration::from_secs(1));
+        let report = rt.run_for(SimDuration::from_secs(15)).unwrap();
+        let acted = &actuator_of(report.agent_report(id)).acted_at;
+        let (from, until) = (Timestamp::from_secs(1), Timestamp::from_secs(11));
+        assert!(acted.iter().all(|&t| t <= from || t >= until), "acted while delayed: {acted:?}");
+        assert!(acted.iter().any(|&t| t > until), "never acted after the delay: {acted:?}");
     }
 
     /// The concrete actuator of an agent registered with `register_agent`.

@@ -241,8 +241,8 @@ pub struct FleetView {
 
 /// A node's first full observation: everything a coordinator needs to seed
 /// its base [`NodeView`] for that node. Shipped once per node (at the first
-/// barrier the node reaches); every later barrier sends a [`NodeDelta`]
-/// against it.
+/// barrier the node reaches, and again if its telemetry layout changes);
+/// every later barrier patches the base positionally.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct NodeInit {
     /// Per-agent names and counters, in registration order.
@@ -255,10 +255,10 @@ pub struct NodeInit {
 
 /// The changes in one node's [`NodeView`] between two epoch barriers.
 ///
-/// Fleet workers ship deltas instead of full snapshots: the coordinator
-/// holds one persistent base [`FleetView`] and patches it in place, so the
-/// per-barrier cost scales with what *changed* (for a quiet node: nothing)
-/// rather than with the node's agent count and telemetry width. Agent
+/// A codec for a consumer that keeps its own base [`FleetView`] and wants
+/// only what changed. The fleet runtime does not use it: its workers patch
+/// the coordinator's base with every counter and reading, because no
+/// measured workload has a node that stands still across a barrier. Agent
 /// counters are keyed by registration position and telemetry readings by
 /// emission position — both orders are fixed for the lifetime of a node, so
 /// positions are stable keys and names never need to travel twice.

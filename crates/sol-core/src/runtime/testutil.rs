@@ -58,12 +58,15 @@ pub(crate) struct CountActuator {
     pub(crate) actions: u64,
     pub(crate) with_pred: u64,
     pub(crate) cleaned: bool,
+    /// When each action was taken.
+    pub(crate) acted_at: Vec<Timestamp>,
 }
 
 impl Actuator for CountActuator {
     type Pred = f64;
-    fn take_action(&mut self, _now: Timestamp, pred: Option<&Prediction<f64>>) {
+    fn take_action(&mut self, now: Timestamp, pred: Option<&Prediction<f64>>) {
         self.actions += 1;
+        self.acted_at.push(now);
         if pred.is_some() {
             self.with_pred += 1;
         }

@@ -159,11 +159,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Returns the number of whole microseconds.
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Returns the number of whole milliseconds.
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000

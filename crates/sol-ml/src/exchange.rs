@@ -27,9 +27,6 @@ pub enum StateKind {
     LinearWeights,
     /// Beta-Bernoulli posteriors, shape `[arms, 2]` as `(α, β)` pairs.
     BetaPosteriors,
-    /// Welford moment accumulator, shape `[5]`:
-    /// `[count, mean, m2, min, max]` (all zero when empty).
-    RunningMoments,
 }
 
 impl fmt::Display for StateKind {
@@ -38,7 +35,6 @@ impl fmt::Display for StateKind {
             StateKind::QTable => "q-table",
             StateKind::LinearWeights => "linear-weights",
             StateKind::BetaPosteriors => "beta-posteriors",
-            StateKind::RunningMoments => "running-moments",
         };
         f.write_str(name)
     }

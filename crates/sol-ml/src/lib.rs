@@ -46,7 +46,7 @@ pub mod prelude {
     pub use crate::features::{DistributionalFeatures, FeatureVector};
     pub use crate::footprint::MemoryFootprint;
     pub use crate::linear::OnlineLinearRegression;
-    pub use crate::online_stats::{Ewma, Histogram, RunWindow, RunningStats, SlidingWindow};
+    pub use crate::online_stats::{Ewma, RunWindow, SlidingWindow};
     pub use crate::qlearning::{ActionKind, ChosenAction, QConfig, QLearner};
     pub use crate::sampling::{seeded_rng, Zipf};
     pub use crate::thompson::{BetaArm, ThompsonSampler};

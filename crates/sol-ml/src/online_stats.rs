@@ -7,186 +7,6 @@
 
 use std::collections::VecDeque;
 
-use crate::exchange::{ExchangeError, LearnedExchange, LearnedState, StateKind};
-
-/// Incremental mean and variance (Welford's algorithm).
-///
-/// # Examples
-///
-/// ```
-/// use sol_ml::online_stats::RunningStats;
-///
-/// let mut s = RunningStats::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.push(x);
-/// }
-/// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        RunningStats { count: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples seen.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the samples (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 if fewer than one sample).
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Sample variance (0 if fewer than two samples).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// Smallest sample seen (0 if empty).
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample seen (0 if empty).
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl LearnedExchange for RunningStats {
-    /// Exports the accumulator as [`StateKind::RunningMoments`] with shape
-    /// `[5]`: `[count, mean, m2, min, max]`. An empty accumulator exports all
-    /// zeros (its internal ±∞ min/max sentinels are not representable in a
-    /// finite-only [`LearnedState`]).
-    fn export_learned(&self) -> LearnedState {
-        let values = if self.count == 0 {
-            vec![0.0; 5]
-        } else {
-            vec![self.count as f64, self.mean, self.m2, self.min, self.max]
-        };
-        LearnedState::new(StateKind::RunningMoments, vec![5], values).expect("moments are finite")
-    }
-
-    /// Overwrites the accumulator. The count must be a non-negative integer,
-    /// `m2` non-negative, and `min <= max`; a zero count resets to empty.
-    fn import_learned(&mut self, state: &LearnedState) -> Result<(), ExchangeError> {
-        if state.kind() != StateKind::RunningMoments {
-            return Err(ExchangeError::KindMismatch {
-                expected: StateKind::RunningMoments,
-                found: state.kind(),
-            });
-        }
-        if state.shape() != [5] {
-            return Err(ExchangeError::ShapeMismatch {
-                expected: vec![5],
-                found: state.shape().to_vec(),
-            });
-        }
-        let v = state.values();
-        if v[0] < 0.0 || v[0].fract() != 0.0 {
-            return Err(ExchangeError::InvalidValue {
-                index: 0,
-                reason: "count must be a non-negative integer",
-            });
-        }
-        if v[2] < 0.0 {
-            return Err(ExchangeError::InvalidValue {
-                index: 2,
-                reason: "m2 must be non-negative",
-            });
-        }
-        if v[0] > 0.0 && v[3] > v[4] {
-            return Err(ExchangeError::InvalidValue {
-                index: 3,
-                reason: "min must not exceed max",
-            });
-        }
-        if v[0] == 0.0 {
-            *self = RunningStats::new();
-        } else {
-            self.count = v[0] as u64;
-            self.mean = v[1];
-            self.m2 = v[2];
-            self.min = v[3];
-            self.max = v[4];
-        }
-        Ok(())
-    }
-}
-
 /// Exponentially weighted moving average.
 ///
 /// # Examples
@@ -623,83 +443,6 @@ impl crate::footprint::MemoryFootprint for RunWindow {
     }
 }
 
-/// A fixed-bucket histogram over `[lo, hi)` with an overflow bucket,
-/// useful for coarse latency distributions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    underflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` equal-width buckets over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets` is zero or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Histogram { lo, hi, buckets: vec![0; buckets], overflow: 0, underflow: 0, total: 0 }
-    }
-
-    /// Records a sample.
-    pub fn record(&mut self, x: f64) {
-        self.total += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Number of samples recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Approximate quantile: returns the upper edge of the bucket containing
-    /// the `q`-quantile. Returns `lo` for an empty histogram.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.total == 0 {
-            return self.lo;
-        }
-        let target = (q * self.total as f64).ceil() as u64;
-        let mut seen = self.underflow;
-        if seen >= target {
-            return self.lo;
-        }
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return self.lo + width * (i + 1) as f64;
-            }
-        }
-        self.hi
-    }
-}
-
-impl crate::footprint::MemoryFootprint for Histogram {
-    fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.buckets.capacity() * std::mem::size_of::<u64>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -905,50 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn running_stats_matches_direct_computation() {
-        let xs = [1.5, 2.0, -3.0, 7.25, 0.0, 4.5];
-        let mut s = RunningStats::new();
-        for &x in &xs {
-            s.push(x);
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
-        assert!((s.mean() - mean).abs() < 1e-12);
-        assert!((s.population_variance() - var).abs() < 1e-12);
-        assert_eq!(s.min(), -3.0);
-        assert_eq!(s.max(), 7.25);
-    }
-
-    #[test]
-    fn running_stats_merge_equals_single_pass() {
-        let xs: Vec<f64> = (0..50).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        let mut whole = RunningStats::new();
-        for (i, &x) in xs.iter().enumerate() {
-            whole.push(x);
-            if i % 2 == 0 {
-                a.push(x)
-            } else {
-                b.push(x)
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.population_variance() - whole.population_variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_stats_are_zero() {
-        let s = RunningStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-    }
-
-    #[test]
     fn ewma_converges_to_constant_input() {
         let mut e = Ewma::new(0.2);
         for _ in 0..200 {
@@ -984,28 +683,5 @@ mod tests {
         assert_eq!(w.quantile(1.0), 100.0);
         assert!((w.quantile(0.5) - 50.5).abs() < 1e-9);
         assert!((w.quantile(0.99) - 99.01).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_quantile_is_monotone() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..100 {
-            h.record(i as f64 / 10.0);
-        }
-        let p50 = h.quantile(0.5);
-        let p90 = h.quantile(0.9);
-        let p99 = h.quantile(0.99);
-        assert!(p50 <= p90 && p90 <= p99);
-        assert_eq!(h.total(), 100);
-    }
-
-    #[test]
-    fn histogram_handles_out_of_range() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        h.record(-5.0);
-        h.record(9.0);
-        assert_eq!(h.total(), 2);
-        assert_eq!(h.quantile(0.25), 0.0);
-        assert_eq!(h.quantile(1.0), 1.0);
     }
 }

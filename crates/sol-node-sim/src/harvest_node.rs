@@ -169,7 +169,6 @@ pub struct HarvestNode {
     now: Timestamp,
     last_used_cores: f64,
     latencies: RunWindow,
-    all_latencies_worst: f64,
     latency_sum: f64,
     latency_count: u64,
     wait_window: RunWindow,
@@ -205,7 +204,6 @@ impl HarvestNode {
             primary_cores: primary,
             now: Timestamp::ZERO,
             last_used_cores: 0.0,
-            all_latencies_worst: 0.0,
             latency_sum: 0.0,
             latency_count: 0,
             total_wait: SimDuration::ZERO,
@@ -316,11 +314,6 @@ impl HarvestNode {
         }
     }
 
-    /// Worst single-step latency observed over the whole run, in ms.
-    pub fn worst_latency_ms(&self) -> f64 {
-        self.all_latencies_worst
-    }
-
     /// Total vCPU wait time accumulated by the primary VM.
     pub fn total_wait(&self) -> SimDuration {
         self.total_wait
@@ -374,9 +367,6 @@ impl HarvestNode {
         self.latencies.push(latency);
         self.latency_sum += latency;
         self.latency_count += 1;
-        if latency > self.all_latencies_worst {
-            self.all_latencies_worst = latency;
-        }
 
         // The ElasticVM soaks up every core not allocated to the primary.
         let harvested = (self.config.total_cores - self.primary_cores) as f64;

@@ -19,7 +19,7 @@
 //!   multi-agent co-location runs.
 //! * [`workload`] — the CPU workload models from the paper's evaluation
 //!   (Synthetic, ObjectStore, DiskSpeed).
-//! * [`power`], [`counters`], [`metrics`], [`shared`] — supporting pieces.
+//! * [`power`], [`counters`], [`shared`] — supporting pieces.
 //!
 //! Fault injection (bad counter readings, scan failures, scheduling delays via
 //! the SOL runtime) reproduces the failure conditions of paper §6.
@@ -33,7 +33,6 @@ pub mod counters;
 pub mod cpu_node;
 pub mod harvest_node;
 pub mod memory_node;
-pub mod metrics;
 pub mod multi_node;
 pub mod power;
 mod recent_steps;
@@ -50,7 +49,6 @@ pub mod prelude {
     pub use crate::memory_node::{
         MemoryNode, MemoryNodeConfig, MemoryWorkloadKind, RemoteFractionSample, ScanResult, Tier,
     };
-    pub use crate::metrics::{normalize, percent_change, TimeSeries};
     pub use crate::multi_node::{
         Coupling, MultiNode, MultiNodeBuilder, MEMORY_PRESSURE_LATENCY_GAIN,
     };

@@ -598,16 +598,6 @@ impl MemoryNode {
         self.bandwidth_factor
     }
 
-    /// Sets the scan failure probability (fault injection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn set_scan_failure_probability(&mut self, p: f64) {
-        assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
-        self.config.scan_failure_probability = p;
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> Timestamp {
         self.now

@@ -57,9 +57,9 @@
 //!     .build()?;
 //!
 //! node.advance_to(Timestamp::from_secs(5));
-//! assert_eq!(cpu.lock().now(), Timestamp::from_secs(5));
-//! assert_eq!(harvest.lock().now(), Timestamp::from_secs(5));
-//! assert_eq!(memory.lock().now(), Timestamp::from_secs(5));
+//! assert_eq!(cpu.with(|n| n.now()), Timestamp::from_secs(5));
+//! assert_eq!(harvest.with(|n| n.now()), Timestamp::from_secs(5));
+//! assert_eq!(memory.with(|n| n.now()), Timestamp::from_secs(5));
 //! # Ok::<(), sol_core::error::RuntimeError>(())
 //! ```
 
@@ -384,9 +384,9 @@ mod tests {
             .build()
             .unwrap();
         node.advance_to(Timestamp::from_secs(3));
-        assert_eq!(c.lock().now(), Timestamp::from_secs(3));
-        assert_eq!(h.lock().now(), Timestamp::from_secs(3));
-        assert_eq!(m.lock().now(), Timestamp::from_secs(3));
+        assert_eq!(c.with(|n| n.now()), Timestamp::from_secs(3));
+        assert_eq!(h.with(|n| n.now()), Timestamp::from_secs(3));
+        assert_eq!(m.with(|n| n.now()), Timestamp::from_secs(3));
     }
 
     #[test]
@@ -399,10 +399,10 @@ mod tests {
             .build()
             .unwrap();
         node.advance_to(Timestamp::from_secs(1));
-        assert_eq!(h.lock().core_speed_factor(), 1.0);
-        c.lock().set_frequency_ghz(2.3);
+        assert_eq!(h.with(|n| n.core_speed_factor()), 1.0);
+        c.with(|n| n.set_frequency_ghz(2.3));
         node.advance_to(Timestamp::from_secs(2));
-        let factor = h.lock().core_speed_factor();
+        let factor = h.with(|n| n.core_speed_factor());
         assert!((factor - 2.3 / 1.5).abs() < 1e-9, "factor {factor}");
     }
 
@@ -416,11 +416,11 @@ mod tests {
             .build()
             .unwrap();
         node.advance_to(Timestamp::from_secs(1));
-        assert_eq!(m.lock().bandwidth_factor(), 1.0);
+        assert_eq!(m.with(|n| n.bandwidth_factor()), 1.0);
         let before = m.with(|n| n.local_accesses() + n.remote_accesses());
-        c.lock().set_frequency_ghz(2.3);
+        c.with(|n| n.set_frequency_ghz(2.3));
         node.advance_to(Timestamp::from_secs(2));
-        assert!((m.lock().bandwidth_factor() - 2.3 / 1.5).abs() < 1e-9);
+        assert!((m.with(|n| n.bandwidth_factor()) - 2.3 / 1.5).abs() < 1e-9);
         // The faster clock produced proportionally more accesses in the
         // second second than the first.
         let after = m.with(|n| n.local_accesses() + n.remote_accesses());
@@ -436,10 +436,10 @@ mod tests {
             .memory(m.clone())
             .build()
             .unwrap();
-        c.lock().set_frequency_ghz(2.3);
+        c.with(|n| n.set_frequency_ghz(2.3));
         node.advance_to(Timestamp::from_secs(1));
-        assert_eq!(h.lock().core_speed_factor(), 1.0);
-        assert_eq!(m.lock().bandwidth_factor(), 1.0);
+        assert_eq!(h.with(|n| n.core_speed_factor()), 1.0);
+        assert_eq!(m.with(|n| n.bandwidth_factor()), 1.0);
     }
 
     #[test]
@@ -537,9 +537,9 @@ mod tests {
             };
             let mut node = builder.build().unwrap();
             let couplings = node.couplings().to_vec();
-            c.lock().set_frequency_ghz(2.3);
+            c.with(|n| n.set_frequency_ghz(2.3));
             node.advance_to(Timestamp::from_secs(2));
-            c.lock().set_frequency_ghz(1.9);
+            c.with(|n| n.set_frequency_ghz(1.9));
             node.advance_to(Timestamp::from_secs(4));
             (
                 couplings,
@@ -572,12 +572,12 @@ mod tests {
         node.begin_batch(); // idempotent: a second begin changes nothing
         node.advance_to(Timestamp::from_secs(1));
         // Agent-style access from the driving thread rides the open scope.
-        c.lock().set_frequency_ghz(2.3);
+        c.with(|n| n.set_frequency_ghz(2.3));
         node.advance_to(Timestamp::from_secs(2));
         assert!((h.with(|n| n.core_speed_factor()) - 2.3 / 1.5).abs() < 1e-9);
         node.end_batch();
         // After end_batch other threads can lock the substrates again.
         let c2 = c.clone();
-        std::thread::spawn(move || c2.lock().frequency_ghz()).join().unwrap();
+        std::thread::spawn(move || c2.with(|n| n.frequency_ghz())).join().unwrap();
     }
 }

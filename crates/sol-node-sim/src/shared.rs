@@ -19,19 +19,19 @@
 //!   [`MultiNode`](crate::multi_node::MultiNode) can open scopes on its
 //!   substrates in [`Environment::begin_batch`] and store them until
 //!   [`Environment::end_batch`].
-//! * While a scope is open, [`Shared::with`] and [`Shared::lock`] from the
-//!   owning thread skip the lock entirely: one relaxed atomic load plus a
-//!   borrow flag that turns aliasing into a panic (the old design deadlocked
-//!   on re-entrant access; the panic is strictly more debuggable).
+//! * While a scope is open, [`Shared::with`] from the owning thread skips
+//!   the lock entirely: one relaxed atomic load plus a borrow flag that turns
+//!   aliasing into a panic (the old design deadlocked on re-entrant access;
+//!   the panic is strictly more debuggable).
 //! * Without a scope — tests, fleet barriers — every access acquires and
 //!   releases the lock as before.
 //!
-//! Dropping an [`EnvGuard`] while a borrow from [`lock`](Shared::lock) is
-//! still outstanding panics: releasing the lock under a live borrow would
-//! hand another thread aliased access.
+//! [`Shared::with`] is the only way to the value, so a borrow never outlives
+//! the closure it was lent to. Dropping an [`EnvGuard`] inside such a closure
+//! panics: releasing the lock under a live borrow would hand another thread
+//! aliased access.
 
 use std::cell::UnsafeCell;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -96,7 +96,7 @@ impl<T> SharedInner<T> {
         // reaches this, so there is no race to defend against and the flag
         // costs two plain memory ops on the fast path.
         if self.borrowed.load(Ordering::Relaxed) {
-            panic!("Shared: node already borrowed on this thread (re-entrant lock/with)");
+            panic!("Shared: node already borrowed on this thread (re-entrant with)");
         }
         self.borrowed.store(true, Ordering::Relaxed);
     }
@@ -114,8 +114,8 @@ impl<T> SharedInner<T> {
 /// let node = CpuNode::new(OverclockWorkloadKind::Synthetic.build(8), CpuNodeConfig::default());
 /// let shared = Shared::new(node);
 /// let other = shared.clone();
-/// shared.lock().set_frequency_ghz(1.9);
-/// assert_eq!(other.lock().frequency_ghz(), 1.9);
+/// shared.with(|n| n.set_frequency_ghz(1.9));
+/// assert_eq!(other.with(|n| n.frequency_ghz()), 1.9);
 /// ```
 pub struct Shared<T> {
     inner: Arc<SharedInner<T>>,
@@ -133,39 +133,40 @@ impl<T> Shared<T> {
         }
     }
 
-    /// Locks the node for exclusive access.
+    /// Runs a closure with exclusive access to the node and returns its
+    /// result.
     ///
     /// Inside an open [`scope`](Self::scope) on the same thread this is a
     /// borrow-flag check, not a lock acquisition.
     ///
     /// # Panics
     ///
-    /// Panics on re-entrant locking from the same thread (two live guards
+    /// Panics on re-entrant access from the same thread (two live borrows
     /// would alias the node).
-    pub fn lock(&self) -> SharedGuard<'_, T> {
+    pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
         let key = thread_key();
-        if self.inner.state.load(Ordering::Relaxed) == key {
+        let owns_lock = self.inner.state.load(Ordering::Relaxed) != key;
+        if owns_lock {
+            self.inner.acquire(key);
+            self.inner.borrowed.store(true, Ordering::Relaxed);
+        } else {
             // This thread already holds the lock (an open scope, or a bug —
             // the borrow flag distinguishes them).
             self.inner.enter_borrow();
-            SharedGuard { inner: &self.inner, owns_lock: false, _not_send: PhantomData }
-        } else {
-            self.inner.acquire(key);
-            self.inner.borrowed.store(true, Ordering::Relaxed);
-            SharedGuard { inner: &self.inner, owns_lock: true, _not_send: PhantomData }
         }
-    }
-
-    /// Runs a closure with exclusive access to the node and returns its
-    /// result.
-    pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        f(&mut self.lock())
+        // Releases the borrow (and the lock, if taken here) even if `f`
+        // unwinds.
+        let _borrow = Borrow { inner: &self.inner, owns_lock };
+        // SAFETY: the borrow flag guarantees this is the only live `&mut T`,
+        // the lock word keeps other threads out, and the reference cannot
+        // escape `f`.
+        f(unsafe { &mut *self.inner.value.get() })
     }
 
     /// Acquires the lock for a whole simulation segment and returns a guard
     /// that keeps it held. While the guard lives, every
-    /// [`with`](Self::with)/[`lock`](Self::lock) from this thread takes the
-    /// borrow-flag fast path. The guard owns its own handle to the node, so
+    /// [`with`](Self::with) from this thread takes the borrow-flag fast
+    /// path. The guard owns its own handle to the node, so
     /// it can be stored (e.g. by a composite environment between
     /// `begin_batch` and `end_batch`).
     ///
@@ -208,35 +209,15 @@ impl<T> Clone for Shared<T> {
     }
 }
 
-/// Exclusive access to the node behind a [`Shared`] handle (see
-/// [`Shared::lock`]).
-pub struct SharedGuard<'a, T> {
+/// One [`Shared::with`] call's hold on the value, released on drop.
+struct Borrow<'a, T> {
     inner: &'a SharedInner<T>,
-    /// Whether dropping this guard releases the lock word (false when the
-    /// guard rides an enclosing [`EnvGuard`] scope).
+    /// Whether dropping this releases the lock word (false when the borrow
+    /// rides an enclosing [`EnvGuard`] scope).
     owns_lock: bool,
-    /// Keeps the guard on its creating thread, like a mutex guard: the lock
-    /// word stores this thread's key.
-    _not_send: PhantomData<*mut T>,
 }
 
-impl<T> std::ops::Deref for SharedGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // SAFETY: the borrow flag guarantees this is the only live guard, and
-        // the lock word keeps other threads out.
-        unsafe { &*self.inner.value.get() }
-    }
-}
-
-impl<T> std::ops::DerefMut for SharedGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: as in `deref`.
-        unsafe { &mut *self.inner.value.get() }
-    }
-}
-
-impl<T> Drop for SharedGuard<'_, T> {
+impl<T> Drop for Borrow<'_, T> {
     fn drop(&mut self) {
         self.inner.borrowed.store(false, Ordering::Relaxed);
         if self.owns_lock {
@@ -250,8 +231,8 @@ impl<T> Drop for SharedGuard<'_, T> {
 ///
 /// The guard is a plain storable value: it owns a handle to the node and
 /// releases the lock when dropped. It deliberately exposes no access to the
-/// value — access keeps flowing through [`Shared::with`]/[`Shared::lock`],
-/// which detect the open scope and skip the lock acquisition.
+/// value — access keeps flowing through [`Shared::with`], which detects the
+/// open scope and skips the lock acquisition.
 pub struct EnvGuard<T> {
     inner: Arc<SharedInner<T>>,
 }
@@ -316,8 +297,8 @@ mod tests {
         let node =
             Shared::new(HarvestNode::new(BurstyService::image_dnn(), HarvestNodeConfig::default()));
         let other = node.clone();
-        node.lock().set_primary_cores(3);
-        assert_eq!(other.lock().primary_cores(), 3);
+        node.with(|n| n.set_primary_cores(3));
+        assert_eq!(other.with(|n| n.primary_cores()), 3);
     }
 
     #[test]
@@ -325,7 +306,7 @@ mod tests {
         let mut node =
             Shared::new(HarvestNode::new(BurstyService::moses(), HarvestNodeConfig::default()));
         node.advance_to(Timestamp::from_secs(2));
-        assert_eq!(node.lock().now(), Timestamp::from_secs(2));
+        assert_eq!(node.with(|n| n.now()), Timestamp::from_secs(2));
     }
 
     #[test]
@@ -342,7 +323,7 @@ mod tests {
         let guard = node.scope();
         // All of these ride the open scope without re-acquiring the lock.
         node.with(|v| *v += 1);
-        *node.lock() += 1;
+        node.with(|v| *v += 1);
         assert_eq!(node.with(|v| *v), 9);
         drop(guard);
         assert_eq!(node.with(|v| *v), 9);

@@ -8,11 +8,7 @@
 use sol_agents::prelude::*;
 use sol_core::prelude::*;
 use sol_node_sim::prelude::*;
-
-/// Renders a value's full Debug output as bytes for exact comparison.
-fn debug_bytes<T: std::fmt::Debug>(value: &T) -> Vec<u8> {
-    format!("{value:#?}").into_bytes()
-}
+use sol_tests::debug_bytes;
 
 #[test]
 fn smart_overclock_runs_are_byte_identical() {

@@ -16,80 +16,7 @@ use sol_agents::prelude::*;
 use sol_core::error::DataError;
 use sol_core::prelude::*;
 use sol_ml::exchange::{ExchangeError, LearnedState, StateKind};
-
-/// A deterministic toy model parameterized by its sampled value.
-struct ToyModel {
-    value: f64,
-}
-
-impl Model for ToyModel {
-    type Data = f64;
-    type Pred = f64;
-
-    fn collect_data(&mut self, _now: Timestamp) -> Result<f64, DataError> {
-        Ok(self.value)
-    }
-    fn validate_data(&self, d: &f64) -> bool {
-        d.is_finite()
-    }
-    fn commit_data(&mut self, _now: Timestamp, _d: f64) {}
-    fn update_model(&mut self, _now: Timestamp) {}
-    fn predict(&mut self, now: Timestamp) -> Option<Prediction<f64>> {
-        Some(Prediction::model(self.value, now, now + SimDuration::from_secs(1)))
-    }
-    fn default_predict(&self, now: Timestamp) -> Prediction<f64> {
-        Prediction::fallback(0.0, now, now + SimDuration::from_secs(1))
-    }
-    fn assess_model(&mut self, _now: Timestamp) -> ModelAssessment {
-        ModelAssessment::Healthy
-    }
-}
-
-#[derive(Default)]
-struct ToyActuator {
-    actions: u64,
-}
-
-impl Actuator for ToyActuator {
-    type Pred = f64;
-    fn take_action(&mut self, _now: Timestamp, _pred: Option<&Prediction<f64>>) {
-        self.actions += 1;
-    }
-    fn assess_performance(&mut self, _now: Timestamp) -> ActuatorAssessment {
-        ActuatorAssessment::Acceptable
-    }
-    fn mitigate(&mut self, _now: Timestamp) {}
-    fn clean_up(&mut self, _now: Timestamp) {}
-}
-
-fn toy_schedule(collect_ms: u64) -> Schedule {
-    Schedule::builder()
-        .data_per_epoch(2)
-        .data_collect_interval(SimDuration::from_millis(collect_ms))
-        .max_epoch_time(SimDuration::from_millis(collect_ms * 8))
-        .assess_model_every_epochs(1)
-        .max_actuation_delay(SimDuration::from_millis(collect_ms * 8))
-        .assess_actuator_interval(SimDuration::from_millis(collect_ms * 2))
-        .build()
-        .unwrap()
-}
-
-/// A two-agent toy recipe whose per-node cadence is seed-derived, so fleets
-/// are heterogeneous.
-fn toy_recipe() -> ScenarioRecipe<NullEnvironment> {
-    ScenarioRecipe::new(|seed: &NodeSeed| {
-        let mut builder = NodeRuntime::builder(NullEnvironment);
-        let collect_ms = 40 + seed.stream(0) % 120;
-        builder.agent("alpha", ToyModel { value: 1.0 }, ToyActuator::default(), {
-            toy_schedule(collect_ms)
-        });
-        builder.agent("beta", ToyModel { value: 2.0 }, ToyActuator::default(), {
-            toy_schedule(collect_ms * 2)
-        });
-        builder.build()
-    })
-    .with_metrics(|report| vec![("ended_secs".into(), report.ended_at.as_secs_f64())])
-}
+use sol_tests::{toy_recipe, toy_schedule, ToyActuator, ToyModel};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -440,6 +367,61 @@ fn recorded_views_are_identical_across_thread_counts_and_agree_with_the_report()
         }
     }
     assert!(survivors >= NODES - 5, "{survivors} nodes outlived the fault plan");
+}
+
+/// One agent that collects less often than the barrier comes round, over a
+/// constant reading: most barriers find a node exactly as the last one did.
+fn quiet_recipe() -> ScenarioRecipe<NullEnvironment> {
+    ScenarioRecipe::new(|seed: &NodeSeed| {
+        let mut builder = NodeRuntime::builder(NullEnvironment);
+        let collect_ms = 300 + seed.stream(0) % 400;
+        builder.agent("slow", ToyModel { value: 1.0 }, ToyActuator::default(), {
+            toy_schedule(collect_ms)
+        });
+        builder.build()
+    })
+    .with_telemetry(|_: &NullEnvironment| vec![("constant".into(), 1.0)])
+}
+
+/// The per-barrier view oracle, quiet nodes included: every node of every
+/// view the controller is shown equals what a standalone runtime stamped
+/// from the same seed reports when run to the same boundary.
+#[test]
+fn every_recorded_view_matches_a_standalone_node_at_its_boundary() {
+    const NODES: usize = 6;
+    let epoch = SimDuration::from_millis(100);
+    let recipe = quiet_recipe();
+    for threads in [1, 2] {
+        let config = FleetConfig { nodes: NODES, threads, epoch, ..FleetConfig::default() };
+        let fleet = FleetRuntime::new(recipe.clone(), config).unwrap();
+        let mut recorder = Recorder::default();
+        fleet.run_with(&mut recorder, SimDuration::from_secs(10)).unwrap();
+        assert_eq!(recorder.views.len(), 100);
+        let mut quiet = 0;
+        for node in 0..NODES {
+            let mut standalone = recipe.instantiate(&fleet.node_seed(node));
+            let mut last: Option<&NodeView> = None;
+            for view in &recorder.views {
+                standalone.run_until(Timestamp::ZERO + epoch * (view.epoch + 1));
+                let expected = NodeView {
+                    node,
+                    agents: standalone
+                        .agent_snapshots()
+                        .into_iter()
+                        .map(|(name, stats)| AgentTelemetry { name, stats })
+                        .collect(),
+                    telemetry: recipe.extract_telemetry(standalone.environment()),
+                    placement: standalone.placement(),
+                    state: NodeState::Active,
+                };
+                let seen = &view.nodes[node];
+                assert_eq!(seen, &expected, "{threads} threads, epoch {}", view.epoch);
+                quiet += usize::from(last == Some(seen));
+                last = Some(seen);
+            }
+        }
+        assert!(quiet > NODES * 50, "only {quiet} quiet node-barriers");
+    }
 }
 
 /// A view-wanting controller that plans nothing.

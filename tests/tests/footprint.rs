@@ -8,7 +8,7 @@
 //! both halves: the footprint stays under its ceiling, and it is one number
 //! whatever the node's seed, so `mem_bytes_per_node` can carry a tight bound
 //! in the benchmark. The ceilings (tighter than the round figures in the test
-//! names) sit just above today's 8,908 B and 84,732 B: a node that starts
+//! names) sit just above today's 8,900 B and 84,724 B: a node that starts
 //! keeping a few hundred bytes more, or a latency window that outgrows its
 //! reserved runs on some seed, fails them.
 

@@ -17,108 +17,9 @@
 
 use proptest::prelude::*;
 
-use sol_agents::prelude::*;
-use sol_core::error::{DataError, RuntimeError};
+use sol_core::error::RuntimeError;
 use sol_core::prelude::*;
-
-/// Renders a value's full Debug output as bytes for exact comparison.
-fn debug_bytes<T: std::fmt::Debug>(value: &T) -> Vec<u8> {
-    format!("{value:#?}").into_bytes()
-}
-
-/// A deterministic toy model parameterized by its sampled value.
-struct ToyModel {
-    value: f64,
-}
-
-impl Model for ToyModel {
-    type Data = f64;
-    type Pred = f64;
-
-    fn collect_data(&mut self, _now: Timestamp) -> Result<f64, DataError> {
-        Ok(self.value)
-    }
-    fn validate_data(&self, d: &f64) -> bool {
-        d.is_finite()
-    }
-    fn commit_data(&mut self, _now: Timestamp, _d: f64) {}
-    fn update_model(&mut self, _now: Timestamp) {}
-    fn predict(&mut self, now: Timestamp) -> Option<Prediction<f64>> {
-        Some(Prediction::model(self.value, now, now + SimDuration::from_secs(1)))
-    }
-    fn default_predict(&self, now: Timestamp) -> Prediction<f64> {
-        Prediction::fallback(0.0, now, now + SimDuration::from_secs(1))
-    }
-    fn assess_model(&mut self, _now: Timestamp) -> ModelAssessment {
-        ModelAssessment::Healthy
-    }
-}
-
-#[derive(Default)]
-struct ToyActuator {
-    actions: u64,
-}
-
-impl Actuator for ToyActuator {
-    type Pred = f64;
-    fn take_action(&mut self, _now: Timestamp, _pred: Option<&Prediction<f64>>) {
-        self.actions += 1;
-    }
-    fn assess_performance(&mut self, _now: Timestamp) -> ActuatorAssessment {
-        ActuatorAssessment::Acceptable
-    }
-    fn mitigate(&mut self, _now: Timestamp) {}
-    fn clean_up(&mut self, _now: Timestamp) {}
-}
-
-fn toy_schedule(collect_ms: u64) -> Schedule {
-    Schedule::builder()
-        .data_per_epoch(2)
-        .data_collect_interval(SimDuration::from_millis(collect_ms))
-        .max_epoch_time(SimDuration::from_millis(collect_ms * 8))
-        .assess_model_every_epochs(1)
-        .max_actuation_delay(SimDuration::from_millis(collect_ms * 8))
-        .assess_actuator_interval(SimDuration::from_millis(collect_ms * 2))
-        .build()
-        .unwrap()
-}
-
-/// A two-agent toy recipe whose per-node cadence is seed-derived, so fleets
-/// are heterogeneous and crash truncation is visible in the stats.
-fn toy_recipe() -> ScenarioRecipe<NullEnvironment> {
-    ScenarioRecipe::new(|seed: &NodeSeed| {
-        let mut builder = NodeRuntime::builder(NullEnvironment);
-        let collect_ms = 40 + seed.stream(0) % 120;
-        builder.agent("alpha", ToyModel { value: 1.0 }, ToyActuator::default(), {
-            toy_schedule(collect_ms)
-        });
-        builder.agent("beta", ToyModel { value: 2.0 }, ToyActuator::default(), {
-            toy_schedule(collect_ms * 2)
-        });
-        builder.build()
-    })
-    .with_metrics(|report| vec![("ended_secs".into(), report.ended_at.as_secs_f64())])
-}
-
-/// A placeable two-agent co-location recipe (6 of 8 cores placeable).
-fn placeable_recipe() -> sol_agents::colocation::ColocatedRecipe {
-    colocated_recipe(ColocationConfig { placeable_cores: 6.0, ..ColocationConfig::default() })
-}
-
-/// A churny arrival trace sized for short test horizons.
-fn test_trace(arrivals: usize, horizon: SimDuration) -> ArrivalTrace {
-    ArrivalTrace::generate(
-        0xC0FFEE,
-        &ArrivalTraceConfig {
-            workloads: arrivals,
-            span: horizon,
-            min_cores: 0.5,
-            max_cores: 2.5,
-            min_lifetime: SimDuration::from_secs(3),
-            max_lifetime: SimDuration::from_secs(8),
-        },
-    )
-}
+use sol_tests::{debug_bytes, placeable_preset, test_trace, toy_recipe};
 
 /// A controller that emits a fixed batch of lifecycle events at one epoch
 /// and otherwise stays silent.
@@ -327,7 +228,7 @@ proptest! {
             },
         );
         let config = FleetConfig { nodes: 4, threads: 2, ..FleetConfig::default() };
-        let fleet = FleetRuntime::new(placeable_recipe().recipe, config).unwrap();
+        let fleet = FleetRuntime::new(placeable_preset().recipe, config).unwrap();
         let mut packer = GreedyPacker::new(trace);
         let faults = FaultPlan::from_events(vec![FaultEvent {
             at: Timestamp::from_secs(8),
@@ -446,7 +347,7 @@ fn commands_against_crashed_nodes_fail_counted_not_fatal() {
         }
     }
     let config = FleetConfig { nodes: 2, threads: 2, ..FleetConfig::default() };
-    let fleet = FleetRuntime::new(placeable_recipe().recipe, config).unwrap();
+    let fleet = FleetRuntime::new(placeable_preset().recipe, config).unwrap();
     let report = fleet.run_with(&mut CrashThenAdmit, SimDuration::from_secs(4)).unwrap();
     assert_eq!(report.placement.admitted, 0);
     assert_eq!(report.placement.failed_placements, 1);
@@ -507,7 +408,7 @@ fn eight_node_packer_fleet_survives_a_mid_run_crash() {
     let mut renders: Vec<Vec<u8>> = Vec::new();
     for threads in [1usize, 2, 8] {
         let config = FleetConfig { nodes: 8, threads, ..FleetConfig::default() };
-        let fleet = FleetRuntime::new(placeable_recipe().recipe, config).unwrap();
+        let fleet = FleetRuntime::new(placeable_preset().recipe, config).unwrap();
         let mut packer = GreedyPacker::new(test_trace(40, horizon));
         let report = fleet.run_with_faults(&mut packer, faults.clone(), horizon).unwrap();
 

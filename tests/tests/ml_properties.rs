@@ -4,27 +4,13 @@ use proptest::prelude::*;
 
 use sol_ml::cost_sensitive::CostSensitiveExample;
 use sol_ml::features::DistributionalFeatures;
-use sol_ml::online_stats::{RunningStats, SlidingWindow};
+use sol_ml::online_stats::SlidingWindow;
 use sol_ml::qlearning::{QConfig, QLearner};
 use sol_ml::sampling::{seeded_rng, Zipf};
 use sol_ml::thompson::ThompsonSampler;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Welford statistics match a direct two-pass computation.
-    #[test]
-    fn running_stats_match_two_pass(xs in prop::collection::vec(-1e3f64..1e3, 1..200)) {
-        let mut stats = RunningStats::new();
-        for &x in &xs {
-            stats.push(x);
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
-        prop_assert!((stats.mean() - mean).abs() < 1e-6);
-        prop_assert!((stats.population_variance() - var).abs() < 1e-4);
-        prop_assert!(stats.min() <= stats.mean() + 1e-9 && stats.mean() <= stats.max() + 1e-9);
-    }
 
     /// Sliding-window quantiles are monotone in the quantile level and bounded
     /// by the window's extremes.

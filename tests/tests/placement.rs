@@ -12,14 +12,9 @@
 //! * Placement failures (no placeable slots, out-of-capacity) are counted,
 //!   never fatal; controller programming errors (bad node index) are loud.
 
-use sol_agents::prelude::*;
 use sol_core::error::{DataError, RuntimeError};
 use sol_core::prelude::*;
-
-/// Renders a value's full Debug output as bytes for exact comparison.
-fn debug_bytes<T: std::fmt::Debug>(value: &T) -> Vec<u8> {
-    format!("{value:#?}").into_bytes()
-}
+use sol_tests::{debug_bytes, placeable_preset, test_trace};
 
 /// A deterministic toy model/actuator pair for placement-free recipes.
 struct ToyModel;
@@ -75,26 +70,6 @@ fn toy_recipe() -> ScenarioRecipe<NullEnvironment> {
         builder.agent("toy", ToyModel, ToyActuator, toy_schedule());
         builder.build()
     })
-}
-
-/// A placeable two-agent co-location recipe (6 of 8 cores placeable).
-fn placeable_preset() -> sol_agents::colocation::ColocatedRecipe {
-    colocated_recipe(ColocationConfig { placeable_cores: 6.0, ..ColocationConfig::default() })
-}
-
-/// A churny arrival trace sized for short test horizons.
-fn test_trace(arrivals: usize, horizon: SimDuration) -> ArrivalTrace {
-    ArrivalTrace::generate(
-        0xC0FFEE,
-        &ArrivalTraceConfig {
-            workloads: arrivals,
-            span: horizon,
-            min_cores: 0.5,
-            max_cores: 2.5,
-            min_lifetime: SimDuration::from_secs(3),
-            max_lifetime: SimDuration::from_secs(8),
-        },
-    )
 }
 
 /// A controller that always returns an empty plan but counts invocations and

@@ -9,54 +9,9 @@
 use proptest::prelude::*;
 
 use sol_agents::prelude::*;
-use sol_core::error::DataError;
 use sol_core::prelude::*;
 use sol_node_sim::prelude::*;
-
-/// A deterministic toy model parameterized by its sampled value.
-struct ToyModel {
-    value: f64,
-}
-
-impl Model for ToyModel {
-    type Data = f64;
-    type Pred = f64;
-
-    fn collect_data(&mut self, _now: Timestamp) -> Result<f64, DataError> {
-        Ok(self.value)
-    }
-    fn validate_data(&self, d: &f64) -> bool {
-        d.is_finite()
-    }
-    fn commit_data(&mut self, _now: Timestamp, _d: f64) {}
-    fn update_model(&mut self, _now: Timestamp) {}
-    fn predict(&mut self, now: Timestamp) -> Option<Prediction<f64>> {
-        Some(Prediction::model(self.value, now, now + SimDuration::from_secs(1)))
-    }
-    fn default_predict(&self, now: Timestamp) -> Prediction<f64> {
-        Prediction::fallback(0.0, now, now + SimDuration::from_secs(1))
-    }
-    fn assess_model(&mut self, _now: Timestamp) -> ModelAssessment {
-        ModelAssessment::Healthy
-    }
-}
-
-#[derive(Default)]
-struct ToyActuator {
-    actions: u64,
-}
-
-impl Actuator for ToyActuator {
-    type Pred = f64;
-    fn take_action(&mut self, _now: Timestamp, _pred: Option<&Prediction<f64>>) {
-        self.actions += 1;
-    }
-    fn assess_performance(&mut self, _now: Timestamp) -> ActuatorAssessment {
-        ActuatorAssessment::Acceptable
-    }
-    fn mitigate(&mut self, _now: Timestamp) {}
-    fn clean_up(&mut self, _now: Timestamp) {}
-}
+use sol_tests::{ToyActuator, ToyModel};
 
 fn toy_schedule(collect_ms: u64, data_per_epoch: u32) -> Schedule {
     Schedule::builder()
