@@ -34,6 +34,21 @@ use sol_ml::features::DistributionalFeatures;
 use sol_node_sim::harvest_node::{HarvestNode, UsageSample};
 use sol_node_sim::shared::Shared;
 
+/// Extra cores added on top of the predicted demand as a safety buffer.
+const SAFETY_BUFFER_CORES: usize = 2;
+/// Cost of under-predicting demand by one core (relative to 1.0 for
+/// over-predicting by one core).
+const UNDER_PREDICTION_PENALTY: f64 = 8.0;
+/// Classifier learning rate.
+const LEARNING_RATE: f64 = 0.05;
+/// Fraction of model-driven epochs that may leave the primary VM without an
+/// idle core before the model safeguard trips.
+const STARVATION_FRACTION_THRESHOLD: f64 = 0.1;
+/// Number of epochs over which the starvation fraction is computed.
+const STARVATION_WINDOW: usize = 40;
+/// How long a prediction stays valid.
+const PREDICTION_VALIDITY: SimDuration = SimDuration::from_millis(100);
+
 /// Configuration for the SmartHarvest agent.
 #[derive(Debug, Clone)]
 pub struct HarvestConfig {
@@ -46,22 +61,8 @@ pub struct HarvestConfig {
     /// Fault injection: the model is broken and always predicts the minimum
     /// core demand (consistent under-prediction, paper §6.3).
     pub broken_model: bool,
-    /// Extra cores added on top of the predicted demand as a safety buffer.
-    pub safety_buffer_cores: usize,
-    /// Cost of under-predicting demand by one core (relative to 1.0 for
-    /// over-predicting by one core).
-    pub under_prediction_penalty: f64,
-    /// Classifier learning rate.
-    pub learning_rate: f64,
-    /// Fraction of model-driven epochs that may leave the primary VM without
-    /// an idle core before the model safeguard trips.
-    pub starvation_fraction_threshold: f64,
-    /// Number of epochs over which the starvation fraction is computed.
-    pub starvation_window: usize,
     /// P99 vCPU wait-time threshold (milliseconds) for the Actuator safeguard.
     pub wait_p99_threshold_ms: f64,
-    /// How long a prediction stays valid.
-    pub prediction_validity: SimDuration,
 }
 
 impl Default for HarvestConfig {
@@ -71,13 +72,7 @@ impl Default for HarvestConfig {
             model_safeguard: true,
             actuator_safeguard: true,
             broken_model: false,
-            safety_buffer_cores: 2,
-            under_prediction_penalty: 8.0,
-            learning_rate: 0.05,
-            starvation_fraction_threshold: 0.1,
-            starvation_window: 40,
             wait_p99_threshold_ms: 0.2,
-            prediction_validity: SimDuration::from_millis(100),
         }
     }
 }
@@ -129,7 +124,7 @@ impl HarvestModel {
         let classifier = CostSensitiveClassifier::new(
             DistributionalFeatures::LEN,
             total_cores + 1,
-            config.learning_rate,
+            LEARNING_RATE,
         );
         HarvestModel {
             node,
@@ -217,7 +212,7 @@ impl Model for HarvestModel {
                 prev,
                 truth,
                 self.total_cores + 1,
-                self.config.under_prediction_penalty,
+                UNDER_PREDICTION_PENALTY,
                 1.0,
             );
             self.classifier.update(&example);
@@ -230,7 +225,7 @@ impl Model for HarvestModel {
             self.recent_max_usage.pop_front();
         }
         self.starvation_history.push_back(self.epoch_saw_saturation_while_harvesting);
-        while self.starvation_history.len() > self.config.starvation_window {
+        while self.starvation_history.len() > STARVATION_WINDOW {
             self.starvation_history.pop_front();
         }
 
@@ -242,11 +237,11 @@ impl Model for HarvestModel {
     fn predict(&mut self, now: Timestamp) -> Option<Prediction<CoreDemandPrediction>> {
         let features = self.prev_features.clone()?;
         let cores = if self.config.broken_model { 0 } else { self.classifier.predict(&features) };
-        let cores_needed = (cores + self.config.safety_buffer_cores).min(self.total_cores).max(1);
+        let cores_needed = (cores + SAFETY_BUFFER_CORES).min(self.total_cores).max(1);
         Some(Prediction::model(
             CoreDemandPrediction { cores_needed },
             now,
-            now + self.config.prediction_validity,
+            now + PREDICTION_VALIDITY,
         ))
     }
 
@@ -254,18 +249,16 @@ impl Model for HarvestModel {
         Prediction::fallback(
             CoreDemandPrediction { cores_needed: self.conservative_estimate() },
             now,
-            now + self.config.prediction_validity,
+            now + PREDICTION_VALIDITY,
         )
     }
 
     fn assess_model(&mut self, _now: Timestamp) -> ModelAssessment {
-        if !self.config.model_safeguard
-            || self.starvation_history.len() < self.config.starvation_window / 2
-        {
+        if !self.config.model_safeguard || self.starvation_history.len() < STARVATION_WINDOW / 2 {
             return ModelAssessment::Healthy;
         }
         let fraction = self.starvation_fraction();
-        if fraction > self.config.starvation_fraction_threshold {
+        if fraction > STARVATION_FRACTION_THRESHOLD {
             ModelAssessment::failing(format!(
                 "primary VM ran out of idle cores in {:.0}% of recent epochs",
                 fraction * 100.0

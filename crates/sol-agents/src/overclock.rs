@@ -31,6 +31,7 @@ use sol_ml::online_stats::SlidingWindow;
 use sol_ml::qlearning::{QConfig, QLearner};
 use sol_node_sim::counters::CounterSample;
 use sol_node_sim::cpu_node::CpuNode;
+use sol_node_sim::power::NOMINAL_FREQUENCY_GHZ;
 use sol_node_sim::shared::Shared;
 
 /// Number of α bins used to build the RL state.
@@ -39,6 +40,15 @@ const ALPHA_BINS: usize = 4;
 const REWARD_PERF_WEIGHT: f64 = 10.0;
 /// Power-premium weight in the reward function.
 const REWARD_POWER_WEIGHT: f64 = 2.0;
+/// Δr threshold below which the model safeguard trips.
+const REWARD_DELTA_THRESHOLD: f64 = -0.1;
+/// Number of epochs over which Δr is averaged (10 in the paper).
+const REWARD_DELTA_WINDOW: usize = 10;
+/// Number of recent α observations considered by the Actuator safeguard
+/// (the paper uses the past 100 seconds with 1-second actions).
+const ALPHA_WINDOW: usize = 100;
+/// How long a prediction stays valid.
+const PREDICTION_VALIDITY: SimDuration = SimDuration::from_secs(2);
 
 /// Configuration for the SmartOverclock agent.
 #[derive(Debug, Clone)]
@@ -54,17 +64,8 @@ pub struct OverclockConfig {
     pub broken_model: bool,
     /// ε-greedy exploration probability (0.1 in the paper).
     pub exploration: f64,
-    /// Δr threshold below which the model safeguard trips.
-    pub reward_delta_threshold: f64,
-    /// Number of epochs over which Δr is averaged (10 in the paper).
-    pub reward_delta_window: usize,
     /// α threshold for the Actuator safeguard.
     pub alpha_threshold: f64,
-    /// Number of recent α observations considered by the Actuator safeguard
-    /// (the paper uses the past 100 seconds with 1-second actions).
-    pub alpha_window: usize,
-    /// How long a prediction stays valid.
-    pub prediction_validity: SimDuration,
     /// RNG seed for the Q-learner.
     pub seed: u64,
 }
@@ -77,11 +78,7 @@ impl Default for OverclockConfig {
             actuator_safeguard: true,
             broken_model: false,
             exploration: 0.1,
-            reward_delta_threshold: -0.1,
-            reward_delta_window: 10,
             alpha_threshold: 0.05,
-            alpha_window: 100,
-            prediction_validity: SimDuration::from_secs(2),
             seed: 17,
         }
     }
@@ -114,8 +111,7 @@ pub struct OverclockModel {
     node: Shared<CpuNode>,
     config: OverclockConfig,
     learner: QLearner,
-    frequencies: Vec<f64>,
-    nominal_ghz: f64,
+    frequencies: &'static [f64],
     max_plausible_ips: f64,
     epoch_samples: Vec<CounterSample>,
     prev_state: Option<usize>,
@@ -136,13 +132,8 @@ impl std::fmt::Debug for OverclockModel {
 impl OverclockModel {
     /// Creates the model for a node handle.
     pub fn new(node: Shared<CpuNode>, config: OverclockConfig) -> Self {
-        let (frequencies, nominal_ghz, max_ips) = node.with(|n| {
-            (
-                n.available_frequencies_ghz().to_vec(),
-                n.nominal_frequency_ghz(),
-                n.max_plausible_ips(),
-            )
-        });
+        let (frequencies, max_ips) =
+            node.with(|n| (n.available_frequencies_ghz(), n.max_plausible_ips()));
         let states = ALPHA_BINS * frequencies.len();
         let mut qconfig = QConfig::new(states, frequencies.len());
         qconfig.exploration = config.exploration;
@@ -152,7 +143,6 @@ impl OverclockModel {
             config,
             learner,
             frequencies,
-            nominal_ghz,
             max_plausible_ips: max_ips,
             epoch_samples: Vec::new(),
             prev_state: None,
@@ -195,7 +185,8 @@ impl OverclockModel {
     /// Reward of running the epoch at `freq_ghz` while observing `ips`.
     fn reward(&self, ips: f64, freq_ghz: f64) -> f64 {
         let perf = (ips / self.max_plausible_ips).clamp(0.0, 1.0) * REWARD_PERF_WEIGHT;
-        let power_premium = (freq_ghz - self.nominal_ghz) / self.nominal_ghz * REWARD_POWER_WEIGHT;
+        let power_premium =
+            (freq_ghz - NOMINAL_FREQUENCY_GHZ) / NOMINAL_FREQUENCY_GHZ * REWARD_POWER_WEIGHT;
         perf - power_premium
     }
 
@@ -203,12 +194,12 @@ impl OverclockModel {
     /// the nominal frequency, assuming IPS scales at most linearly with
     /// frequency (paper §5.1 "Assessing the model").
     fn reward_delta(&self, ips: f64, freq_ghz: f64) -> f64 {
-        if freq_ghz <= self.nominal_ghz {
+        if freq_ghz <= NOMINAL_FREQUENCY_GHZ {
             return 0.0;
         }
         let observed = self.reward(ips, freq_ghz);
-        let nominal_ips = ips * self.nominal_ghz / freq_ghz;
-        let expected_nominal = self.reward(nominal_ips, self.nominal_ghz);
+        let nominal_ips = ips * NOMINAL_FREQUENCY_GHZ / freq_ghz;
+        let expected_nominal = self.reward(nominal_ips, NOMINAL_FREQUENCY_GHZ);
         observed - expected_nominal
     }
 
@@ -257,7 +248,7 @@ impl Model for OverclockModel {
 
         // Track Δr for the model safeguard.
         self.reward_deltas.push_back(self.reward_delta(avg_ips, freq));
-        while self.reward_deltas.len() > self.config.reward_delta_window {
+        while self.reward_deltas.len() > REWARD_DELTA_WINDOW {
             self.reward_deltas.pop_front();
         }
 
@@ -275,14 +266,14 @@ impl Model for OverclockModel {
         };
         self.prev_action = Some(action);
         let decision = FrequencyDecision { frequency_ghz: self.frequencies[action], exploration };
-        Some(Prediction::model(decision, now, now + self.config.prediction_validity))
+        Some(Prediction::model(decision, now, now + PREDICTION_VALIDITY))
     }
 
     fn default_predict(&self, now: Timestamp) -> Prediction<FrequencyDecision> {
         Prediction::fallback(
-            FrequencyDecision { frequency_ghz: self.nominal_ghz, exploration: false },
+            FrequencyDecision { frequency_ghz: NOMINAL_FREQUENCY_GHZ, exploration: false },
             now,
-            now + self.config.prediction_validity,
+            now + PREDICTION_VALIDITY,
         )
     }
 
@@ -291,7 +282,7 @@ impl Model for OverclockModel {
             return ModelAssessment::Healthy;
         }
         let avg: f64 = self.reward_deltas.iter().sum::<f64>() / self.reward_deltas.len() as f64;
-        if avg < self.config.reward_delta_threshold {
+        if avg < REWARD_DELTA_THRESHOLD {
             ModelAssessment::failing(format!(
                 "average overclocking reward delta {avg:.3} below threshold"
             ))
@@ -328,7 +319,7 @@ impl std::fmt::Debug for OverclockActuator {
 impl OverclockActuator {
     /// Creates the actuator for a node handle.
     pub fn new(node: Shared<CpuNode>, config: OverclockConfig) -> Self {
-        let alpha_window = SlidingWindow::new(config.alpha_window.max(1));
+        let alpha_window = SlidingWindow::new(ALPHA_WINDOW);
         OverclockActuator { node, config, alpha_window }
     }
 

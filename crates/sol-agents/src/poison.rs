@@ -37,7 +37,7 @@ use sol_core::error::DataError;
 use sol_core::model::{Model, ModelAssessment};
 use sol_core::prediction::Prediction;
 use sol_core::runtime::builder::ScenarioRecipe;
-use sol_core::runtime::fleet::NodeSeed;
+use sol_core::runtime::fleet::{splitmix64, NodeSeed, GAMMA};
 use sol_core::runtime::node::NodeRuntime;
 use sol_core::time::Timestamp;
 use sol_ml::exchange::{ExchangeError, LearnedState};
@@ -46,17 +46,6 @@ use sol_node_sim::shared::Shared;
 use sol_node_sim::workload::OverclockWorkloadKind;
 
 use crate::overclock::{overclock_schedule, smart_overclock, OverclockConfig};
-
-// Local copy of the SplitMix64 step used throughout the workspace for seed
-// derivation (the runtime's helper is crate-private to sol-core).
-const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(GAMMA);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Maps a u64 to the unit interval `[0, 1)` with 53 bits of precision.
 fn unit(x: u64) -> f64 {

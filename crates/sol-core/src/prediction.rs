@@ -101,14 +101,6 @@ impl<P> Prediction<P> {
         now > self.expires_at
     }
 
-    /// Re-labels the prediction as a default prediction, preserving value and
-    /// timing. Used by the runtime when the model safeguard intercepts model
-    /// output but the developer asked for the same value to be forwarded.
-    pub fn into_fallback(mut self) -> Self {
-        self.source = PredictionSource::Default;
-        self
-    }
-
     /// Maps the predicted value, preserving timing and provenance.
     pub fn map<Q>(self, f: impl FnOnce(P) -> Q) -> Prediction<Q> {
         Prediction {
@@ -137,16 +129,6 @@ mod tests {
     #[should_panic(expected = "expiration")]
     fn rejects_expiry_before_production() {
         let _ = Prediction::model(1u32, Timestamp::from_secs(2), Timestamp::from_secs(1));
-    }
-
-    #[test]
-    fn fallback_conversion_keeps_value_and_times() {
-        let now = Timestamp::from_secs(3);
-        let p = Prediction::model(7i64, now, now + SimDuration::from_secs(5));
-        let f = p.clone().into_fallback();
-        assert_eq!(f.value(), p.value());
-        assert_eq!(f.expires_at(), p.expires_at());
-        assert_eq!(f.source(), PredictionSource::Default);
     }
 
     #[test]

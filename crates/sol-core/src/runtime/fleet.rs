@@ -188,10 +188,11 @@ use crate::time::{SimDuration, Timestamp};
 /// constant of SplitMix64). Oddness makes `fleet_seed + GAMMA·index` distinct
 /// for every index, and [`splitmix64`] is a bijection, so derived seeds never
 /// collide within a fleet.
-pub(crate) const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+pub const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// SplitMix64 finalizer: a bijective avalanche mix on `u64`.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
+/// SplitMix64 finalizer: a bijective avalanche mix on `u64`, the
+/// workspace's one seed-derivation step.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(GAMMA);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -1719,9 +1720,16 @@ impl<E: Environment + 'static> ShardNode<E> {
     }
 
     /// The learning-plane export for this barrier: every agent's learned
-    /// state that changed since the node's last export (the first exchange
-    /// round ships every exportable state). `None` when nothing changed —
-    /// the quiet-learner case, costing the coordinator nothing.
+    /// state that changed since the node's last export or import (the first
+    /// exchange round ships every exportable state). `None` when nothing
+    /// changed — the quiet-learner case, costing the coordinator nothing.
+    ///
+    /// Unlike the per-node view diff deleted after 0 of 29.8 M `fleet-control`
+    /// node-barriers were quiet, this diff fires: one `fleet-control` run
+    /// (seed 1) found 226 of 213,113 learned-state snapshots unchanged since
+    /// the node's last export or import. Shipping them would move
+    /// `LearningStats::{participants, bytes_exchanged}`, so the baseline
+    /// stays (`unchanged_learned_states_are_exported_once` pins it).
     fn export_learned(&mut self) -> Option<NodeLearnedExport> {
         let snapshots = self.runtime.learned_snapshots();
         self.learned_base.resize(snapshots.len(), None);

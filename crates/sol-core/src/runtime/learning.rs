@@ -5,8 +5,8 @@
 //! same task thousands of times over. The learning plane turns the fleet's
 //! epoch barrier into a periodic model-exchange point: nodes piggyback
 //! [`LearnedState`] snapshots of their learners on the barrier observations
-//! they already ship (quiet learners ship nothing, exactly like
-//! [`NodeDelta`](crate::runtime::placement::NodeDelta)s), the coordinator
+//! they already ship (a node ships only the states that changed since it last
+//! exported or imported them, so quiet learners ship nothing), the coordinator
 //! folds the per-role states with a robust [`AggregationRule`] —
 //! coordinate-wise median and trimmed mean tolerate a bounded number of
 //! poisoned or faulty contributions, where a plain mean does not — and
@@ -139,8 +139,8 @@ pub(crate) struct NodeLearnedExport {
 }
 
 /// The coordinator's half of the learning plane: a per-node mirror of the
-/// last known learned states (patched from exports, exactly like the
-/// placement base view is patched from `NodeDelta`s), the latest per-slot
+/// last known learned states (patched from exports, which carry only the
+/// states a node changed since its last export or import), the latest per-slot
 /// fleet aggregates (kept for warm-starting joiners between rounds), and the
 /// run's cumulative [`LearningStats`].
 ///

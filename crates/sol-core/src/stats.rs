@@ -150,27 +150,11 @@ impl AgentStats {
         self.actuator.accumulate(actuator);
     }
 
-    /// Total predictions forwarded to the Actuator loop.
-    pub fn predictions_forwarded(&self) -> u64 {
-        self.model.model_predictions + self.model.default_predictions
-    }
-
     /// Total actions taken by the Actuator.
     pub fn actions_taken(&self) -> u64 {
         self.actuator.actions_with_model_prediction
             + self.actuator.actions_with_default_prediction
             + self.actuator.actions_without_prediction
-    }
-
-    /// Fraction of actions that were driven by a model prediction, in `[0,1]`.
-    /// Returns 0 when no actions were taken.
-    pub fn model_driven_fraction(&self) -> f64 {
-        let total = self.actions_taken();
-        if total == 0 {
-            0.0
-        } else {
-            self.actuator.actions_with_model_prediction as f64 / total as f64
-        }
     }
 }
 
@@ -181,18 +165,9 @@ mod tests {
     #[test]
     fn derived_totals() {
         let mut s = AgentStats::default();
-        s.model.model_predictions = 8;
-        s.model.default_predictions = 2;
         s.actuator.actions_with_model_prediction = 6;
         s.actuator.actions_with_default_prediction = 2;
         s.actuator.actions_without_prediction = 2;
-        assert_eq!(s.predictions_forwarded(), 10);
         assert_eq!(s.actions_taken(), 10);
-        assert!((s.model_driven_fraction() - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn model_fraction_of_empty_stats_is_zero() {
-        assert_eq!(AgentStats::default().model_driven_fraction(), 0.0);
     }
 }

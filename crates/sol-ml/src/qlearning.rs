@@ -11,6 +11,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::exchange::{ExchangeError, LearnedExchange, LearnedState, StateKind};
 
+/// Initial Q-value for all state/action pairs.
+const INITIAL_VALUE: f64 = 0.0;
+
 /// Configuration for a [`QLearner`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct QConfig {
@@ -24,22 +27,13 @@ pub struct QConfig {
     pub discount: f64,
     /// Exploration probability ε in `[0, 1]` (the paper's agent uses 0.1).
     pub exploration: f64,
-    /// Initial Q-value for all state/action pairs.
-    pub initial_value: f64,
 }
 
 impl QConfig {
     /// Creates a configuration with the paper's defaults (α = 0.5, γ = 0.6,
     /// ε = 0.1) for the given table size.
     pub fn new(states: usize, actions: usize) -> Self {
-        QConfig {
-            states,
-            actions,
-            learning_rate: 0.5,
-            discount: 0.6,
-            exploration: 0.1,
-            initial_value: 0.0,
-        }
+        QConfig { states, actions, learning_rate: 0.5, discount: 0.6, exploration: 0.1 }
     }
 
     fn validate(&self) {
@@ -108,7 +102,7 @@ impl QLearner {
     /// of range).
     pub fn with_seed(config: QConfig, seed: u64) -> Self {
         config.validate();
-        let table = vec![config.initial_value; config.states * config.actions];
+        let table = vec![INITIAL_VALUE; config.states * config.actions];
         QLearner { config, table, updates: 0, rng: StdRng::seed_from_u64(seed) }
     }
 
@@ -198,7 +192,7 @@ impl QLearner {
     /// Resets all Q-values to the initial value, keeping the RNG state.
     pub fn reset(&mut self) {
         for v in &mut self.table {
-            *v = self.config.initial_value;
+            *v = INITIAL_VALUE;
         }
         self.updates = 0;
     }

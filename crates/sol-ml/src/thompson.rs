@@ -25,16 +25,6 @@ impl BetaArm {
         BetaArm { alpha: 1.0, beta: 1.0 }
     }
 
-    /// Creates an arm with the given prior pseudo-counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either parameter is not strictly positive.
-    pub fn with_prior(alpha: f64, beta: f64) -> Self {
-        assert!(alpha > 0.0 && beta > 0.0, "Beta parameters must be positive");
-        BetaArm { alpha, beta }
-    }
-
     /// α parameter (successes + prior).
     pub fn alpha(&self) -> f64 {
         self.alpha
@@ -320,7 +310,10 @@ mod tests {
     #[test]
     fn beta_samples_are_in_unit_interval_and_track_mean() {
         let mut rng = StdRng::seed_from_u64(1);
-        let arm = BetaArm::with_prior(20.0, 5.0);
+        // Beta(20, 5): the uniform prior plus 19 successes and 4 failures.
+        let mut arm = BetaArm::uniform();
+        (0..19).for_each(|_| arm.record_success());
+        (0..4).for_each(|_| arm.record_failure());
         let mut sum = 0.0;
         let n = 5000;
         for _ in 0..n {

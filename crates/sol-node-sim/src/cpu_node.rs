@@ -15,7 +15,7 @@ use sol_ml::footprint::MemoryFootprint;
 use sol_ml::sampling::seeded_rng;
 
 use crate::counters::{CounterSample, CpuCounters};
-use crate::power::{EnergyMeter, PowerModel, FREQUENCY_LEVELS_GHZ, NOMINAL_FREQUENCY_GHZ};
+use crate::power::{node_power_watts, EnergyMeter, FREQUENCY_LEVELS_GHZ, NOMINAL_FREQUENCY_GHZ};
 use crate::workload::{CpuWorkload, PerfReport};
 
 /// Instructions per cycle achieved by fully productive (non-stalled) cycles.
@@ -27,10 +27,6 @@ pub struct CpuNodeConfig {
     /// Number of physical cores visible to the VM (the paper's server has 26
     /// per socket).
     pub cores: usize,
-    /// Nominal frequency in GHz (safe default).
-    pub nominal_ghz: f64,
-    /// Frequencies the agent may select, in GHz.
-    pub available_ghz: Vec<f64>,
     /// Internal integration step.
     pub step: SimDuration,
     /// Probability that a counter sample returns an out-of-range IPS reading
@@ -38,8 +34,6 @@ pub struct CpuNodeConfig {
     pub bad_ips_probability: f64,
     /// RNG seed for fault injection.
     pub seed: u64,
-    /// Power model.
-    pub power_model: PowerModel,
     /// Cores' worth of dynamically placeable workload slots (for fleet-level
     /// placement: VM arrivals, departures, migrations). `0.0` — the default —
     /// means the node hosts no placeable work and every
@@ -55,12 +49,9 @@ impl Default for CpuNodeConfig {
     fn default() -> Self {
         CpuNodeConfig {
             cores: 26,
-            nominal_ghz: NOMINAL_FREQUENCY_GHZ,
-            available_ghz: FREQUENCY_LEVELS_GHZ.to_vec(),
             step: SimDuration::from_millis(25),
             bad_ips_probability: 0.0,
             seed: 42,
-            power_model: PowerModel::default(),
             placeable_cores: 0.0,
         }
     }
@@ -81,15 +72,6 @@ impl CpuNodeConfig {
         self.placeable_cores = cores;
         self
     }
-}
-
-/// One dynamically placed VM resident on a [`CpuNode`].
-#[derive(Debug, Clone, Copy)]
-struct PlacedVm {
-    unit: WorkloadUnit,
-    /// Frequency-scaled core-seconds of compute delivered to the VM since it
-    /// was attached to *this* node (migrations reset the counter).
-    core_seconds: f64,
 }
 
 /// One point of the frequency/power trace kept for time-series figures
@@ -121,7 +103,7 @@ pub struct CpuNode {
     trace_enabled: bool,
     last_alpha: f64,
     frequency_changes: u64,
-    placed: Vec<PlacedVm>,
+    placed: Vec<WorkloadUnit>,
     placed_core_seconds: f64,
 }
 
@@ -141,22 +123,20 @@ impl CpuNode {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has no cores, no available frequencies, a
-    /// zero step, or a bad-IPS probability outside `[0, 1]`.
+    /// Panics if the configuration has no cores, a zero step, or a bad-IPS
+    /// probability outside `[0, 1]`.
     pub fn new(workload: Box<dyn CpuWorkload>, config: CpuNodeConfig) -> Self {
         assert!(config.cores > 0, "node needs at least one core");
-        assert!(!config.available_ghz.is_empty(), "need at least one frequency");
         assert!(!config.step.is_zero(), "step must be non-zero");
         assert!(
             (0.0..=1.0).contains(&config.bad_ips_probability),
             "bad-IPS probability must be in [0, 1]"
         );
         let rng = seeded_rng(config.seed);
-        let nominal = config.nominal_ghz;
         CpuNode {
             config,
             workload,
-            current_ghz: nominal,
+            current_ghz: NOMINAL_FREQUENCY_GHZ,
             counters: CpuCounters::default(),
             last_sample_counters: CpuCounters::default(),
             last_sample_at: Timestamp::ZERO,
@@ -185,15 +165,15 @@ impl CpuNode {
         if self.config.placeable_cores <= 0.0 {
             return Err(PlacementError::Unsupported);
         }
-        if self.placed.iter().any(|vm| vm.unit.id == unit.id) {
+        if self.placed.iter().any(|vm| vm.id == unit.id) {
             return Err(PlacementError::DuplicateWorkload(unit.id));
         }
-        let used: f64 = self.placed.iter().map(|vm| vm.unit.cores).sum();
+        let used: f64 = self.placed.iter().map(|vm| vm.cores).sum();
         let free = self.config.placeable_cores - used;
         if unit.cores > free + 1e-9 {
             return Err(PlacementError::CapacityExceeded { requested: unit.cores, free });
         }
-        self.placed.push(PlacedVm { unit, core_seconds: 0.0 });
+        self.placed.push(unit);
         Ok(())
     }
 
@@ -205,8 +185,8 @@ impl CpuNode {
     /// Returns [`PlacementError::UnknownWorkload`] when no resident VM has
     /// the id.
     pub fn detach_workload(&mut self, id: WorkloadId) -> Result<WorkloadUnit, PlacementError> {
-        match self.placed.iter().position(|vm| vm.unit.id == id) {
-            Some(pos) => Ok(self.placed.remove(pos).unit),
+        match self.placed.iter().position(|vm| vm.id == id) {
+            Some(pos) => Ok(self.placed.remove(pos)),
             None => Err(PlacementError::UnknownWorkload(id)),
         }
     }
@@ -214,27 +194,13 @@ impl CpuNode {
     /// The node's current placeable state: slot capacity and resident VMs in
     /// admission order.
     pub fn placement(&self) -> NodePlacement {
-        NodePlacement {
-            capacity: self.config.placeable_cores,
-            resident: self.placed.iter().map(|vm| vm.unit).collect(),
-        }
-    }
-
-    /// Cores demanded by the currently placed VMs.
-    pub fn placed_cores(&self) -> f64 {
-        self.placed.iter().map(|vm| vm.unit.cores).sum()
+        NodePlacement { capacity: self.config.placeable_cores, resident: self.placed.clone() }
     }
 
     /// Frequency-scaled core-seconds delivered to placed VMs over the whole
     /// run, including VMs that have since departed.
     pub fn placed_core_seconds(&self) -> f64 {
         self.placed_core_seconds
-    }
-
-    /// Frequency-scaled core-seconds delivered to one resident VM since it
-    /// was attached to this node.
-    pub fn placed_progress(&self, id: WorkloadId) -> Option<f64> {
-        self.placed.iter().find(|vm| vm.unit.id == id).map(|vm| vm.core_seconds)
     }
 
     /// Enables recording of a (time, frequency, power, α) trace.
@@ -253,14 +219,9 @@ impl CpuNode {
         self.config.cores
     }
 
-    /// The node's nominal frequency in GHz.
-    pub fn nominal_frequency_ghz(&self) -> f64 {
-        self.config.nominal_ghz
-    }
-
     /// Frequencies the agent may select.
-    pub fn available_frequencies_ghz(&self) -> &[f64] {
-        &self.config.available_ghz
+    pub fn available_frequencies_ghz(&self) -> &'static [f64] {
+        &FREQUENCY_LEVELS_GHZ
     }
 
     /// The currently configured core frequency in GHz.
@@ -275,7 +236,7 @@ impl CpuNode {
     /// Panics if `ghz` is not one of the available frequencies.
     pub fn set_frequency_ghz(&mut self, ghz: f64) {
         assert!(
-            self.config.available_ghz.iter().any(|f| (f - ghz).abs() < 1e-9),
+            FREQUENCY_LEVELS_GHZ.iter().any(|f| (f - ghz).abs() < 1e-9),
             "frequency {ghz} GHz is not available on this node"
         );
         if (ghz - self.current_ghz).abs() > 1e-9 {
@@ -286,7 +247,7 @@ impl CpuNode {
 
     /// Restores the nominal frequency (used by `Mitigate` and `CleanUp`).
     pub fn restore_nominal_frequency(&mut self) {
-        self.current_ghz = self.config.nominal_ghz;
+        self.current_ghz = NOMINAL_FREQUENCY_GHZ;
     }
 
     /// Number of times the frequency setting changed.
@@ -332,7 +293,7 @@ impl CpuNode {
     /// The largest physically plausible IPS value for this node
     /// (`max_freq * max_IPC * cores`), used by the agent's data validation.
     pub fn max_plausible_ips(&self) -> f64 {
-        let max_freq = self.config.available_ghz.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let max_freq = FREQUENCY_LEVELS_GHZ.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         max_freq * 1e9 * BASE_IPC * self.config.cores as f64
     }
 
@@ -370,7 +331,7 @@ impl CpuNode {
         let now = self.now;
         let demand = self.workload.demand(now);
         let granted = demand.cores.min(self.config.cores as f64);
-        let freq_factor = self.current_ghz / self.config.nominal_ghz;
+        let freq_factor = self.current_ghz / NOMINAL_FREQUENCY_GHZ;
         self.workload.deliver(now, dt, granted, freq_factor);
 
         let secs = dt.as_secs_f64();
@@ -386,17 +347,15 @@ impl CpuNode {
         let mut placed_stalled = 0.0;
         if !self.placed.is_empty() {
             let leftover = (self.config.cores as f64 - granted).max(0.0);
-            let placed_demand: f64 = self.placed.iter().map(|vm| vm.unit.cores).sum();
+            let placed_demand: f64 = self.placed.iter().map(|vm| vm.cores).sum();
             let share = if placed_demand > leftover { leftover / placed_demand } else { 1.0 };
-            for vm in &mut self.placed {
-                let vm_granted = vm.unit.cores * share;
-                let delivered = vm_granted * freq_factor * secs;
-                vm.core_seconds += delivered;
-                self.placed_core_seconds += delivered;
+            for vm in &self.placed {
+                let vm_granted = vm.cores * share;
+                self.placed_core_seconds += vm_granted * freq_factor * secs;
                 let vm_unhalted = vm_granted * hz * secs;
                 placed_granted += vm_granted;
                 placed_unhalted += vm_unhalted;
-                placed_stalled += vm_unhalted * (1.0 - vm.unit.cpu_bound_fraction);
+                placed_stalled += vm_unhalted * (1.0 - vm.cpu_bound_fraction);
             }
         }
 
@@ -417,11 +376,7 @@ impl CpuNode {
 
         // Power.
         let utilization = ((granted + placed_granted) / self.config.cores as f64).clamp(0.0, 1.0);
-        let watts = self.config.power_model.node_power_watts(
-            self.current_ghz,
-            utilization,
-            self.config.cores,
-        );
+        let watts = node_power_watts(self.current_ghz, utilization, self.config.cores);
         self.energy.record(watts, dt);
 
         if self.trace_enabled {
@@ -440,9 +395,8 @@ impl CpuNode {
 impl MemoryFootprint for CpuNode {
     fn mem_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.config.available_ghz.capacity() * std::mem::size_of::<f64>()
             + self.trace.capacity() * std::mem::size_of::<CpuTracePoint>()
-            + self.placed.capacity() * std::mem::size_of::<PlacedVm>()
+            + self.placed.capacity() * std::mem::size_of::<WorkloadUnit>()
             + std::mem::size_of::<Box<dyn CpuWorkload>>()
             + self.workload.mem_bytes()
     }
@@ -590,7 +544,6 @@ mod tests {
         let placement = n.placement();
         assert_eq!(placement.capacity, 4.0);
         assert_eq!(placement.resident, vec![a]);
-        assert_eq!(n.placed_cores(), 2.5);
         // Detaching frees the capacity and returns the descriptor intact.
         assert_eq!(n.detach_workload(a.id), Ok(a));
         assert_eq!(n.detach_workload(a.id), Err(PlacementError::UnknownWorkload(a.id)));
@@ -608,8 +561,7 @@ mod tests {
         hosting.attach_workload(vm).unwrap();
         idle.advance_to(Timestamp::from_secs(10));
         hosting.advance_to(Timestamp::from_secs(10));
-        assert!((hosting.placed_progress(vm.id).unwrap() - 40.0).abs() < 1e-6);
-        assert_eq!(hosting.placed_core_seconds(), hosting.placed_progress(vm.id).unwrap());
+        assert!((hosting.placed_core_seconds() - 40.0).abs() < 1e-6);
         assert!(hosting.average_power_watts() > idle.average_power_watts());
         let idle_sample = idle.take_counter_sample().unwrap();
         let hosting_sample = hosting.take_counter_sample().unwrap();
@@ -627,7 +579,7 @@ mod tests {
         contended.attach_workload(WorkloadUnit::new(WorkloadId(3), 4.0)).unwrap();
         alone.advance_to(Timestamp::from_secs(10));
         contended.advance_to(Timestamp::from_secs(10));
-        let progress = contended.placed_progress(WorkloadId(3)).unwrap();
+        let progress = contended.placed_core_seconds();
         assert!(progress > 0.0 && progress < 20.0, "placed VM must be starved, got {progress}");
         assert_eq!(alone.performance().score, contended.performance().score);
     }

@@ -118,19 +118,21 @@ impl UsageSample {
     }
 }
 
+/// Minimum cores that must always stay with the primary VM.
+const MIN_PRIMARY_CORES: usize = 1;
+
+/// Window length for the P99 wait-time safeguard signal.
+const WAIT_WINDOW: usize = 2_000;
+
 /// Configuration for a [`HarvestNode`].
 #[derive(Debug, Clone)]
 pub struct HarvestNodeConfig {
     /// Total physical cores shared by the primary VM and the ElasticVM.
     pub total_cores: usize,
-    /// Minimum cores that must always stay with the primary VM.
-    pub min_primary_cores: usize,
     /// Integration step (the paper samples usage every 50 µs; the simulator
     /// defaults to 1 ms, which preserves the burst dynamics at ~40× lower
     /// simulation cost).
     pub step: SimDuration,
-    /// Window length for the P99 wait-time safeguard signal.
-    pub wait_window: usize,
     /// Window length for the P99 request-latency signal. The default (4096)
     /// matches the historical hardcoded window. Both windows are
     /// [`RunWindow`]s — the simulated latency and wait time hold their value
@@ -142,9 +144,7 @@ impl Default for HarvestNodeConfig {
     fn default() -> Self {
         HarvestNodeConfig {
             total_cores: 8,
-            min_primary_cores: 1,
             step: SimDuration::from_millis(1),
-            wait_window: 2_000,
             latency_window: 4_096,
         }
     }
@@ -184,19 +184,15 @@ impl HarvestNode {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is degenerate (zero cores, zero step, or
-    /// `min_primary_cores` exceeding `total_cores`).
+    /// Panics if the configuration is degenerate (fewer cores than
+    /// `MIN_PRIMARY_CORES`, or a zero step).
     pub fn new(service: BurstyService, config: HarvestNodeConfig) -> Self {
-        assert!(config.total_cores > 0, "node needs cores");
+        assert!(config.total_cores >= MIN_PRIMARY_CORES, "node needs cores");
         assert!(!config.step.is_zero(), "step must be non-zero");
-        assert!(
-            config.min_primary_cores <= config.total_cores,
-            "min_primary_cores must not exceed total_cores"
-        );
         let primary = config.total_cores;
         HarvestNode {
             latencies: RunWindow::new(config.latency_window),
-            wait_window: RunWindow::new(config.wait_window),
+            wait_window: RunWindow::new(WAIT_WINDOW),
             config,
             service,
             core_speed_factor: 1.0,
@@ -234,9 +230,9 @@ impl HarvestNode {
     }
 
     /// Assigns `cores` to the primary VM (the rest go to the ElasticVM).
-    /// Values are clamped to `[min_primary_cores, total_cores]`.
+    /// Values are clamped to `[MIN_PRIMARY_CORES, total_cores]`.
     pub fn set_primary_cores(&mut self, cores: usize) {
-        self.primary_cores = cores.clamp(self.config.min_primary_cores, self.config.total_cores);
+        self.primary_cores = cores.clamp(MIN_PRIMARY_CORES, self.config.total_cores);
     }
 
     /// Returns every core to the primary VM (mitigation / clean-up).

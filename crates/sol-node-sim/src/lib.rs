@@ -26,7 +26,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-// `shared` holds the workspace's only `unsafe`; every other crate forbids it.
+// `shared` holds the libraries' only `unsafe`; every other library forbids it.
 #![deny(unsafe_code)]
 
 pub mod counters;
@@ -52,7 +52,7 @@ pub mod prelude {
     pub use crate::multi_node::{
         Coupling, MultiNode, MultiNodeBuilder, MEMORY_PRESSURE_LATENCY_GAIN,
     };
-    pub use crate::power::{EnergyMeter, PowerModel, FREQUENCY_LEVELS_GHZ, NOMINAL_FREQUENCY_GHZ};
+    pub use crate::power::{EnergyMeter, FREQUENCY_LEVELS_GHZ, NOMINAL_FREQUENCY_GHZ};
     pub use crate::shared::Shared;
     pub use crate::workload::{
         CpuWorkload, DiskSpeed, ObjectStore, OverclockWorkloadKind, PerfReport, SyntheticBatch,

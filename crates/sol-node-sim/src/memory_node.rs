@@ -209,13 +209,14 @@ impl MemoryWorkloadKind {
     }
 }
 
+/// 4 KB pages per batch (512 in the paper).
+const PAGES_PER_BATCH: u32 = 512;
+
 /// Configuration for a [`MemoryNode`].
 #[derive(Debug, Clone)]
 pub struct MemoryNodeConfig {
     /// Number of 2 MB batches of memory managed by the agent.
     pub batches: usize,
-    /// 4 KB pages per batch (512 in the paper).
-    pub pages_per_batch: u32,
     /// Average memory accesses per second while the workload is active.
     pub accesses_per_sec: f64,
     /// Integration step.
@@ -233,7 +234,6 @@ impl Default for MemoryNodeConfig {
     fn default() -> Self {
         MemoryNodeConfig {
             batches: 256,
-            pages_per_batch: 512,
             accesses_per_sec: 50_000.0,
             step: SimDuration::from_millis(100),
             scan_failure_probability: 0.0,
@@ -316,13 +316,12 @@ impl MemoryNode {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is degenerate (zero batches/pages, an
+    /// Panics if the configuration is degenerate (zero batches, an
     /// access rate that is negative or not finite, a step of zero or longer
     /// than the one-second buckets of the remote-fraction series, or
     /// probabilities out of range).
     pub fn new(kind: MemoryWorkloadKind, config: MemoryNodeConfig) -> Self {
         assert!(config.batches > 0, "need at least one batch");
-        assert!(config.pages_per_batch > 0, "need at least one page per batch");
         assert!(
             config.accesses_per_sec.is_finite() && config.accesses_per_sec >= 0.0,
             "access rate must be finite and non-negative"
@@ -379,11 +378,6 @@ impl MemoryNode {
     /// Number of 2 MB batches.
     pub fn batch_count(&self) -> usize {
         self.batches.len()
-    }
-
-    /// Pages per batch.
-    pub fn pages_per_batch(&self) -> u32 {
-        self.config.pages_per_batch
     }
 
     /// Number of batches currently in the local (first) tier.
@@ -463,7 +457,7 @@ impl MemoryNode {
         {
             return Err(DataError::SourceUnavailable("access-bit scan failed".into()));
         }
-        let pages = self.config.pages_per_batch as f64;
+        let pages = f64::from(PAGES_PER_BATCH);
         let b = &mut self.batches[batch];
         // Approximate distinct pages touched from the access count with the
         // standard occupancy formula.
@@ -773,12 +767,7 @@ mod tests {
     use super::*;
 
     fn small_config() -> MemoryNodeConfig {
-        MemoryNodeConfig {
-            batches: 64,
-            pages_per_batch: 512,
-            accesses_per_sec: 10_000.0,
-            ..MemoryNodeConfig::default()
-        }
+        MemoryNodeConfig { batches: 64, accesses_per_sec: 10_000.0, ..MemoryNodeConfig::default() }
     }
 
     #[test]

@@ -71,6 +71,7 @@ use sol_core::time::Timestamp;
 use crate::cpu_node::CpuNode;
 use crate::harvest_node::HarvestNode;
 use crate::memory_node::MemoryNode;
+use crate::power::NOMINAL_FREQUENCY_GHZ;
 use crate::shared::{EnvGuard, Shared};
 
 /// A declared physical interaction between two substrates of a [`MultiNode`],
@@ -251,10 +252,8 @@ impl MultiNode {
         if self.couplings.is_empty() {
             return;
         }
-        let freq_factor = self
-            .cpu
-            .as_ref()
-            .map(|cpu| cpu.with(|n| n.frequency_ghz() / n.nominal_frequency_ghz()));
+        let freq_factor =
+            self.cpu.as_ref().map(|cpu| cpu.with(|n| n.frequency_ghz() / NOMINAL_FREQUENCY_GHZ));
         for &coupling in &self.couplings {
             match coupling {
                 Coupling::FrequencyToDemand => {

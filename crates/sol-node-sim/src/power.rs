@@ -16,70 +16,51 @@ pub const FREQUENCY_LEVELS_GHZ: [f64; 3] = [1.5, 1.9, 2.3];
 /// The nominal (safe default) frequency in GHz.
 pub const NOMINAL_FREQUENCY_GHZ: f64 = 1.5;
 
-/// A simple per-core DVFS power model.
+/// Constant platform power (fans, uncore, DRAM) in watts.
+const PLATFORM_WATTS: f64 = 20.0;
+
+/// Static per-core power in watts at the nominal frequency (weakly frequency
+/// dependent; scaled with the square of the frequency ratio).
+const STATIC_CORE_WATTS: f64 = 1.0;
+
+/// Dynamic per-core power at the nominal frequency and 100% utilization, in
+/// watts.
+const DYNAMIC_CORE_WATTS: f64 = 4.0;
+
+/// Power drawn by one core at frequency `freq_ghz` (GHz) with utilization
+/// `utilization` in `[0, 1]`: a simple per-core DVFS model.
 ///
-/// Power for one core running at frequency `f` with utilization `u` is
-/// `static_w * (f / nominal)^2 + dynamic_w * u * (f / nominal)^3` — static
-/// power rises with the voltage needed for the higher frequency, dynamic
-/// power with voltage squared times frequency. Node power is the sum over
-/// cores plus a constant platform overhead.
+/// With `r = freq_ghz / NOMINAL_FREQUENCY_GHZ`, the result is
+/// `STATIC_CORE_WATTS * r^2 + DYNAMIC_CORE_WATTS * utilization * r^3` —
+/// static power rises with the voltage needed for the higher frequency,
+/// dynamic power with voltage squared times frequency.
+///
+/// # Panics
+///
+/// Panics if `freq_ghz` is not positive or `utilization` is outside
+/// `[0, 1]`.
+fn core_power_watts(freq_ghz: f64, utilization: f64) -> f64 {
+    assert!(freq_ghz > 0.0, "frequency must be positive");
+    assert!((0.0..=1.0 + 1e-9).contains(&utilization), "utilization must be in [0, 1]");
+    let ratio = freq_ghz / NOMINAL_FREQUENCY_GHZ;
+    STATIC_CORE_WATTS * ratio.powi(2) + DYNAMIC_CORE_WATTS * utilization * ratio.powi(3)
+}
+
+/// Power drawn by the whole node with `cores` cores all at `freq_ghz` and
+/// average utilization `utilization`: the sum over cores plus a constant
+/// platform overhead.
 ///
 /// # Examples
 ///
 /// ```
-/// use sol_node_sim::power::PowerModel;
+/// use sol_node_sim::power::node_power_watts;
 ///
-/// let model = PowerModel::default();
-/// let idle = model.node_power_watts(1.5, 0.0, 26);
-/// let busy = model.node_power_watts(2.3, 1.0, 26);
+/// let idle = node_power_watts(1.5, 0.0, 26);
+/// let busy = node_power_watts(2.3, 1.0, 26);
 /// assert!(busy > 2.0 * idle);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct PowerModel {
-    /// Constant platform power (fans, uncore, DRAM) in watts.
-    pub platform_watts: f64,
-    /// Static per-core power in watts (weakly frequency dependent; modeled
-    /// as linear in frequency).
-    pub static_core_watts: f64,
-    /// Dynamic per-core power at the nominal frequency and 100% utilization,
-    /// in watts.
-    pub dynamic_core_watts: f64,
-    /// Nominal frequency in GHz used to normalize the cubic term.
-    pub nominal_ghz: f64,
-}
-
-impl Default for PowerModel {
-    fn default() -> Self {
-        PowerModel {
-            platform_watts: 20.0,
-            static_core_watts: 1.0,
-            dynamic_core_watts: 4.0,
-            nominal_ghz: NOMINAL_FREQUENCY_GHZ,
-        }
-    }
-}
-
-impl PowerModel {
-    /// Power drawn by one core at frequency `freq_ghz` (GHz) with utilization
-    /// `utilization` in `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `freq_ghz` is not positive or `utilization` is outside
-    /// `[0, 1]`.
-    pub fn core_power_watts(&self, freq_ghz: f64, utilization: f64) -> f64 {
-        assert!(freq_ghz > 0.0, "frequency must be positive");
-        assert!((0.0..=1.0 + 1e-9).contains(&utilization), "utilization must be in [0, 1]");
-        let ratio = freq_ghz / self.nominal_ghz;
-        self.static_core_watts * ratio.powi(2)
-            + self.dynamic_core_watts * utilization * ratio.powi(3)
-    }
-
-    /// Power drawn by the whole node with `cores` cores all at `freq_ghz` and
-    /// average utilization `utilization`.
-    pub fn node_power_watts(&self, freq_ghz: f64, utilization: f64, cores: usize) -> f64 {
-        self.platform_watts + cores as f64 * self.core_power_watts(freq_ghz, utilization)
-    }
+pub fn node_power_watts(freq_ghz: f64, utilization: f64, cores: usize) -> f64 {
+    PLATFORM_WATTS + cores as f64 * core_power_watts(freq_ghz, utilization)
 }
 
 /// Integrates power over time to produce energy and average power.
@@ -137,28 +118,25 @@ mod tests {
 
     #[test]
     fn power_increases_superlinearly_with_frequency() {
-        let m = PowerModel::default();
-        let p15 = m.node_power_watts(1.5, 1.0, 26);
-        let p19 = m.node_power_watts(1.9, 1.0, 26);
-        let p23 = m.node_power_watts(2.3, 1.0, 26);
+        let p15 = node_power_watts(1.5, 1.0, 26);
+        let p19 = node_power_watts(1.9, 1.0, 26);
+        let p23 = node_power_watts(2.3, 1.0, 26);
         assert!(p15 < p19 && p19 < p23);
         // Dynamic component alone grows faster than frequency.
-        let d15 = m.core_power_watts(1.5, 1.0) - m.core_power_watts(1.5, 0.0);
-        let d23 = m.core_power_watts(2.3, 1.0) - m.core_power_watts(2.3, 0.0);
+        let d15 = core_power_watts(1.5, 1.0) - core_power_watts(1.5, 0.0);
+        let d23 = core_power_watts(2.3, 1.0) - core_power_watts(2.3, 0.0);
         assert!(d23 / d15 > 2.3 / 1.5);
     }
 
     #[test]
     fn idle_power_is_much_lower_than_busy_power() {
-        let m = PowerModel::default();
-        assert!(m.node_power_watts(1.5, 0.05, 26) < 0.6 * m.node_power_watts(1.5, 1.0, 26));
+        assert!(node_power_watts(1.5, 0.05, 26) < 0.6 * node_power_watts(1.5, 1.0, 26));
     }
 
     #[test]
     #[should_panic(expected = "utilization")]
     fn rejects_bad_utilization() {
-        let m = PowerModel::default();
-        let _ = m.core_power_watts(1.5, 1.5);
+        let _ = core_power_watts(1.5, 1.5);
     }
 
     #[test]

@@ -119,19 +119,9 @@ impl SyntheticBatch {
         }
     }
 
-    /// Number of batches completed so far.
-    pub fn batches_completed(&self) -> usize {
-        self.completions as usize
-    }
-
     /// Mean batch completion time, if any batch completed.
     pub fn mean_completion(&self) -> Option<SimDuration> {
         self.completion_nanos.checked_div(self.completions).map(SimDuration::from_nanos)
-    }
-
-    /// Whether the workload is currently in a processing phase.
-    pub fn is_processing(&self) -> bool {
-        self.remaining > 0.0
     }
 
     fn maybe_start_batch(&mut self, now: Timestamp) {
@@ -540,10 +530,10 @@ mod tests {
         let mut w = SyntheticBatch::paper_default(8);
         // At nominal frequency a 320 core-second batch on 8 cores takes ~40 s.
         run_workload(&mut w, 100, 1.0, 8.0);
-        assert_eq!(w.batches_completed(), 1);
+        assert_eq!(w.completions, 1);
         let completion = w.mean_completion().unwrap().as_secs_f64();
         assert!((completion - 40.0).abs() < 1.5, "completion {completion}");
-        assert!(!w.is_processing(), "should be idle before the next arrival");
+        assert!(w.remaining <= 0.0, "should be idle before the next arrival");
     }
 
     #[test]
@@ -637,7 +627,7 @@ mod tests {
             // sample on.
             assert_eq!(store.mem_bytes(), 4 * 24 + 16 * 10);
         }
-        assert_eq!(batch.batches_completed(), 10);
+        assert_eq!(batch.completions, 10);
         assert_eq!(batch.mem_bytes(), 0);
     }
 

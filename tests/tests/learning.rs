@@ -13,8 +13,11 @@
 use proptest::prelude::*;
 
 use sol_agents::poison::{poisoned_overclock_recipe, PoisonAttack, PoisonedOverclockConfig};
+use sol_core::error::DataError;
 use sol_core::prelude::*;
-use sol_ml::exchange::{AggregationRule, BlendPolicy, LearnedExchange, LearnedState, StateKind};
+use sol_ml::exchange::{
+    AggregationRule, BlendPolicy, ExchangeError, LearnedExchange, LearnedState, StateKind,
+};
 use sol_ml::linear::OnlineLinearRegression;
 use sol_ml::qlearning::{QConfig, QLearner};
 use sol_ml::thompson::ThompsonSampler;
@@ -341,48 +344,55 @@ fn poisoned_churning_learning_fleet_is_byte_identical_across_thread_counts() {
     assert!(report.learning.warm_starts > 0, "joiners must warm-start");
 }
 
-/// Quiet learners ship nothing: a fleet whose models never export (the toy
-/// models of the fleet tests have no learned state) runs a learning plane
-/// with zero traffic and zero redistribution.
-#[test]
-fn quiet_models_produce_empty_learning_rounds() {
-    use sol_core::error::DataError;
+/// A model that learns nothing: it exports `export` (or nothing) at every
+/// barrier and ignores imports.
+struct FixedModel {
+    export: Option<LearnedState>,
+}
 
-    struct SilentModel;
-    impl Model for SilentModel {
-        type Data = f64;
-        type Pred = f64;
-        fn collect_data(&mut self, _now: Timestamp) -> Result<f64, DataError> {
-            Ok(1.0)
-        }
-        fn validate_data(&self, d: &f64) -> bool {
-            d.is_finite()
-        }
-        fn commit_data(&mut self, _now: Timestamp, _d: f64) {}
-        fn update_model(&mut self, _now: Timestamp) {}
-        fn predict(&mut self, now: Timestamp) -> Option<Prediction<f64>> {
-            Some(Prediction::model(1.0, now, now + SimDuration::from_secs(1)))
-        }
-        fn default_predict(&self, now: Timestamp) -> Prediction<f64> {
-            Prediction::fallback(0.0, now, now + SimDuration::from_secs(1))
-        }
-        fn assess_model(&mut self, _now: Timestamp) -> ModelAssessment {
-            ModelAssessment::Healthy
-        }
+impl Model for FixedModel {
+    type Data = f64;
+    type Pred = f64;
+    fn collect_data(&mut self, _now: Timestamp) -> Result<f64, DataError> {
+        Ok(1.0)
     }
-
-    struct SilentActuator;
-    impl Actuator for SilentActuator {
-        type Pred = f64;
-        fn take_action(&mut self, _now: Timestamp, _pred: Option<&Prediction<f64>>) {}
-        fn assess_performance(&mut self, _now: Timestamp) -> ActuatorAssessment {
-            ActuatorAssessment::Acceptable
-        }
-        fn mitigate(&mut self, _now: Timestamp) {}
-        fn clean_up(&mut self, _now: Timestamp) {}
+    fn validate_data(&self, d: &f64) -> bool {
+        d.is_finite()
     }
+    fn commit_data(&mut self, _now: Timestamp, _d: f64) {}
+    fn update_model(&mut self, _now: Timestamp) {}
+    fn predict(&mut self, now: Timestamp) -> Option<Prediction<f64>> {
+        Some(Prediction::model(1.0, now, now + SimDuration::from_secs(1)))
+    }
+    fn default_predict(&self, now: Timestamp) -> Prediction<f64> {
+        Prediction::fallback(0.0, now, now + SimDuration::from_secs(1))
+    }
+    fn assess_model(&mut self, _now: Timestamp) -> ModelAssessment {
+        ModelAssessment::Healthy
+    }
+    fn export_learned(&self) -> Option<LearnedState> {
+        self.export.clone()
+    }
+    fn import_learned(&mut self, _state: &LearnedState) -> Result<(), ExchangeError> {
+        Ok(())
+    }
+}
 
-    let recipe = ScenarioRecipe::new(|_seed: &NodeSeed| {
+struct SilentActuator;
+impl Actuator for SilentActuator {
+    type Pred = f64;
+    fn take_action(&mut self, _now: Timestamp, _pred: Option<&Prediction<f64>>) {}
+    fn assess_performance(&mut self, _now: Timestamp) -> ActuatorAssessment {
+        ActuatorAssessment::Acceptable
+    }
+    fn mitigate(&mut self, _now: Timestamp) {}
+    fn clean_up(&mut self, _now: Timestamp) {}
+}
+
+/// Learning-plane counters of a 4-node fleet of [`FixedModel`]s exporting
+/// `export`, exchanging at every barrier for 5 one-second epochs.
+fn fixed_fleet_learning(export: Option<LearnedState>) -> LearningStats {
+    let recipe = ScenarioRecipe::new(move |_seed: &NodeSeed| {
         let mut builder = NodeRuntime::builder(NullEnvironment);
         let schedule = Schedule::builder()
             .data_per_epoch(2)
@@ -390,7 +400,7 @@ fn quiet_models_produce_empty_learning_rounds() {
             .max_epoch_time(SimDuration::from_secs(1))
             .build()
             .unwrap();
-        builder.agent("silent", SilentModel, SilentActuator, schedule);
+        builder.agent("fixed", FixedModel { export: export.clone() }, SilentActuator, schedule);
         builder.build()
     });
     let config = FleetConfig {
@@ -400,9 +410,34 @@ fn quiet_models_produce_empty_learning_rounds() {
         ..FleetConfig::default()
     };
     let report = FleetRuntime::new(recipe, config).unwrap().run(SimDuration::from_secs(5)).unwrap();
-    assert!(report.learning.rounds > 0, "rounds still fire on cadence");
-    assert_eq!(report.learning.participants, 0, "quiet learners ship nothing");
-    assert_eq!(report.learning.bytes_exchanged, 0);
-    assert_eq!(report.learning.redistributed, 0);
-    assert_eq!(report.learning.rejected, 0);
+    report.learning
+}
+
+/// Quiet learners ship nothing: a fleet whose models never export (the toy
+/// models of the fleet tests have no learned state) runs a learning plane
+/// with zero traffic and zero redistribution.
+#[test]
+fn quiet_models_produce_empty_learning_rounds() {
+    let learning = fixed_fleet_learning(None);
+    assert!(learning.rounds > 0, "rounds still fire on cadence");
+    assert_eq!(learning.participants, 0, "quiet learners ship nothing");
+    assert_eq!(learning.bytes_exchanged, 0);
+    assert_eq!(learning.redistributed, 0);
+    assert_eq!(learning.rejected, 0);
+}
+
+/// A node ships a learned state only when it differs from the one it last
+/// exported or imported. Nodes that export one constant state take part in
+/// the first round only: later rounds find nothing new, and the aggregate of
+/// identical states equals each node's own, so nothing is redistributed.
+/// `participants` and `bytes_exchanged` count each node's first export alone.
+#[test]
+fn unchanged_learned_states_are_exported_once() {
+    let state = LearnedState::new(StateKind::LinearWeights, vec![2], vec![0.5, -1.5]).unwrap();
+    let learning = fixed_fleet_learning(Some(state.clone()));
+    assert_eq!(learning.rounds, 5, "one round per barrier");
+    assert_eq!(learning.participants, 4, "each node exports once");
+    assert_eq!(learning.bytes_exchanged, 4 * state.byte_len() as u64);
+    assert_eq!(learning.redistributed, 0);
+    assert_eq!(learning.rejected, 0);
 }
