@@ -98,9 +98,10 @@ fn debug_digest<T: std::fmt::Debug>(value: &T) -> u64 {
 /// is fast and slightly wrong passes. This one compares the default
 /// three-agent node against a pinned constant: the whole report (its `Debug`
 /// rendering) plus the memory substrate's counters, its hot-set ranking, its
-/// tier split and its recent and per-second remote fractions (floats by their
-/// bits). A change that moves it changed what is simulated or how the report
-/// renders, and has to say which.
+/// tier split and its recent and per-second remote fractions, and the CPU
+/// substrate's ObjectStore score, its P99 latency and the node's energy
+/// (floats by their bits). A change that moves it changed what is simulated
+/// or how the report renders, and has to say which.
 #[test]
 fn three_agent_run_matches_the_pinned_digest() {
     let agents = three_agents(ThreeAgentConfig::default());
@@ -122,7 +123,15 @@ fn three_agent_run_matches_the_pinned_digest() {
                 .collect::<Vec<_>>(),
         )
     });
-    assert_eq!(debug_digest(&(&report, &memory)), 0x95c4_b697_9816_26a0, "memory = {memory:?}");
+    let cpu = agents.cpu.with(|n| {
+        let perf = n.performance();
+        (perf.score.to_bits(), perf.p99_latency_ms.map(f64::to_bits), n.energy_joules().to_bits())
+    });
+    assert_eq!(
+        debug_digest(&(&report, &memory, &cpu)),
+        0x7637_d776_e5de_cb33,
+        "memory = {memory:?}, cpu = {cpu:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------
