@@ -217,8 +217,7 @@ impl Model for HarvestModel {
             );
             self.classifier.update(&example);
         }
-        self.prev_features =
-            Some(DistributionalFeatures::extract(&self.epoch_usage).values().to_vec());
+        self.prev_features = Some(DistributionalFeatures::extract(&self.epoch_usage).into_values());
 
         self.recent_max_usage.push_back(max_usage);
         while self.recent_max_usage.len() > 8 {
@@ -235,8 +234,8 @@ impl Model for HarvestModel {
     }
 
     fn predict(&mut self, now: Timestamp) -> Option<Prediction<CoreDemandPrediction>> {
-        let features = self.prev_features.clone()?;
-        let cores = if self.config.broken_model { 0 } else { self.classifier.predict(&features) };
+        let features = self.prev_features.as_deref()?;
+        let cores = if self.config.broken_model { 0 } else { self.classifier.predict(features) };
         let cores_needed = (cores + SAFETY_BUFFER_CORES).min(self.total_cores).max(1);
         Some(Prediction::model(
             CoreDemandPrediction { cores_needed },

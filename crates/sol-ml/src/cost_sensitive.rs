@@ -107,25 +107,18 @@ impl CostSensitiveClassifier {
         self.updates
     }
 
-    /// Predicted cost of each class for `x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` has the wrong number of features.
-    pub fn predicted_costs(&self, x: &[f64]) -> Vec<f64> {
-        self.regressors.iter().map(|r| r.predict(x)).collect()
-    }
-
-    /// Predicts the class with the lowest expected cost for `x`.
+    /// Predicts the class with the lowest expected cost for `x` (the first
+    /// such class on a tie).
     ///
     /// # Panics
     ///
     /// Panics if `x` has the wrong number of features.
     pub fn predict(&self, x: &[f64]) -> usize {
-        self.predicted_costs(x)
+        self.regressors
             .iter()
+            .map(|r| r.predict(x))
             .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN costs"))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN costs"))
             .map(|(i, _)| i)
             .expect("at least one class")
     }
@@ -237,9 +230,11 @@ mod tests {
     }
 
     #[test]
-    fn predicted_costs_have_one_entry_per_class() {
-        let clf = CostSensitiveClassifier::new(2, 3, 0.1);
-        assert_eq!(clf.predicted_costs(&[0.0, 0.0]).len(), 3);
+    fn predict_ranges_over_every_class() {
+        let mut clf = CostSensitiveClassifier::new(2, 3, 0.1);
+        assert_eq!(clf.predict(&[1.0, 0.0]), 0, "untrained costs tie: the first class");
+        clf.update(&CostSensitiveExample::new(vec![1.0, 0.0], vec![5.0, 5.0, 0.0]));
+        assert_eq!(clf.predict(&[1.0, 0.0]), 2, "the last class is a candidate too");
         assert_eq!(clf.classes(), 3);
         assert_eq!(clf.features(), 2);
     }
@@ -254,9 +249,10 @@ mod tests {
     #[test]
     fn reset_clears_state() {
         let mut clf = CostSensitiveClassifier::new(1, 2, 0.1);
-        clf.update(&CostSensitiveExample::new(vec![1.0], vec![0.0, 5.0]));
+        clf.update(&CostSensitiveExample::new(vec![1.0], vec![5.0, 0.0]));
+        assert_eq!(clf.predict(&[1.0]), 1);
         clf.reset();
         assert_eq!(clf.updates(), 0);
-        assert_eq!(clf.predicted_costs(&[1.0]), vec![0.0, 0.0]);
+        assert_eq!(clf.predict(&[1.0]), 0, "untrained costs tie: the first class");
     }
 }

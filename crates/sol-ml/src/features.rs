@@ -22,6 +22,12 @@ impl FeatureVector {
         &self.values
     }
 
+    /// The feature values, in extraction order, as the vector that holds
+    /// them.
+    pub fn into_values(self) -> Vec<f64> {
+        self.values
+    }
+
     /// Number of features.
     pub fn len(&self) -> usize {
         self.values.len()

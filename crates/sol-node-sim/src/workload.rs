@@ -17,6 +17,7 @@
 //! metrics. This reproduces the dynamics the agent learns from (phases, idle
 //! periods, frequency sensitivity) without simulating individual instructions.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 use sol_core::time::{SimDuration, Timestamp};
@@ -188,17 +189,81 @@ impl CpuWorkload for SyntheticBatch {
 
 /// One ObjectStore request latency in milliseconds: `base_ms` with a
 /// deterministic jitter standing in for request size variation, divided by
-/// the speedup the step delivered.
+/// the speedup the step delivered. The jitter, `1 + 0.3·|sin(7.3·t)|`, is a
+/// function of the step's start instant `t` alone, so every node stepping
+/// that instant shares it: [`jitter`] computes it once per instant per
+/// thread.
 fn latency_ms(base_ms: f64, now: Timestamp, speedup: f64) -> f64 {
-    let jitter = 1.0 + 0.3 * ((now.as_secs_f64() * 7.3).sin().abs());
-    base_ms * jitter / speedup
+    base_ms * jitter(now) / speedup
+}
+
+/// The jitter of a step that starts at `now`, exactly as computed directly.
+fn jitter_at(now: Timestamp) -> f64 {
+    1.0 + 0.3 * ((now.as_secs_f64() * 7.3).sin().abs())
+}
+
+/// Slots in the per-thread jitter memo: one per instant of a default 1 s
+/// fleet epoch on the 1 ms harvest cadence, so the first node a worker
+/// advances through an epoch computes every jitter and the rest read them
+/// back.
+const JITTER_SLOTS: usize = 1024;
+
+/// The grid the memo's slots follow: consecutive 1 ms step starts land in
+/// consecutive slots.
+const JITTER_GRID_NS: u64 = 1_000_000;
+
+/// The memo slot of the instant `nanos`.
+const fn jitter_slot(nanos: u64) -> usize {
+    (nanos / JITTER_GRID_NS) as usize % JITTER_SLOTS
+}
+
+/// The memo before any lookup. Slot `i` holds the instant that indexes slot
+/// `i + 1` (mod the table size), an instant no lookup through slot `i` can
+/// ask for; so an entry matches only once [`jitter`] has written it, whatever
+/// the instant, `Timestamp::MAX` included.
+const fn empty_jitter_memo() -> [Cell<(u64, f64)>; JITTER_SLOTS] {
+    let mut memo = [const { Cell::new((0, 0.0)) }; JITTER_SLOTS];
+    let mut slot = 0;
+    while slot < JITTER_SLOTS {
+        let next = ((slot + 1) % JITTER_SLOTS) as u64 * JITTER_GRID_NS;
+        memo[slot] = Cell::new((next, 0.0));
+        slot += 1;
+    }
+    memo
+}
+
+thread_local! {
+    /// `(instant nanos, jitter)` pairs, direct-mapped by [`jitter_slot`].
+    /// Every node on a fleet worker steps the same instants in lockstep
+    /// epochs, so all but the first node to reach an instant read its
+    /// jitter here. Constant-initialised: it lives in thread-local storage
+    /// and never touches the heap.
+    static JITTER_MEMO: [Cell<(u64, f64)>; JITTER_SLOTS] = const { empty_jitter_memo() };
+}
+
+/// [`jitter_at`], read from this thread's memo when the instant is there and
+/// computed (and stored) when it is not. A collision just recomputes, so the
+/// result is always `jitter_at(now)` to the bit.
+fn jitter(now: Timestamp) -> f64 {
+    let nanos = now.as_nanos();
+    JITTER_MEMO.with(|memo| {
+        let entry = &memo[jitter_slot(nanos)];
+        let (key, value) = entry.get();
+        if key == nanos {
+            return value;
+        }
+        let value = jitter_at(now);
+        entry.set((nanos, value));
+        value
+    })
 }
 
 /// The last `capacity` ObjectStore latencies, kept as the inputs each was
 /// computed from — the step's start and its speedup — and turned back into
-/// samples by [`latency_ms`] when a quantile is read. `len` and `quantile`
-/// return what a `SlidingWindow` of the same capacity fed the latencies
-/// returns, to the bit.
+/// samples by [`latency_ms`] when a quantile is read. A sample's jitter comes
+/// from its start alone, through the same per-thread memo the step used.
+/// `len` and `quantile` return what a `SlidingWindow` of the same capacity
+/// fed the latencies returns, to the bit.
 ///
 /// Every sample differs (the jitter follows the clock), but its inputs do
 /// not: a node advanced on a regular grid holds one run of starts, and the
@@ -510,9 +575,29 @@ impl OverclockWorkloadKind {
 
 #[cfg(test)]
 mod tests {
+    use sol_core::runtime::Environment;
     use sol_ml::online_stats::SlidingWindow;
 
     use super::*;
+    use crate::cpu_node::{CpuNode, CpuNodeConfig};
+
+    /// [`latency_ms`] with the jitter computed directly, past the memo.
+    fn direct_latency_ms(base_ms: f64, now: Timestamp, speedup: f64) -> f64 {
+        base_ms * jitter_at(now) / speedup
+    }
+
+    /// Runs `f` on a thread of its own, whose memo nothing has written yet.
+    fn on_fresh_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+        std::thread::scope(|scope| scope.spawn(f).join().expect("the thread does not panic"))
+    }
+
+    /// Looks `now` up twice (the first may miss, the second finds what the
+    /// first stored) and checks both against the direct formula's bits.
+    fn assert_memo_exact(now: Timestamp) {
+        let direct = jitter_at(now).to_bits();
+        assert_eq!(jitter(now).to_bits(), direct, "first lookup at {now:?}");
+        assert_eq!(jitter(now).to_bits(), direct, "second lookup at {now:?}");
+    }
 
     fn run_workload(w: &mut dyn CpuWorkload, secs: u64, freq_factor: f64, cores: f64) {
         let dt = SimDuration::from_millis(10);
@@ -600,7 +685,7 @@ mod tests {
         for i in 0..2 * 4096 {
             let (now, speedup) = (Timestamp::from_millis(i), 1.0 + i as f64 * 1e-4);
             window.push(now, speedup);
-            plain.push(latency_ms(2.0, now, speedup));
+            plain.push(direct_latency_ms(2.0, now, speedup));
         }
         // A 10-byte speedup run per sample beside the 4 reserved start runs,
         // of which the grid uses one.
@@ -629,6 +714,154 @@ mod tests {
         }
         assert_eq!(batch.completions, 10);
         assert_eq!(batch.mem_bytes(), 0);
+    }
+
+    #[test]
+    fn a_fresh_memo_matches_no_instant() {
+        // Slot `i` starts out holding an instant of slot `i + 1`: no lookup
+        // through slot `i` asks for it, so nothing reads an entry before
+        // `jitter` has written it.
+        let initial_keys: Vec<u64> =
+            empty_jitter_memo().iter().map(|entry| entry.get().0).collect();
+        for (slot, &key) in initial_keys.iter().enumerate() {
+            assert_ne!(jitter_slot(key), slot, "slot {slot}");
+        }
+        on_fresh_thread(|| {
+            let initial_keys = initial_keys.iter().map(|&key| Timestamp::from_nanos(key));
+            for now in [Timestamp::ZERO, Timestamp::MAX].into_iter().chain(initial_keys) {
+                assert_memo_exact(now);
+            }
+        });
+    }
+
+    #[test]
+    fn memo_is_exact_on_and_off_the_grid() {
+        on_fresh_thread(|| {
+            for ms in [0, 1, 2, 999, 1_000, 1_023, 1_024, 86_400_000] {
+                let on_grid = Timestamp::from_millis(ms);
+                assert_memo_exact(on_grid);
+                for off in [1, 250_000, JITTER_GRID_NS - 1] {
+                    assert_memo_exact(on_grid + SimDuration::from_nanos(off));
+                }
+                // The on-grid instant again, after the off-grid ones took
+                // its slot.
+                assert_memo_exact(on_grid);
+            }
+        });
+    }
+
+    #[test]
+    fn instants_that_share_a_slot_evict_each_other_exactly() {
+        let a = Timestamp::from_millis(7);
+        let b = Timestamp::from_millis(7 + JITTER_SLOTS as u64);
+        assert_eq!(jitter_slot(a.as_nanos()), jitter_slot(b.as_nanos()));
+        on_fresh_thread(|| {
+            for _ in 0..3 {
+                assert_memo_exact(a);
+                assert_memo_exact(b);
+            }
+        });
+    }
+
+    #[test]
+    fn memo_is_per_thread() {
+        let now = Timestamp::from_millis(42);
+        let holds = || JITTER_MEMO.with(|memo| memo[jitter_slot(now.as_nanos())].get().0);
+        assert_memo_exact(now);
+        assert_eq!(holds(), now.as_nanos());
+        // Another thread's memo has not seen the instant; two threads looking
+        // up the same instants side by side each get the formula's bits.
+        assert_ne!(on_fresh_thread(holds), now.as_nanos());
+        std::thread::scope(|scope| {
+            for offset in [0, JITTER_GRID_NS / 2] {
+                scope.spawn(move || {
+                    for ms in 0..3 * JITTER_SLOTS as u64 {
+                        assert_memo_exact(Timestamp::from_nanos(ms * JITTER_GRID_NS + offset));
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn object_stores_on_different_grids_interleave_exactly() {
+        // Two stores on one thread, one on the 1 ms grid and one on a 0.7 ms
+        // grid shifted by 0.3 ms, so their instants keep taking each other's
+        // slots. Each must score what the direct formula gives.
+        let grids = [(0, 1_000_000), (300_000, 700_000)];
+        let mut stores = [ObjectStore::new(8), ObjectStore::new(8)];
+        let mut direct: [(f64, SlidingWindow); 2] =
+            std::array::from_fn(|_| (0.0, SlidingWindow::new(4096)));
+        let steps = 5_000;
+        on_fresh_thread(|| {
+            for step in 0..steps {
+                for ((store, (sum, window)), (offset, every)) in
+                    stores.iter_mut().zip(&mut direct).zip(grids)
+                {
+                    let now = Timestamp::from_nanos(offset + step * every);
+                    let freq_factor = [1.0, 1.2, 1.5][(step / 700) as usize % 3];
+                    store.deliver(now, SimDuration::from_nanos(every), 8.0, freq_factor);
+                    let latency = direct_latency_ms(2.0, now, freq_factor);
+                    *sum += latency;
+                    window.push(latency);
+                }
+            }
+        });
+        for (store, (sum, window)) in stores.iter().zip(&direct) {
+            let perf = store.performance();
+            assert_eq!(perf.score.to_bits(), (1.0 / (sum / steps as f64)).to_bits());
+            assert_eq!(
+                perf.p99_latency_ms.map(f64::to_bits),
+                Some(window.quantile(0.99).to_bits())
+            );
+        }
+    }
+
+    #[test]
+    fn a_node_after_255_lockstep_peers_scores_as_it_does_alone() {
+        let node = || {
+            CpuNode::new(
+                OverclockWorkloadKind::ObjectStore.build(8),
+                CpuNodeConfig { cores: 8, ..CpuNodeConfig::default() },
+            )
+        };
+        /// Advances `node` through the 1 s epoch that starts at `second`, on
+        /// the 1 ms grid a fleet's harvest agent steps it on.
+        fn epoch(node: &mut CpuNode, second: u64) {
+            for ms in 1..=1_000 {
+                node.advance_to(Timestamp::from_millis(second * 1_000 + ms));
+            }
+        }
+        let bits = |node: &CpuNode| {
+            let perf = node.performance();
+            (perf.score.to_bits(), perf.p99_latency_ms.map(f64::to_bits))
+        };
+        let epochs = 3;
+        // Alone on a fresh thread, every lookup misses.
+        let alone = on_fresh_thread(|| {
+            let mut alone = node();
+            for second in 0..epochs {
+                epoch(&mut alone, second);
+            }
+            bits(&alone)
+        });
+        // Last of 256 nodes a worker advances epoch by epoch, every lookup
+        // finds what the first peer stored.
+        let last = on_fresh_thread(|| {
+            let mut fleet: Vec<CpuNode> = (0..256).map(|_| node()).collect();
+            for (index, peer) in fleet.iter_mut().enumerate() {
+                peer.set_frequency_ghz(peer.available_frequencies_ghz()[index % 3]);
+            }
+            let last = fleet.len() - 1;
+            fleet[last].restore_nominal_frequency();
+            for second in 0..epochs {
+                for node in &mut fleet {
+                    epoch(node, second);
+                }
+            }
+            bits(&fleet[last])
+        });
+        assert_eq!(alone, last);
     }
 
     mod latency_window {
@@ -685,7 +918,7 @@ mod tests {
                         Speedup::EverySample(from) => from + i as f64 * 0.125,
                     };
                     window.push(now, x);
-                    plain.push(latency_ms(2.0, now, x));
+                    plain.push(direct_latency_ms(2.0, now, x));
                     prop_assert_eq!(window.len, plain.len());
                     for q in [0.0, 0.5, 0.99, 1.0] {
                         prop_assert_eq!(

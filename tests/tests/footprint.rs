@@ -19,7 +19,9 @@
 //! holds after `instantiate` and after a virtual minute beside `mem_bytes()`:
 //! 3,884 B and 13,976 B for the two-agent node, 39,792 B and 118,396 B for
 //! the three-agent one, one value on every seed. The heap excludes the
-//! `NodeRuntime` value itself, which lives on the caller's stack.
+//! `NodeRuntime` value itself, which lives on the caller's stack. Per agent,
+//! each blueprint alone on its own substrate adds 2,783 B (SmartOverclock),
+//! 2,989 B (SmartHarvest) and 28,884 B (SmartMemory) after the minute.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -27,6 +29,7 @@ use std::cell::Cell;
 use sol_agents::prelude::*;
 use sol_core::prelude::*;
 use sol_node_sim::multi_node::MultiNode;
+use sol_node_sim::prelude::*;
 
 thread_local! {
     /// Heap bytes this thread allocated and has not freed yet. Per thread,
@@ -119,4 +122,101 @@ fn two_agent_node_stays_under_10_kb_on_every_seed() {
 fn three_agent_node_stays_under_90_kb_on_every_seed() {
     let preset = three_agents_recipe(ThreeAgentConfig::default());
     assert_pinned(&footprints(&preset.recipe), 39_792, 118_396, 84_700);
+}
+
+/// The live heap a node built by `build` holds after a virtual minute.
+fn heap_after_a_minute<E: Environment + 'static>(build: impl FnOnce() -> NodeRuntime<E>) -> isize {
+    let before = live_bytes();
+    let mut runtime = build();
+    runtime.run_until(Timestamp::from_secs(60));
+    live_bytes() - before
+}
+
+/// What one agent adds to the live heap, per seed: its blueprint registered
+/// alone on the substrate `substrate` builds from the seed's
+/// [`ThreeAgentConfig`], against the same substrate run for the same minute
+/// with no agent. Both are advanced on the 1 ms grid the preset nodes'
+/// SmartHarvest steps them on, which keeps each substrate's own history
+/// within what it reserves whatever the agent does. The difference is the
+/// agent (model, actuator, safeguard windows) and the runtime's bookkeeping
+/// for it.
+fn agent_heaps<T: Environment + Send + 'static>(
+    substrate: impl Fn(&ThreeAgentConfig) -> T,
+    register: impl Fn(&mut ScenarioBuilder<Shared<T>>, &Shared<T>, &ThreeAgentConfig),
+) -> Vec<isize> {
+    (0..8)
+        .map(|index| {
+            let config = ThreeAgentConfig::default().reseeded(&NodeSeed::derive(0x5eed, index));
+            let on_the_grid = |node: &Shared<T>| {
+                NodeRuntime::builder(node.clone())
+                    .max_environment_step(SimDuration::from_millis(1))
+                    .expect("a 1 ms step is valid")
+            };
+            let bare =
+                heap_after_a_minute(|| on_the_grid(&Shared::new(substrate(&config))).build());
+            let with_agent = heap_after_a_minute(|| {
+                let node = Shared::new(substrate(&config));
+                let mut builder = on_the_grid(&node);
+                register(&mut builder, &node, &config);
+                builder.build()
+            });
+            with_agent - bare
+        })
+        .collect()
+}
+
+/// Asserts every seed's agent costs `bytes`.
+fn assert_agent_pinned(heaps: &[isize], bytes: isize) {
+    assert!(
+        heaps.iter().all(|&heap| heap == heaps[0]),
+        "the agent must not follow the seed: {heaps:?}"
+    );
+    assert_eq!(heaps[0], bytes);
+}
+
+#[test]
+fn smart_overclock_alone_holds_a_pinned_heap_on_every_seed() {
+    let heaps = agent_heaps(
+        |config| {
+            CpuNode::new(
+                config.workload.build_with_window(config.cores, config.latency_window),
+                CpuNodeConfig { cores: config.cores, ..CpuNodeConfig::default() }
+                    .with_seed(config.cpu_seed),
+            )
+        },
+        |builder, node, config| {
+            builder.register(overclock_blueprint(node, config.overclock.clone()));
+        },
+    );
+    assert_agent_pinned(&heaps, 2_783);
+}
+
+#[test]
+fn smart_harvest_alone_holds_a_pinned_heap_on_every_seed() {
+    let heaps = agent_heaps(
+        |config| {
+            HarvestNode::new(
+                config.service.clone(),
+                HarvestNodeConfig {
+                    latency_window: config.latency_window,
+                    ..HarvestNodeConfig::default()
+                },
+            )
+        },
+        |builder, node, config| {
+            builder.register(harvest_blueprint(node, config.harvest.clone()));
+        },
+    );
+    assert_agent_pinned(&heaps, 2_989);
+}
+
+#[test]
+fn smart_memory_alone_holds_a_pinned_heap_on_every_seed() {
+    let heaps = agent_heaps(
+        |config| MemoryNode::new(config.memory_workload, config.memory_node.clone()),
+        |builder, node, config| {
+            builder.register(memory_blueprint(node, config.memory.clone()));
+        },
+    );
+    assert_agent_pinned(&heaps, 28_884);
 }
