@@ -1,0 +1,554 @@
+//! The worker side of the barrier: the slot arena's nodes ([`NodeSlot`],
+//! [`ShardNode`]), the task list the workers claim them from, the change
+//! lists they answer with, the messages either way, and the [`worker`]
+//! loop itself.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use sol_ml::exchange::LearnedState;
+
+use super::report::{summarize, FleetNodeReport};
+use super::NodeSeed;
+use crate::runtime::builder::ScenarioRecipe;
+use crate::runtime::learning::NodeLearnedExport;
+use crate::runtime::node::{AgentId, NodeRuntime};
+use crate::runtime::placement::{AgentTelemetry, NodeInit, NodeView};
+use crate::runtime::profile::Lap;
+use crate::runtime::Environment;
+use crate::stats::AgentStats;
+use crate::time::Timestamp;
+
+/// One unit of epoch work: a node's slot in the shared arena. The node index
+/// lives inside the slot (in its seed), so a task is just the `Arc`.
+pub type NodeTask<E> = Arc<NodeSlot<E>>;
+
+/// The live set's tasks, shared by every worker: each claims contiguous
+/// chunks through the one atomic cursor until none is left, so a worker that
+/// runs out of work takes over what a slower sibling has not reached yet and
+/// one slow node never idles the barrier. The list outlives the barrier: the
+/// coordinator [`reset`](Self::reset)s it for the next one and builds a new
+/// list only when the live set changed.
+pub struct TaskList<T> {
+    tasks: Vec<T>,
+    /// Index of the first unclaimed task (past the end once all are claimed).
+    next: AtomicUsize,
+    /// Tasks handed out per claim.
+    chunk: usize,
+}
+
+impl<T> TaskList<T> {
+    /// A list `claimants` workers will share. A chunk is an eighth of one
+    /// worker's even share: large enough that light nodes (~100 ns of work
+    /// an epoch) do not pay one contended atomic each, small enough that the
+    /// tail of the list rebalances whatever imbalance its head hid.
+    pub fn new(tasks: Vec<T>, claimants: usize) -> Self {
+        let chunk = (tasks.len() / (8 * claimants)).max(1);
+        TaskList { tasks, next: AtomicUsize::new(0), chunk }
+    }
+
+    /// Claims the next chunk, or `None` once every task is claimed. Every
+    /// task is handed out exactly once: `fetch_add` gives each caller a
+    /// distinct start.
+    fn claim(&self) -> Option<&[T]> {
+        // Relaxed: the cursor publishes nothing but itself. The list reaches
+        // the workers through the command channel and their results return
+        // through the reply channel, which order everything else.
+        let start = self.next.fetch_add(self.chunk, Ordering::Relaxed);
+        let end = (start + self.chunk).min(self.tasks.len());
+        (start < end).then(|| &self.tasks[start..end])
+    }
+
+    /// Makes every task claimable again. The caller must know that no claim
+    /// is in flight — the coordinator does: every worker answered the
+    /// previous barrier, and answers only once its claims ran dry.
+    pub fn reset(&self) {
+        // Relaxed, as in `claim`: the command channel orders this store
+        // before the next barrier's claims.
+        self.next.store(0, Ordering::Relaxed);
+    }
+}
+
+/// What one worker observed at one barrier, across every node it claimed,
+/// flattened into four vectors keyed by node index: every agent counter and
+/// reading of every collected node, changed or not, since at every measured
+/// barrier every counter had moved (shares in the [module docs](super)).
+/// The coordinator moves
+/// the entries into its base view and hands the emptied list back with the
+/// next command, so the vectors keep their capacity and a steady barrier
+/// allocates nothing per node — on either side.
+#[derive(Default)]
+pub struct ChangeList {
+    /// First full observations (and re-observations after a telemetry
+    /// layout change): one per node per run, as a rule.
+    inits: Vec<(usize, NodeInit)>,
+    /// Agent counters: `(node, registration position, stats)`.
+    agents: Vec<(usize, usize, AgentStats)>,
+    /// Telemetry readings: `(node, emission position, value)`.
+    telemetry: Vec<(usize, usize, f64)>,
+    /// On exchange rounds, the learned states that changed since each
+    /// node's last export.
+    pub exports: Vec<NodeLearnedExport>,
+}
+
+impl ChangeList {
+    /// Moves the view changes into `nodes`, leaving those three vectors
+    /// empty. A node is claimed by one worker per barrier and ships either
+    /// an init or patches, so the order lists are patched in never shows.
+    /// A position out of range for the node's view is ignored, not grown
+    /// into: a patch only overwrites a counter or reading the view already
+    /// holds, and a new layout arrives as an init.
+    pub fn patch(&mut self, nodes: &mut [NodeView]) {
+        for (node, init) in self.inits.drain(..) {
+            let view = &mut nodes[node];
+            view.agents = init.agents;
+            view.telemetry = init.telemetry;
+            view.placement = init.placement;
+        }
+        for (node, role, stats) in self.agents.drain(..) {
+            if let Some(agent) = nodes[node].agents.get_mut(role) {
+                agent.stats = stats;
+            }
+        }
+        for (node, slot, value) in self.telemetry.drain(..) {
+            if let Some((_, reading)) = nodes[node].telemetry.get_mut(slot) {
+                *reading = value;
+            }
+        }
+    }
+}
+
+/// What one barrier asks of the workers.
+#[derive(Clone, Copy)]
+pub enum Work {
+    /// Run every claimed node to `boundary`. `collect` asks for full barrier
+    /// observations (agent stats + telemetry deltas) — without it only each
+    /// node's first observation is shipped; `learn` marks a learning-plane
+    /// exchange round (nodes piggyback changed learned state).
+    Epoch { boundary: Timestamp, collect: bool, learn: bool },
+    /// Summarize every claimed node and ship the reports home.
+    Finish,
+}
+
+/// What the coordinator sends to every worker, once per barrier (the entire
+/// lifecycle/placement phase runs coordinator-side against the shared
+/// arena) and once more to summarize: the work, the live set's task list,
+/// and an empty change list to fill — the one this worker's previous answer
+/// came back in.
+pub struct CoordMsg<E: Environment + 'static> {
+    pub work: Work,
+    pub tasks: Arc<TaskList<NodeTask<E>>>,
+    pub changes: ChangeList,
+}
+
+/// What a worker did with one command.
+pub enum Done {
+    /// Every node this worker claimed reached the boundary; carries what
+    /// changed on them.
+    Epoch(ChangeList),
+    /// Final outcomes of the nodes this worker claimed (answers `Finish`).
+    Finished(Vec<FleetNodeReport>),
+}
+
+/// What a worker sends back once the task list ran dry: the outcome, and its
+/// own account of the barrier for the
+/// [`FleetProfile`](crate::runtime::profile::FleetProfile).
+pub struct WorkerMsg {
+    pub done: Done,
+    /// Wall time from receiving the command to sending this.
+    pub busy_ns: u64,
+    /// Nodes claimed off the task list.
+    pub claimed: u64,
+}
+
+/// One stamped node: its seed, its live runtime, the fleet time at which its
+/// local clock started (non-zero for nodes joined mid-run), the telemetry
+/// layout the coordinator's view of it has, and its learned-state export
+/// baseline.
+pub struct ShardNode<E: Environment + 'static> {
+    pub seed: NodeSeed,
+    pub runtime: NodeRuntime<E>,
+    start: Timestamp,
+    /// How many telemetry readings the last full observation shipped;
+    /// `None` until the first one. Barrier patches are positional, so a
+    /// reading count that differs from it re-ships the node in full.
+    telemetry_len: Option<usize>,
+    /// Learned states as of the last learning-plane export (or coordinator
+    /// import), indexed by agent slot; the exchange-round diff baseline.
+    /// Empty until the first exchange round touches the node. Shared with
+    /// the coordinator's mirror — and, after a `Replace` round, with every
+    /// other node — never written through.
+    pub learned_base: Vec<Option<Arc<LearnedState>>>,
+}
+
+impl<E: Environment + 'static> ShardNode<E> {
+    /// Stamps the node out of the recipe. It ships a full observation at
+    /// its first barrier.
+    fn stamp(recipe: &ScenarioRecipe<E>, seed: NodeSeed, start: Timestamp) -> Self {
+        ShardNode {
+            runtime: recipe.instantiate(&seed),
+            seed,
+            start,
+            telemetry_len: None,
+            learned_base: Vec::new(),
+        }
+    }
+
+    /// Maps fleet time onto this node's local clock. A joined node starts a
+    /// virgin timeline at its join boundary, so the recipe's schedules and
+    /// seed-derived phases behave exactly as on a node present from the
+    /// start.
+    fn local(&self, fleet_time: Timestamp) -> Timestamp {
+        Timestamp::ZERO + fleet_time.duration_since(self.start)
+    }
+
+    /// Runs the node's event loop up to fleet time `boundary`. Out of line on
+    /// purpose: this loop is where a node-bound run's time goes, and compiled
+    /// into the worker's body its code generation shifts with every edit to
+    /// the barrier code around it — the node-bound benchmark workloads read
+    /// 5–15 % slower after a change that touched no line of the loop.
+    #[inline(never)]
+    fn run_to(&mut self, boundary: Timestamp) {
+        let until = self.local(boundary);
+        self.runtime.run_until(until);
+    }
+
+    /// Writes the barrier observation into `changes`. The first call ships
+    /// a full [`NodeInit`] (placement always, agent stats and telemetry only
+    /// when `collect`); later calls write nothing without `collect`, and
+    /// with it every role's stats and every reading, unchanged or not (no
+    /// measured workload has a quiet node; see the [module docs](super)).
+    fn observe(&mut self, recipe: &ScenarioRecipe<E>, collect: bool, changes: &mut ChangeList) {
+        let node = self.seed.index() as usize;
+        let Some(telemetry_len) = self.telemetry_len else {
+            changes.inits.push((node, self.full_observation(recipe, collect)));
+            return;
+        };
+        if !collect {
+            return;
+        }
+        let readings = recipe.extract_telemetry(self.runtime.environment());
+        if readings.len() != telemetry_len {
+            // The telemetry shape changed; re-ship everything rather than
+            // patch positionally against a stale layout.
+            changes.inits.push((node, self.full_observation(recipe, collect)));
+            return;
+        }
+        for role in 0..self.runtime.agent_count() {
+            changes.agents.push((node, role, self.runtime.agent_stats(AgentId::from(role))));
+        }
+        changes
+            .telemetry
+            .extend(readings.into_iter().enumerate().map(|(slot, (_, value))| (node, slot, value)));
+    }
+
+    /// A full observation, recording its telemetry layout. Placement is
+    /// always exact (the coordinator mirrors it); agent stats and telemetry
+    /// are extracted only when some controller will read them.
+    fn full_observation(&mut self, recipe: &ScenarioRecipe<E>, collect: bool) -> NodeInit {
+        let mut init = NodeInit {
+            agents: Vec::new(),
+            telemetry: Vec::new(),
+            placement: self.runtime.placement(),
+        };
+        if collect {
+            init.agents = self
+                .runtime
+                .agent_snapshots()
+                .into_iter()
+                .map(|(name, stats)| AgentTelemetry { name, stats })
+                .collect();
+            init.telemetry = recipe.extract_telemetry(self.runtime.environment());
+        }
+        self.telemetry_len = Some(init.telemetry.len());
+        init
+    }
+
+    /// The learning-plane export for this barrier: every agent's learned
+    /// state that changed since the node's last export or import (the first
+    /// exchange round ships every exportable state). `None` when nothing
+    /// changed — the quiet-learner case, costing the coordinator nothing.
+    ///
+    /// Unlike the per-node view diff deleted after 0 of 29.8 M `fleet-control`
+    /// node-barriers were quiet, this diff fires: one `fleet-control` run
+    /// (seed 1) found 226 of 213,113 learned-state snapshots unchanged since
+    /// the node's last export or import. Shipping them would move
+    /// `LearningStats::{participants, bytes_exchanged}`, so the baseline
+    /// stays (`unchanged_learned_states_are_exported_once` pins it).
+    fn export_learned(&mut self) -> Option<NodeLearnedExport> {
+        let snapshots = self.runtime.learned_snapshots();
+        self.learned_base.resize(snapshots.len(), None);
+        let mut states = Vec::new();
+        for (slot, snapshot) in snapshots.into_iter().enumerate() {
+            let Some(state) = snapshot else { continue };
+            if self.learned_base[slot].as_deref() == Some(&state) {
+                continue;
+            }
+            // One allocation, two holders: this node's next diff baseline
+            // and the coordinator's mirror row.
+            let state = Arc::new(state);
+            self.learned_base[slot] = Some(Arc::clone(&state));
+            states.push((slot, state));
+        }
+        if states.is_empty() {
+            None
+        } else {
+            Some(NodeLearnedExport { node: self.seed.index() as usize, states })
+        }
+    }
+
+    /// Imports a (blended) fleet aggregate into agent `slot`'s model,
+    /// refreshing the export baseline so the next exchange round does not
+    /// re-ship what the coordinator already knows. The model copies the
+    /// values out; the baseline keeps a handle on the shared state. Returns
+    /// whether the model accepted the state.
+    pub fn import_learned(&mut self, slot: usize, state: &Arc<LearnedState>) -> bool {
+        if slot >= self.runtime.agent_count() {
+            return false;
+        }
+        if self.runtime.driver_mut(AgentId::from(slot)).import_learned(state).is_err() {
+            return false;
+        }
+        if self.learned_base.len() <= slot {
+            self.learned_base.resize(slot + 1, None);
+        }
+        self.learned_base[slot] = Some(Arc::clone(state));
+        true
+    }
+}
+
+/// A node's lifetime inside its arena slot: recipe-stampable, stamped, or
+/// permanently retired.
+///
+/// `Live` dwarfs the other variants, but boxing it would put a pointer chase
+/// on every event batch: a slot spends essentially its whole lifetime `Live`,
+/// and the enum lives in a per-node heap allocation already (the arena's
+/// `Arc<NodeSlot>`), so the size difference buys nothing.
+#[allow(clippy::large_enum_variant)]
+enum Slot<E: Environment + 'static> {
+    /// Not yet stamped: holds everything needed to stamp on first claim, so
+    /// construction cost lands on whichever worker first advances the node,
+    /// not on the coordinator.
+    Vacant { seed: NodeSeed, start: Timestamp },
+    /// Stamped and running.
+    Live(ShardNode<E>),
+    /// Retired (crashed or drained); its report already shipped.
+    Retired,
+}
+
+/// One arena slot, shared between the coordinator and the workers. The
+/// protocol keeps their accesses in disjoint phases (workers only between
+/// receiving a `CoordMsg` and answering it, the coordinator only outside
+/// that), so the mutex is never contended — it exists to make the sharing
+/// sound, not to arbitrate races.
+pub struct NodeSlot<E: Environment + 'static>(Mutex<Slot<E>>);
+
+impl<E: Environment + 'static> NodeSlot<E> {
+    pub fn vacant(seed: NodeSeed, start: Timestamp) -> Arc<Self> {
+        Arc::new(NodeSlot(Mutex::new(Slot::Vacant { seed, start })))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Slot<E>> {
+        // A worker that panicked never answers, so the coordinator aborts
+        // before touching the slots it poisoned; this expect is a backstop,
+        // not a code path.
+        self.0.lock().expect("fleet node slot poisoned")
+    }
+
+    /// Locks the slot, stamping the node first if it is still vacant.
+    /// Stamping is a pure function of the recipe and the slot's seed, so
+    /// whoever gets here first — the worker advancing the node, or the
+    /// coordinator warm-starting or retiring it — stamps the same node.
+    fn stamped(&self, recipe: &ScenarioRecipe<E>) -> MutexGuard<'_, Slot<E>> {
+        let mut guard = self.lock();
+        if let Slot::Vacant { seed, start } = *guard {
+            *guard = Slot::Live(ShardNode::stamp(recipe, seed, start));
+        }
+        guard
+    }
+
+    /// Stamps the node if needed, advances it to the epoch boundary, and
+    /// writes its barrier observation delta plus — when `learn` marks an
+    /// exchange round — its learning-plane export into `changes` (nothing
+    /// for an unchanged node or a retired slot).
+    pub fn advance(
+        &self,
+        recipe: &ScenarioRecipe<E>,
+        boundary: Timestamp,
+        collect: bool,
+        learn: bool,
+        changes: &mut ChangeList,
+    ) {
+        let mut guard = self.stamped(recipe);
+        let Slot::Live(node) = &mut *guard else { return };
+        node.run_to(boundary);
+        node.observe(recipe, collect, changes);
+        if learn {
+            changes.exports.extend(node.export_learned());
+        }
+    }
+
+    /// Takes the node out for good, leaving the slot `Retired` (`None` if it
+    /// already was). A still-vacant slot — a node that joined at the final
+    /// boundary, or crashed at its own join boundary — is stamped first so
+    /// it reports like any zero-advancement node.
+    pub fn take(&self, recipe: &ScenarioRecipe<E>) -> Option<ShardNode<E>> {
+        match std::mem::replace(&mut *self.stamped(recipe), Slot::Retired) {
+            Slot::Live(node) => Some(node),
+            _ => None,
+        }
+    }
+
+    /// Runs `f` on the live node, if the slot is live. The coordinator's
+    /// placement hooks go through this: a command addressed to a node whose
+    /// slot is vacant (joined this very barrier) or retired fails.
+    pub fn with_live<R>(&self, f: impl FnOnce(&mut ShardNode<E>) -> R) -> Option<R> {
+        match &mut *self.lock() {
+            Slot::Live(node) => Some(f(node)),
+            _ => None,
+        }
+    }
+
+    /// Like [`with_live`](Self::with_live), but stamps a vacant node first
+    /// (`None` only for a retired slot). The learning plane's join
+    /// warm-start goes through this: importing the fleet aggregate needs a
+    /// live runtime.
+    pub fn with_stamped<R>(
+        &self,
+        recipe: &ScenarioRecipe<E>,
+        f: impl FnOnce(&mut ShardNode<E>) -> R,
+    ) -> Option<R> {
+        match &mut *self.stamped(recipe) {
+            Slot::Live(node) => Some(f(node)),
+            _ => None,
+        }
+    }
+}
+
+/// Worker body: on each command, claim chunks of the task list until it
+/// runs dry — advancing (or, for `Finish`, summarizing) every node claimed —
+/// and ship the results home in one message, epoch changes in the very list
+/// the command brought. A closed channel either way means the run is over or
+/// was aborted (another worker died, or the controller erred): exit quietly.
+pub fn worker<E: Environment + Send + 'static>(
+    recipe: Arc<ScenarioRecipe<E>>,
+    cmd_rx: Receiver<CoordMsg<E>>,
+    done_tx: Sender<WorkerMsg>,
+) {
+    while let Ok(CoordMsg { work, tasks, mut changes }) = cmd_rx.recv() {
+        let mut lap = Lap::start();
+        let mut claimed = 0;
+        let done = match work {
+            Work::Epoch { boundary, collect, learn } => {
+                while let Some(chunk) = tasks.claim() {
+                    claimed += chunk.len();
+                    for slot in chunk {
+                        slot.advance(&recipe, boundary, collect, learn, &mut changes);
+                    }
+                }
+                Done::Epoch(changes)
+            }
+            Work::Finish => {
+                let mut finished = Vec::new();
+                while let Some(chunk) = tasks.claim() {
+                    claimed += chunk.len();
+                    for slot in chunk {
+                        let node = slot.take(&recipe);
+                        finished.extend(node.map(|n| summarize(&recipe, n.seed, n.runtime)));
+                    }
+                }
+                Done::Finished(finished)
+            }
+        };
+        let mut busy_ns = 0;
+        lap.charge(&mut busy_ns);
+        if done_tx.send(WorkerMsg { done, busy_ns, claimed: claimed as u64 }).is_err() {
+            return;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::thread;
+
+    use super::*;
+
+    /// The contract the worker pool rests on: however many claimants race
+    /// for a list, every task is handed out exactly once — whether the
+    /// length divides into chunks, leaves a short last chunk, or is shorter
+    /// than the claimant count.
+    #[test]
+    fn every_task_is_claimed_exactly_once() {
+        for len in [1000usize, 1003, 5, 0] {
+            let list = Arc::new(TaskList::new((0..len).collect(), 8));
+            let start = Arc::new(std::sync::Barrier::new(8));
+            let claimants: Vec<thread::JoinHandle<Vec<usize>>> = (0..8)
+                .map(|_| {
+                    let (list, start) = (Arc::clone(&list), Arc::clone(&start));
+                    thread::spawn(move || {
+                        // Release all eight at once so the claims do race.
+                        start.wait();
+                        let mut mine = Vec::new();
+                        while let Some(chunk) = list.claim() {
+                            mine.extend_from_slice(chunk);
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            let mut all: Vec<usize> =
+                claimants.into_iter().flat_map(|claimant| claimant.join().unwrap()).collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..len).collect::<Vec<usize>>(), "{len} tasks");
+            assert!(list.claim().is_none(), "a drained list stays drained");
+        }
+    }
+
+    /// The list outlives its barrier: after a `reset` — issued, as in the
+    /// coordinator, only once every claimant ran dry — the same four
+    /// claimants split the same tasks again, exactly once each, reuse after
+    /// reuse.
+    #[test]
+    fn a_reset_list_hands_every_task_out_exactly_once_per_reuse() {
+        let list = Arc::new(TaskList::new((0..1003usize).collect(), 4));
+        // Two waits per reuse: one releases the claims, one tells the
+        // resetter that all four ran dry.
+        let gate = Arc::new(std::sync::Barrier::new(5));
+        let claimants: Vec<thread::JoinHandle<Vec<Vec<usize>>>> = (0..4)
+            .map(|_| {
+                let (list, gate) = (Arc::clone(&list), Arc::clone(&gate));
+                thread::spawn(move || {
+                    (0..4)
+                        .map(|_| {
+                            gate.wait();
+                            let mut mine = Vec::new();
+                            while let Some(chunk) = list.claim() {
+                                mine.extend_from_slice(chunk);
+                            }
+                            gate.wait();
+                            mine
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        for reuse in 0..4 {
+            if reuse > 0 {
+                list.reset();
+            }
+            gate.wait();
+            gate.wait();
+            assert!(list.claim().is_none(), "reuse {reuse} drained the list");
+        }
+        let claims: Vec<Vec<Vec<usize>>> =
+            claimants.into_iter().map(|claimant| claimant.join().unwrap()).collect();
+        for reuse in 0..4 {
+            let mut all: Vec<usize> =
+                claims.iter().flat_map(|claimant| claimant[reuse].iter().copied()).collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..1003).collect::<Vec<usize>>(), "reuse {reuse}");
+        }
+    }
+}

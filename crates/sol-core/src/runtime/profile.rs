@@ -38,13 +38,16 @@ pub struct PhaseProfile {
     pub plan_ns: u64,
     /// Lifecycle events, quarantine drains and node retirement.
     pub lifecycle_ns: u64,
-    /// Learn: the robust aggregation round.
+    /// Learn: the exchange's row upkeep for nodes that retired or joined,
+    /// then the robust aggregation round. Between rounds the upkeep lands in
+    /// [`redistribute_ns`](Self::redistribute_ns).
     pub round_ns: u64,
     /// Learn: trust scoring of the round.
     pub score_ns: u64,
     /// Learn: redistributing the aggregates (and warm-starting joiners).
     pub redistribute_ns: u64,
-    /// Applying the plan's placement commands.
+    /// Applying the plan's placement commands, and the tally of what the
+    /// barrier's phases decided.
     pub place_ns: u64,
     /// The final fold: summarizing the survivors and aggregating reports.
     pub fold_ns: u64,
@@ -108,7 +111,8 @@ pub struct FleetProfile {
     /// [`FaultPlan`](crate::runtime::lifecycle::FaultPlan) events dropped
     /// because their target had already left the fleet (crashed, drained or
     /// quarantined first): the report shows no trace of them, so they are
-    /// counted here. A pure function of the run's inputs.
+    /// counted here, folded from the skipped events each barrier's
+    /// lifecycle phase returns. A pure function of the run's inputs.
     pub fault_events_skipped: u64,
 }
 

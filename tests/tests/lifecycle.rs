@@ -330,6 +330,41 @@ fn fault_plan_events_on_departed_nodes_are_skipped_and_counted() {
     assert_eq!(profile.fault_events_skipped, 0);
 }
 
+/// `PlacementStats::commands` counts what the run was asked to do: the
+/// controller's placement commands and lifecycle events, plus every
+/// fault-plan event that came due — the skipped one included.
+#[test]
+fn commands_count_the_controllers_plan_and_every_due_fault_event() {
+    struct AdmitTwiceAndDrain;
+    impl FleetController for AdmitTwiceAndDrain {
+        fn plan(&mut self, view: &FleetView) -> PlacementPlan {
+            let mut plan = PlacementPlan::new();
+            if view.epoch == 0 {
+                plan.admit(0, WorkloadUnit::new(WorkloadId(7), 1.0));
+                plan.admit(1, WorkloadUnit::new(WorkloadId(8), 1.0));
+                plan.drain(2);
+            }
+            plan
+        }
+    }
+    // Node 3 crashes at the first boundary; crashing it again at the
+    // second finds it gone.
+    let at = |secs: u64, event| FaultEvent { at: Timestamp::from_secs(secs), event };
+    let faults = FaultPlan::from_events(vec![
+        at(1, LifecycleEvent::Crash { node: 3 }),
+        at(2, LifecycleEvent::Crash { node: 3 }),
+    ]);
+    let config = FleetConfig { nodes: 4, threads: 2, ..FleetConfig::default() };
+    let fleet = FleetRuntime::new(placeable_preset().recipe, config).unwrap();
+    let (report, profile) =
+        fleet.run_profiled(&mut AdmitTwiceAndDrain, faults, SimDuration::from_secs(4)).unwrap();
+    assert_eq!(report.placement.commands, 5, "two commands, one drain, two due fault events");
+    assert_eq!(profile.fault_events_skipped, 1);
+    assert_eq!(report.placement.admitted, 2);
+    assert_eq!(report.nodes[2].lifecycle.state, NodeState::Drained);
+    assert_eq!(report.nodes[3].lifecycle.state, NodeState::Crashed);
+}
+
 #[test]
 fn commands_against_crashed_nodes_fail_counted_not_fatal() {
     // Crash node 0 and, at the next boundary, try to admit to it: the

@@ -226,3 +226,55 @@ fn fault_plan_events_on_already_drained_victims_are_skipped() {
     assert_eq!(one, run(2), "1 vs 2 threads");
     assert_eq!(one, run(8), "1 vs 8 threads");
 }
+
+/// Every node's lifecycle state in every view the controller was shown.
+#[derive(Default)]
+struct StateRecorder {
+    views: Vec<(Timestamp, Vec<NodeState>)>,
+}
+
+impl FleetController for StateRecorder {
+    fn plan(&mut self, view: &FleetView) -> PlacementPlan {
+        self.views.push((view.now, view.nodes.iter().map(|node| node.state).collect()));
+        PlacementPlan::new()
+    }
+}
+
+/// The other side of the race above: a fault-plan crash that lands at the
+/// very barrier whose lifecycle phase applies the trust plane's quarantine
+/// drain. Fault events apply before quarantines, so the crash wins and the
+/// coordinator skips its own drain — neither an error nor a skipped fault
+/// event — and the run is otherwise the one it would have been.
+#[test]
+fn a_crash_at_the_quarantine_barrier_preempts_the_drain() {
+    let (fleet, plan) = trusted_fleet(VICTIMS, 2);
+    let victim = plan.victims()[0];
+    let mut recorder = StateRecorder::default();
+    let first = fleet.run_with(&mut recorder, HORIZON).unwrap();
+    // A quarantined node is empty, so it retires at the barrier after its
+    // drain and no view reads it `Draining`: the drain landed at the last
+    // barrier whose view still read it `Active`.
+    let views = &recorder.views;
+    let left = views.iter().position(|(_, states)| states[victim] != NodeState::Active).unwrap();
+    assert_eq!(views[left].1[victim], NodeState::Drained, "the trust plane drained the victim");
+    let (boundary, _) = views[left - 1];
+
+    let run = |threads: usize| {
+        let (fleet, _) = trusted_fleet(VICTIMS, threads);
+        let crash = FaultEvent { at: boundary, event: LifecycleEvent::Crash { node: victim } };
+        let (report, profile) = fleet
+            .run_profiled(&mut NullController, FaultPlan::from_events(vec![crash]), HORIZON)
+            .expect("a crash racing a quarantine drain must not abort the run");
+        let node = &report.nodes[victim];
+        assert_eq!(node.lifecycle.state, NodeState::Crashed, "the crash landed first");
+        assert_eq!(node.lifecycle.updated_epoch, left as u64 - 1, "at the quarantine barrier");
+        assert_eq!(node.lifecycle.version, 2, "one transition: no drain before the crash");
+        assert_eq!(node.trust.verdict, TrustVerdict::Quarantined);
+        assert_eq!(report.trust.quarantines, first.trust.quarantines);
+        assert_eq!(profile.fault_events_skipped, 0, "the crash applied; the drain was skipped");
+        format!("{report:#?}")
+    };
+    let one = run(1);
+    assert_eq!(one, run(2), "1 vs 2 threads");
+    assert_eq!(one, run(8), "1 vs 8 threads");
+}
