@@ -752,7 +752,7 @@ mod tests {
         let fleet = FleetRuntime::new(heterogeneous_recipe(), config).unwrap();
         let report = fleet.run(SimDuration::from_secs(2)).unwrap();
         // StepEnv reports no environment bytes, but every node still carries
-        // its wake table and intervention queue, so the accounting is
+        // its wake vector and intervention queue, so the accounting is
         // non-zero on every node.
         for node in &report.nodes {
             assert!(node.mem_bytes > 0, "node {} reported zero bytes", node.node);

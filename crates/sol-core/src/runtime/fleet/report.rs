@@ -54,7 +54,7 @@ pub struct FleetNodeReport {
     /// own clock (which starts at zero when the node joins).
     pub ended_at: Timestamp,
     /// Bytes of simulation state the node held when it stopped — the
-    /// runtime's agent wake table and intervention queue plus whatever the
+    /// runtime's agent wake vector and intervention queue plus whatever the
     /// environment reports through [`Environment::mem_bytes`] (nothing, for
     /// environments that do not implement the accounting hook).
     pub mem_bytes: usize,
@@ -85,17 +85,10 @@ impl Percentiles {
     ///
     /// An empty slice yields [`Percentiles::ZEROED`] — there is no data to
     /// rank, and a zeroed row keeps aggregate reports total rather than
-    /// panicking deep inside a fleet fold. Callers that need to distinguish
-    /// "no data" from "all zero" should use [`try_of`](Self::try_of).
+    /// panicking deep inside a fleet fold.
     pub fn of(values: &[f64]) -> Percentiles {
-        Percentiles::try_of(values).unwrap_or(Percentiles::ZEROED)
-    }
-
-    /// Like [`of`](Self::of), but reports an empty slice as `None` instead of
-    /// a zeroed distribution.
-    pub fn try_of(values: &[f64]) -> Option<Percentiles> {
         if values.is_empty() {
-            return None;
+            return Percentiles::ZEROED;
         }
         let mut sorted = values.to_vec();
         sorted.sort_by(f64::total_cmp);
@@ -104,13 +97,13 @@ impl Percentiles {
             let r = ((p / 100.0) * n as f64).ceil().max(1.0) as usize;
             sorted[r.min(n) - 1]
         };
-        Some(Percentiles {
+        Percentiles {
             min: sorted[0],
             p50: rank(50.0),
             p90: rank(90.0),
             p99: rank(99.0),
             max: sorted[sorted.len() - 1],
-        })
+        }
     }
 }
 
@@ -439,10 +432,8 @@ mod tests {
     #[test]
     fn percentiles_of_empty_slice_are_zeroed() {
         // The documented empty-slice contract: `of` yields the all-zero
-        // distribution (so fleet folds over zero-capacity placements never
-        // panic) and `try_of` reports the absence of data explicitly.
+        // distribution, so fleet folds over zero-capacity placements never
+        // panic.
         assert_eq!(Percentiles::of(&[]), Percentiles::ZEROED);
-        assert_eq!(Percentiles::try_of(&[]), None);
-        assert_eq!(Percentiles::try_of(&[2.0]), Some(Percentiles::of(&[2.0])));
     }
 }

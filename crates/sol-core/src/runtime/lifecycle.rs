@@ -54,6 +54,14 @@ pub enum NodeState {
     Active,
     /// Being emptied: rejects new admissions, keeps running its residents
     /// until the controller migrates them off.
+    ///
+    /// A node that holds no residents when it starts draining retires as
+    /// [`Drained`](Self::Drained) in the next barrier's bookkeeping, before
+    /// that barrier's [`FleetView`](crate::runtime::placement::FleetView) is
+    /// stamped, so no view ever reads it `Draining`. Its
+    /// `Active → Draining → Drained` edges are recorded only in the
+    /// [`NodeRegistry`]; anything that logs lifecycle transitions must take
+    /// them from there, not from successive views.
     Draining,
     /// Terminal: drained to zero residents and retired cleanly.
     Drained,

@@ -3,8 +3,8 @@
 //! Two drivers are provided, both on virtual time:
 //!
 //! * [`NodeRuntime`](node::NodeRuntime) — the multi-agent discrete-event
-//!   driver: agent wakes as keys in a dense per-agent table under an index
-//!   heap, interventions (the only queued events) in a binary heap over
+//!   driver: agent wakes in a plain per-agent vector scanned once per tick,
+//!   interventions (the only queued events) in a binary heap over
 //!   `(time, schedule order)`, environment-step boundaries merged into the
 //!   tick time —
 //!   hosting *N* heterogeneous SOL agents (each a `Model`/`Actuator` pair run
@@ -43,7 +43,6 @@ pub mod profile;
 #[cfg(test)]
 pub(crate) mod testutil;
 pub mod trust;
-mod wake;
 #[doc(hidden)]
 pub mod wheel;
 

@@ -17,11 +17,9 @@
 //!
 //! * **Agent wakes** — the next time an agent's Model or Actuator loop needs
 //!   to run. Every agent has exactly one, so wakes are not queued events:
-//!   they are keys in a dense per-agent table under an index heap (the
-//!   private `wake` module). A wake that moves (a stepped loop, a delivered
-//!   prediction, an injected delay) is a key rewritten in place — nothing is
-//!   inserted, nothing goes stale, and a tick with one due agent costs one
-//!   sift-down.
+//!   they are a plain per-agent vector. A wake that moves (a stepped loop, a
+//!   delivered prediction, an injected delay) is an entry rewritten in
+//!   place — nothing is inserted and nothing goes stale.
 //! * **Interventions** — scheduled disturbances targeted at a specific agent
 //!   ([`NodeRuntime::delay_model_at`], [`NodeRuntime::delay_actuator_at`]) or
 //!   at the environment ([`NodeRuntime::mutate_environment_at`]), mirroring
@@ -33,16 +31,20 @@
 //!   never skipped over entirely between sparse agent wakes.
 //!
 //! Each tick advances the clock and the environment once to that time,
-//! applies every intervention that is due (in schedule order), then steps
-//! every due agent in registration order and records its new wake. The
-//! environment is only advanced when a wake, an intervention or a step
-//! boundary is actually due — there is no per-tick scan over agents.
+//! applies every intervention that is due (in schedule order), then makes one
+//! pass over the wake vector in registration order, stepping every due agent
+//! and recording its new wake. The environment is only advanced when a wake,
+//! an intervention or a step boundary is actually due, but every tick reads
+//! every agent's cached wake once, in the same pass that finds the next
+//! tick's earliest wake: O(agents) per tick. At the populations a node hosts
+//! (2 to 16 agents) that costs less than the index heap it replaced; past
+//! about 32 agents the heap would win (see the README's population sweep).
 //!
-//! The table caches the wake each agent reported when it was last looked at.
-//! An agent whose wake is moved from outside the tick loop (through the
+//! The vector caches the wake each agent reported when it was last looked
+//! at. An agent whose wake is moved from outside the tick loop (through the
 //! crate-private driver access, between segments) still gets a tick at the
-//! cached time; it is stepped only if it is due by its own account, and the
-//! table is refreshed either way.
+//! cached time; it is stepped only if it is due by its own account, and its
+//! entry is refreshed either way.
 //!
 //! [`TimeWheel`]: super::wheel::TimeWheel
 
@@ -54,7 +56,6 @@ use crate::actuator::Actuator;
 use crate::error::RuntimeError;
 use crate::loops::{ActuatorLoop, ModelLoop};
 use crate::model::Model;
-use crate::runtime::wake::WakeTable;
 use crate::runtime::wheel::TimeWheel;
 use crate::runtime::Environment;
 use crate::schedule::Schedule;
@@ -409,7 +410,7 @@ pub struct NodeRuntime<E: Environment + 'static> {
     /// What each agent's [`AgentDriver::next_wake`] returned when the tick
     /// loop last looked at it; indexed like `agents`, and as long once the
     /// run has started.
-    wakes: WakeTable,
+    wakes: Vec<Timestamp>,
     interventions: TimeWheel<Intervention<E>>,
     /// Time of the earliest pending intervention, `Timestamp::MAX` when there
     /// is none, so a tick without one never touches the queue.
@@ -430,9 +431,6 @@ pub struct NodeRuntime<E: Environment + 'static> {
     /// Whether the first [`run_until`](Self::run_until) segment already read
     /// the initial agent wakes and set the environment-step boundary.
     started: bool,
-    /// Agents the current tick looks at (due, or hit by an intervention);
-    /// reused across ticks and across [`run_until`](Self::run_until) segments.
-    touched: Vec<usize>,
 }
 
 impl<E: Environment + 'static> NodeRuntime<E> {
@@ -443,7 +441,7 @@ impl<E: Environment + 'static> NodeRuntime<E> {
             now: Timestamp::ZERO,
             environment,
             agents: Vec::new(),
-            wakes: WakeTable::new(),
+            wakes: Vec::new(),
             interventions: TimeWheel::new(),
             intervention_at: Timestamp::MAX,
             due: Vec::new(),
@@ -452,7 +450,6 @@ impl<E: Environment + 'static> NodeRuntime<E> {
             env_step_at: Timestamp::MAX,
             cleanup_on_finish: false,
             started: false,
-            touched: Vec::new(),
         }
     }
 
@@ -499,7 +496,7 @@ impl<E: Environment + 'static> NodeRuntime<E> {
     /// Panics once the first [`run_until`](Self::run_until) segment has
     /// started: the population is fixed when the
     /// [`ScenarioBuilder`](crate::runtime::builder::ScenarioBuilder) is built,
-    /// and the wake table is filled from it then.
+    /// and the wake vector is filled from it then.
     pub(crate) fn register_driver(
         &mut self,
         name: impl Into<String>,
@@ -714,12 +711,11 @@ impl<E: Environment + 'static> NodeRuntime<E> {
         // batch instead of once per call (see [`Environment::begin_batch`]).
         self.environment.begin_batch();
 
-        // Only the agents a tick touches (due by the table, or the target of
-        // an intervention) are step-checked and refreshed, so a tick costs
-        // O(agents due at that time), not O(agents). Both scratch buffers are
-        // reused across every tick of the run.
-        let mut touched = std::mem::take(&mut self.touched);
+        // The intervention scratch buffer is reused across every tick of the
+        // run. `earliest` is the minimum of the cached wakes, kept by the
+        // per-tick pass below.
         let mut due = std::mem::take(&mut self.due);
+        let mut earliest = self.wakes.iter().copied().min().unwrap_or(Timestamp::MAX);
 
         loop {
             let now = self.now;
@@ -730,23 +726,15 @@ impl<E: Environment + 'static> NodeRuntime<E> {
             // Earliest of the next wake, the next intervention and the
             // environment-step boundary; a wake already in the past (one left
             // at a segment boundary) is due now.
-            let mut next = end.min(self.env_step_at).min(self.intervention_at);
-            if let Some(wake) = self.wakes.earliest() {
-                next = next.min(wake);
-            }
-            let next = next.max(now);
+            let next = end.min(self.env_step_at).min(self.intervention_at).min(earliest).max(now);
 
             // Advance time and the environment exactly once per tick.
             self.now = next;
             self.environment.advance_to(next);
 
-            self.wakes.due(next, &mut touched);
-
             // Interventions apply in schedule order, before any agent steps.
-            // A delay moves its target's wake, so the target is looked at
-            // even if it was not due — and then its key changes outside the
-            // due region the table remembered.
-            let mut outside_due_region = false;
+            // A delay moves its target's wake, earlier or later, so the
+            // target's entry is re-read at once and the pass below sees it.
             if self.intervention_at <= next {
                 self.interventions.drain_due(next, &mut due);
                 for intervention in due.drain(..) {
@@ -764,32 +752,24 @@ impl<E: Environment + 'static> NodeRuntime<E> {
                             continue;
                         }
                     };
-                    if self.wakes.wake(id.0) > next {
-                        touched.push(id.0);
-                        outside_due_region = true;
-                    }
+                    self.wakes[id.0] = self.agents[id.0].driver.next_wake();
                 }
                 self.intervention_at = self.interventions.peek(|_| true).unwrap_or(Timestamp::MAX);
             }
 
-            // Step the touched agents that are due by their own account, in
-            // registration order whatever order the heap gave them up in,
-            // then record where each one's wake went.
-            touched.sort_unstable();
-            touched.dedup();
-            for &idx in &touched {
-                let slot = &mut self.agents[idx];
-                if slot.driver.next_wake() <= next {
-                    slot.driver.step(next, &mut self.environment);
+            // One pass in registration order, O(agents): an agent due by its
+            // cached wake is stepped if it is due by its own account too, its
+            // entry then records where its wake went, and the pass takes the
+            // next tick's earliest wake on the way.
+            earliest = Timestamp::MAX;
+            for (slot, wake) in self.agents.iter_mut().zip(&mut self.wakes) {
+                if *wake <= next {
+                    if slot.driver.next_wake() <= next {
+                        slot.driver.step(next, &mut self.environment);
+                    }
+                    *wake = slot.driver.next_wake();
                 }
-            }
-            for idx in touched.drain(..) {
-                self.wakes.set(idx, self.agents[idx].driver.next_wake());
-            }
-            if outside_due_region {
-                self.wakes.rebuild();
-            } else {
-                self.wakes.repair();
+                earliest = earliest.min(*wake);
             }
 
             // The environment advanced to `next`, so the boundary moves with
@@ -798,15 +778,16 @@ impl<E: Environment + 'static> NodeRuntime<E> {
         }
 
         self.environment.end_batch();
-        self.touched = touched;
         self.due = due;
     }
 
-    /// Heap bytes retained by this node: the agents' wake table, the
+    /// Heap bytes retained by this node: the agents' wake vector, the
     /// intervention queue (no heap buffer until an intervention is scheduled),
     /// plus whatever the environment reports (see [`Environment::mem_bytes`]).
     pub fn mem_bytes(&self) -> usize {
-        self.wakes.mem_bytes() + self.interventions.mem_bytes() + self.environment.mem_bytes()
+        self.wakes.capacity() * std::mem::size_of::<Timestamp>()
+            + self.interventions.mem_bytes()
+            + self.environment.mem_bytes()
     }
 
     /// Consumes the runtime and returns the final state of the environment
@@ -1189,7 +1170,7 @@ mod tests {
             vec![ms(0), ms(2_250), ms(2_550), ms(2_850), ms(3_150), ms(3_450)]
         );
         assert!(env.ticks.contains(&ms(250)), "the intervention is a tick of its own");
-        // The table took the new wake: nothing is left to fire at 300 ms, and
+        // The vector took the new wake: nothing is left to fire at 300 ms, and
         // the delayed agent — the earliest wake until then — no longer hides
         // the other one's.
         assert!(!env.ticks.contains(&ms(300)));
@@ -1200,12 +1181,12 @@ mod tests {
     fn wake_moved_through_driver_mut_between_segments_still_ticks_at_the_cached_time() {
         let (mut rt, ids) = periodic_runtime(&[(0, 300), (0, 1_000)]);
         rt.run_until(ms(500));
-        // Behind the runtime's back: the table still says 1 s.
+        // Behind the runtime's back: the cached wake still says 1 s.
         rt.driver_mut(ids[1]).delay_model(ms(2_500));
         rt.run_until(ms(4_000));
         let env = rt.finish().environment;
         // A tick at the cached wake (the environment is advanced there), no
-        // step at it, and the table caught up: the next step is at 2.5 s.
+        // step at it, and the cache caught up: the next step is at 2.5 s.
         assert!(env.ticks.contains(&ms(1_000)));
         assert_eq!(env.steps_of(1), vec![ms(0), ms(2_500), ms(3_500)]);
     }
@@ -1232,10 +1213,10 @@ mod tests {
     }
 
     #[test]
-    fn agents_sharing_a_tick_step_in_registration_order_whatever_the_heap_order() {
-        // First wakes in reverse registration order, so the heap's root is
-        // the last agent; from 400 ms on all five are due at every tick and
-        // each repair leaves them in another order.
+    fn agents_sharing_a_tick_step_in_registration_order_whatever_their_wake_order() {
+        // First wakes in reverse registration order, so the earliest wake
+        // belongs to the last agent; from 400 ms on all five are due at every
+        // tick and step in registration order, not in the order they woke.
         let (mut rt, _) =
             periodic_runtime(&[(400, 100), (300, 100), (200, 100), (100, 100), (0, 100)]);
         rt.run_until(ms(1_000));
@@ -1252,7 +1233,7 @@ mod tests {
     #[test]
     fn delay_that_pulls_a_wake_in_steps_the_agent_at_the_intervention() {
         // An intervention can make an agent that was not due step: the
-        // driver's own account of its wake decides, not the table's.
+        // driver's own account of its wake decides, not the cached one.
         let (mut rt, ids) = periodic_runtime(&[(0, 300), (5_000, 5_000)]);
         rt.delay_model_at(ids[1], ms(700), SimDuration::ZERO);
         rt.run_until(ms(1_000));
@@ -1284,7 +1265,8 @@ mod tests {
         rt.run_until(Timestamp::from_secs(1));
         let bare = rt.mem_bytes();
         let queue = std::mem::size_of::<TimeWheel<Intervention<NullEnvironment>>>();
-        assert_eq!(bare, rt.wakes.mem_bytes() + queue, "wake table + the queue's own fields");
+        let wakes = rt.wakes.capacity() * std::mem::size_of::<Timestamp>();
+        assert_eq!(bare, wakes + queue, "wake vector + the queue's own fields");
 
         // 30 delays cost exactly the buffer a queue of 30 holds, and it is
         // kept, not regrown, once they have all fired.

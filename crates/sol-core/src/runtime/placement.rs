@@ -210,6 +210,11 @@ pub struct NodeView {
     /// [`NodeRegistry`](crate::runtime::lifecycle::NodeRegistry). Retired
     /// nodes ([`Drained`](NodeState::Drained) / [`Crashed`](NodeState::Crashed))
     /// appear as tombstones: empty agents, empty telemetry, no placement.
+    ///
+    /// The stamp is the state at the barrier, not every state the node
+    /// passed through: a node that starts draining while empty reads
+    /// `Active` in one view and `Drained` in the next (see
+    /// [`NodeState::Draining`]).
     pub state: NodeState,
 }
 

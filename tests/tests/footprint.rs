@@ -8,20 +8,20 @@
 //! both halves: the footprint stays under its ceiling, and it is one number
 //! whatever the node's seed, so `mem_bytes_per_node` can carry a tight bound
 //! in the benchmark. The ceilings (tighter than the round figures in the test
-//! names) sit just above today's 8,796 B and 84,612 B: a node that starts
+//! names) sit just above today's 8,732 B and 84,548 B: a node that starts
 //! keeping a hundred bytes more, or a latency window that outgrows its
 //! reserved runs on some seed, fails them.
 //!
-//! `mem_bytes()` is self-reported: it sums the environment, the wake table
+//! `mem_bytes()` is self-reported: it sums the environment, the wake vector
 //! and the intervention queue, and counts no agent. So this test binary also
 //! measures the truth. Its global allocator counts, per thread, the heap
 //! bytes allocated and not yet freed, and each test pins the live heap a node
 //! holds after `instantiate` and after a virtual minute beside `mem_bytes()`:
-//! 3,884 B and 13,976 B for the two-agent node, 39,792 B and 118,396 B for
+//! 3,884 B and 13,880 B for the two-agent node, 39,792 B and 118,300 B for
 //! the three-agent one, one value on every seed. The heap excludes the
 //! `NodeRuntime` value itself, which lives on the caller's stack. Per agent,
-//! each blueprint alone on its own substrate adds 2,783 B (SmartOverclock),
-//! 2,989 B (SmartHarvest) and 28,884 B (SmartMemory) after the minute.
+//! each blueprint alone on its own substrate adds 2,687 B (SmartOverclock),
+//! 2,893 B (SmartHarvest) and 28,788 B (SmartMemory) after the minute.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -115,13 +115,13 @@ fn assert_pinned(footprints: &[Footprint], heap_built: isize, heap_ran: isize, c
 #[test]
 fn two_agent_node_stays_under_10_kb_on_every_seed() {
     let preset = colocated_recipe(ColocationConfig::default());
-    assert_pinned(&footprints(&preset.recipe), 3_884, 13_976, 8_800);
+    assert_pinned(&footprints(&preset.recipe), 3_884, 13_880, 8_800);
 }
 
 #[test]
 fn three_agent_node_stays_under_90_kb_on_every_seed() {
     let preset = three_agents_recipe(ThreeAgentConfig::default());
-    assert_pinned(&footprints(&preset.recipe), 39_792, 118_396, 84_700);
+    assert_pinned(&footprints(&preset.recipe), 39_792, 118_300, 84_700);
 }
 
 /// The live heap a node built by `build` holds after a virtual minute.
@@ -188,7 +188,7 @@ fn smart_overclock_alone_holds_a_pinned_heap_on_every_seed() {
             builder.register(overclock_blueprint(node, config.overclock.clone()));
         },
     );
-    assert_agent_pinned(&heaps, 2_783);
+    assert_agent_pinned(&heaps, 2_687);
 }
 
 #[test]
@@ -207,7 +207,7 @@ fn smart_harvest_alone_holds_a_pinned_heap_on_every_seed() {
             builder.register(harvest_blueprint(node, config.harvest.clone()));
         },
     );
-    assert_agent_pinned(&heaps, 2_989);
+    assert_agent_pinned(&heaps, 2_893);
 }
 
 #[test]
@@ -218,5 +218,5 @@ fn smart_memory_alone_holds_a_pinned_heap_on_every_seed() {
             builder.register(memory_blueprint(node, config.memory.clone()));
         },
     );
-    assert_agent_pinned(&heaps, 28_884);
+    assert_agent_pinned(&heaps, 28_788);
 }
