@@ -258,10 +258,7 @@ impl Model for HarvestModel {
         }
         let fraction = self.starvation_fraction();
         if fraction > STARVATION_FRACTION_THRESHOLD {
-            ModelAssessment::failing(format!(
-                "primary VM ran out of idle cores in {:.0}% of recent epochs",
-                fraction * 100.0
-            ))
+            ModelAssessment::Failing
         } else {
             ModelAssessment::Healthy
         }

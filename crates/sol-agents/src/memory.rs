@@ -443,10 +443,7 @@ impl Model for MemoryModel {
             self.consecutive_missed_epochs = 0;
         }
         if self.consecutive_missed_epochs >= 2 {
-            ModelAssessment::failing(format!(
-                "model-recommended scan rates miss {:.0}% of accesses",
-                self.missed_fraction * 100.0
-            ))
+            ModelAssessment::Failing
         } else {
             ModelAssessment::Healthy
         }

@@ -283,9 +283,7 @@ impl Model for OverclockModel {
         }
         let avg: f64 = self.reward_deltas.iter().sum::<f64>() / self.reward_deltas.len() as f64;
         if avg < REWARD_DELTA_THRESHOLD {
-            ModelAssessment::failing(format!(
-                "average overclocking reward delta {avg:.3} below threshold"
-            ))
+            ModelAssessment::Failing
         } else {
             ModelAssessment::Healthy
         }

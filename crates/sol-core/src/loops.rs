@@ -192,7 +192,7 @@ impl<M: Model> ModelLoop<M> {
             self.stats.model_assessments += 1;
             match self.model.assess_model(now) {
                 ModelAssessment::Healthy => self.assessment_failing = false,
-                ModelAssessment::Failing { .. } => {
+                ModelAssessment::Failing => {
                     self.stats.model_assessment_failures += 1;
                     self.assessment_failing = true;
                 }
@@ -417,7 +417,7 @@ mod tests {
             if self.healthy {
                 ModelAssessment::Healthy
             } else {
-                ModelAssessment::failing("scripted failure")
+                ModelAssessment::Failing
             }
         }
     }

@@ -20,24 +20,17 @@ use crate::time::Timestamp;
 /// Model control loop normally (so the model has a chance to recover) but
 /// intercepts its predictions and forwards default predictions to the Actuator
 /// instead (paper §4.2).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelAssessment {
     /// The model meets its accuracy expectations; its predictions may be used.
     Healthy,
-    /// The model is not trustworthy; predictions must be intercepted.
-    Failing {
-        /// A short, human-readable reason recorded in the agent stats (e.g.
-        /// "reward delta below threshold").
-        reason: String,
-    },
+    /// The model is not trustworthy; predictions must be intercepted. The
+    /// agent stats count these
+    /// ([`model_assessment_failures`](crate::stats::ModelLoopStats::model_assessment_failures)).
+    Failing,
 }
 
 impl ModelAssessment {
-    /// Convenience constructor for a failing assessment.
-    pub fn failing(reason: impl Into<String>) -> Self {
-        ModelAssessment::Failing { reason: reason.into() }
-    }
-
     /// Returns `true` when the model passed its assessment.
     pub fn is_healthy(&self) -> bool {
         matches!(self, ModelAssessment::Healthy)
@@ -185,8 +178,6 @@ mod tests {
     #[test]
     fn assessment_helpers() {
         assert!(ModelAssessment::Healthy.is_healthy());
-        let f = ModelAssessment::failing("low accuracy");
-        assert!(!f.is_healthy());
-        assert_eq!(f, ModelAssessment::Failing { reason: "low accuracy".into() });
+        assert!(!ModelAssessment::Failing.is_healthy());
     }
 }

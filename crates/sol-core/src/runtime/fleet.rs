@@ -34,17 +34,20 @@
 //! `(node, slot, f64)` entry for every telemetry reading, plus a full
 //! [`NodeInit`] for a node observed for the first time (or whose telemetry
 //! layout changed). Workers do not diff against the last barrier: in the
-//! benchmark workloads that collect views, no node was ever quiet. In one
+//! benchmark workloads that collected views, no node was ever quiet. In one
 //! 20 s benchmark process at seed 1, 0 of 29.8 M node-barriers on
-//! `fleet-control` and 0 of 49,088 on `three-agents` would have shipped
-//! nothing; every agent counter moved at every barrier, and so did 99.5 %
-//! and 50 % of the readings respectively.
+//! `fleet-control` (measured while its packer still took the view) and 0 of
+//! 49,088 on `three-agents` would have shipped nothing; every agent counter
+//! moved at every barrier, and so did 99.5 % and 50 % of the readings
+//! respectively.
 //! The coordinator moves the entries into its one persistent base view and
 //! sends the emptied list back with the next barrier's command, so the
 //! vectors keep their capacity: a steady barrier allocates nothing per node
 //! on a worker and frees nothing on the coordinator. A controller whose
 //! [`wants_view`](FleetController::wants_view) is `false` (like
-//! [`NullController`]) skips per-node extraction entirely. The task list the
+//! [`NullController`], or the view-free
+//! [`GreedyPacker`](crate::runtime::placement::GreedyPacker)) skips
+//! per-node extraction entirely. The task list the
 //! workers claim from is likewise kept across barriers — its cursor reset —
 //! and rebuilt only after a lifecycle phase changed the live set. Node state
 //! lives in a slot arena shared between the coordinator and the workers in

@@ -505,13 +505,15 @@ pub trait FleetController: Send {
     /// telemetry of the [`FleetView`] it is planning against.
     ///
     /// Defaults to `true`. A controller that plans from placement and
-    /// lifecycle state alone (or from nothing, like [`NullController`]) can
-    /// return `false`: the fleet runtime then skips extracting agent stats
-    /// and telemetry at every barrier — the dominant per-node fixed cost of
-    /// an idle epoch — and hands [`plan`](Self::plan) views whose per-node
-    /// `agents`/`telemetry` vectors are empty while `now`, `epoch`,
+    /// lifecycle state alone — a view-free planner like [`GreedyPacker`],
+    /// or one that plans from nothing, like [`NullController`] — can return
+    /// `false`: the fleet runtime then skips extracting agent stats and
+    /// telemetry at every barrier — the dominant per-node fixed cost of an
+    /// idle epoch — and hands [`plan`](Self::plan) views whose per-node
+    /// `agents`/`telemetry` vectors are empty while `now`, `epoch`, `node`,
     /// `placement`, `state`, and `displaced` stay exact. The answer is
-    /// sampled once per run, before the first barrier.
+    /// sampled once per run, before the first barrier, and a wrapper that
+    /// delegates [`plan`](Self::plan) should forward it.
     fn wants_view(&self) -> bool {
         true
     }
@@ -721,6 +723,14 @@ impl Default for GreedyPackerConfig {
 /// All choices are functions of the (index-sorted) [`FleetView`] and the
 /// packer's own deterministic queue, so runs stay byte-identical across
 /// worker-thread counts.
+///
+/// The packer is a view-free planner: it reads the view's `now`, its
+/// `displaced` pool and, per node, `node`, `state` and `placement` — never
+/// an agent counter or a telemetry reading — so its
+/// [`wants_view`](FleetController::wants_view) is `false` and the fleet's
+/// workers extract neither at its barriers. Its plans are the same either
+/// way (`tests/tests/placement.rs` runs it behind a wrapper that asks for
+/// the full view and compares the reports).
 #[derive(Debug, Clone)]
 pub struct GreedyPacker {
     events: Vec<TraceEvent>,
@@ -927,6 +937,11 @@ impl FleetController for GreedyPacker {
             }
         }
         plan
+    }
+
+    /// Plans from placement, lifecycle state and the displaced pool alone.
+    fn wants_view(&self) -> bool {
+        false
     }
 }
 

@@ -53,7 +53,7 @@ impl Model for QueueDepthModel {
         if self.mean.is_initialized() {
             ModelAssessment::Healthy
         } else {
-            ModelAssessment::failing("no data yet")
+            ModelAssessment::Failing
         }
     }
 }

@@ -44,7 +44,7 @@ impl Model for PropModel {
         if self.healthy {
             ModelAssessment::Healthy
         } else {
-            ModelAssessment::failing("property test")
+            ModelAssessment::Failing
         }
     }
 }

@@ -208,6 +208,56 @@ fn fleet_view_carries_stats_telemetry_and_placement() {
     assert!(inspector.saw_progress, "barrier snapshots must carry live agent stats");
 }
 
+/// `GreedyPacker` is a view-free planner: it declines the view, so its
+/// barriers extract no agent counter and no telemetry reading. Behind a
+/// wrapper that forwards `plan` but asks for the full view, the same fleet —
+/// arrivals, departures and rebalancing, a crash, a drain and a join — must
+/// produce the same report byte for byte, at 1 and 2 worker threads.
+#[test]
+fn greedy_packer_plans_the_same_with_or_without_the_full_view() {
+    /// The packer, made to take the full view.
+    struct Viewing {
+        packer: GreedyPacker,
+        saw_telemetry: bool,
+    }
+    impl FleetController for Viewing {
+        fn plan(&mut self, view: &FleetView) -> PlacementPlan {
+            self.saw_telemetry |= view
+                .nodes
+                .iter()
+                .any(|node| !node.agents.is_empty() && node.reading("p99_latency_ms").is_some());
+            self.packer.plan(view)
+        }
+    }
+
+    let horizon = SimDuration::from_secs(30);
+    let trace = || test_trace(32, horizon);
+    assert!(!GreedyPacker::new(trace()).wants_view());
+    let at = |secs: u64, event| FaultEvent { at: Timestamp::from_secs(secs), event };
+    let faults = FaultPlan::from_events(vec![
+        at(7, LifecycleEvent::Crash { node: 1 }),
+        at(12, LifecycleEvent::Drain { node: 2 }),
+        at(15, LifecycleEvent::Join),
+    ]);
+    let mut reports = Vec::new();
+    for threads in [1, 2] {
+        let config = FleetConfig { nodes: 4, threads, ..FleetConfig::default() };
+        let fleet = FleetRuntime::new(placeable_preset().recipe, config).unwrap();
+        let bare = fleet.run_with_faults(&mut GreedyPacker::new(trace()), faults.clone(), horizon);
+        let mut viewing = Viewing { packer: GreedyPacker::new(trace()), saw_telemetry: false };
+        let viewed = fleet.run_with_faults(&mut viewing, faults.clone(), horizon).unwrap();
+        assert!(viewing.wants_view() && viewing.saw_telemetry, "the wrapper took the view");
+        let bare = bare.unwrap();
+        let p = &bare.placement;
+        assert!(p.admitted > 0 && p.departed > 0 && p.migrated > 0, "placement: {p:?}");
+        assert!(p.displaced > 0, "the crash displaced work: {p:?}");
+        assert_eq!(bare.nodes.len(), 5, "the join landed");
+        assert_eq!(debug_bytes(&bare), debug_bytes(&viewed), "{threads} worker thread(s)");
+        reports.push(debug_bytes(&bare));
+    }
+    assert_eq!(reports[0], reports[1], "1 and 2 worker threads");
+}
+
 // ---------------------------------------------------------------------------
 // Failure accounting and controller programming errors.
 // ---------------------------------------------------------------------------
