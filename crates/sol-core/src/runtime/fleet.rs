@@ -27,27 +27,31 @@
 //! [`placement`](crate::runtime::placement) module. [`FleetRuntime::run`] is
 //! sugar for running with the do-nothing [`NullController`].
 //!
-//! The view is patched in place, and a barrier costs one entry per agent
-//! counter and telemetry reading, not a rebuilt view. Each worker answers a
-//! barrier with one flat *change list* for all the nodes it claimed: a
-//! `(node, role, AgentStats)` entry for every agent and a
-//! `(node, slot, f64)` entry for every telemetry reading, plus a full
-//! [`NodeInit`] for a node observed for the first time (or whose telemetry
-//! layout changed). Workers do not diff against the last barrier: in the
+//! Each worker answers a barrier with one *change list* for all the nodes it
+//! claimed. On a collecting barrier it holds each node's observation whole:
+//! every agent's name and counters, and the recipe's readings, names
+//! included. Workers do not diff against the last barrier: in the
 //! benchmark workloads that collected views, no node was ever quiet. In one
 //! 20 s benchmark process at seed 1, 0 of 29.8 M node-barriers on
 //! `fleet-control` (measured while its packer still took the view) and 0 of
 //! 49,088 on `three-agents` would have shipped nothing; every agent counter
 //! moved at every barrier, and so did 99.5 % and 50 % of the readings
 //! respectively.
-//! The coordinator moves the entries into its one persistent base view and
-//! sends the emptied list back with the next barrier's command, so the
-//! vectors keep their capacity: a steady barrier allocates nothing per node
-//! on a worker and frees nothing on the coordinator. A controller whose
+//! The coordinator moves each observation into its one persistent base
+//! view and sends the emptied list back with the next barrier's command, so
+//! the list keeps its capacity. A collecting barrier allocates per node —
+//! the observation's two vectors and agent names on the worker, whatever
+//! the recipe's telemetry closure builds, and the replaced pair freed on
+//! the coordinator. A controller whose
 //! [`wants_view`](FleetController::wants_view) is `false` (like
 //! [`NullController`], or the view-free
 //! [`GreedyPacker`](crate::runtime::placement::GreedyPacker)) skips
-//! per-node extraction entirely. The task list the
+//! per-node extraction entirely: its workers ship and allocate no per-node
+//! observation. Exchange rounds still allocate each node's learned-state
+//! snapshots and the exports of those that changed, viewing or not.
+//! Placement is not part of an observation: the coordinator reads a
+//! node's placement off the arena at its first barrier and afterwards
+//! re-reads only the nodes its own placement phase touched. The task list the
 //! workers claim from is likewise kept across barriers — its cursor reset —
 //! and rebuilt only after a lifecycle phase changed the live set. Node state
 //! lives in a slot arena shared between the coordinator and the workers in
@@ -62,7 +66,7 @@
 //! [`FleetRuntime::run_with_faults`].
 //!
 //! The coordinator thread walks every barrier through the same phases, one
-//! private method each: *collect* (advance the nodes, patch the view),
+//! private method each: *collect* (advance the nodes, update the view),
 //! the controller's plan, *lifecycle*, *learn*, *place* — and one *fold* of
 //! all node reports into the [`FleetReport`] when the last barrier is
 //! through. Each phase returns what it decided as a value — the nodes that
@@ -190,7 +194,6 @@
 //! [`AgentStats`]: crate::stats::AgentStats
 //! [`FleetView`]: crate::runtime::placement::FleetView
 //! [`WorkloadUnit`]: crate::runtime::placement::WorkloadUnit
-//! [`NodeInit`]: crate::runtime::placement::NodeInit
 //! [`NodeRegistry`]: crate::runtime::lifecycle::NodeRegistry
 //! [`LearnedState`]: sol_ml::exchange::LearnedState
 
@@ -455,13 +458,12 @@ impl<E: Environment + 'static> FleetRuntime<E> {
     /// migration-detaches first, then admissions, then migration-attaches,
     /// each phase stable-sorted by target node index — so freed capacity is
     /// available to the same barrier's admissions. The view is maintained as
-    /// one persistent base patched in place from the workers' change lists,
-    /// which carry every agent counter and reading of every node (no
-    /// measured workload has a node that is quiet across a barrier); a
-    /// controller whose [`wants_view`](FleetController::wants_view) is
-    /// `false` skips even that, receiving views with exact
-    /// `placement`/`state`/`displaced` but empty per-node agent and telemetry
-    /// vectors.
+    /// one persistent base that every barrier's change lists refresh with
+    /// each node's whole observation (no measured workload has a node that
+    /// is quiet across a barrier); a controller whose
+    /// [`wants_view`](FleetController::wants_view) is `false` skips even
+    /// that, receiving views with exact `placement`/`state`/`displaced` but
+    /// empty per-node agent and telemetry vectors.
     ///
     /// The plan's lifecycle events are applied first, before any placement
     /// command: a crash retires the node and moves its residents into the

@@ -34,7 +34,7 @@ fn died() -> RuntimeError {
 }
 
 /// The base-view entry of a node nothing is known about yet — before its
-/// first observation ships — or any more, once it retired.
+/// first barrier — or any more, once it retired.
 fn placeholder_view(node: usize, state: NodeState) -> NodeView {
     NodeView {
         node,
@@ -132,10 +132,15 @@ pub struct Coordinator<'f, E: Environment + 'static> {
     /// placement phases directly — no per-phase message round trips.
     arena: Vec<NodeTask<E>>,
     registry: NodeRegistry,
-    /// The base view, patched in place from the workers' change lists at
-    /// every barrier; the crash-displaced pool lives inside it. Entries
-    /// start as placeholders — every node ships a full first observation at
-    /// its first barrier, before any controller looks.
+    /// Nodes that have not reached a barrier yet: every node at the start,
+    /// and each joiner. `collect` reads their placement off the arena once
+    /// they have, and empties the list.
+    unobserved: Vec<usize>,
+    /// The base view; the crash-displaced pool lives inside it. Entries
+    /// start as placeholders. A collecting barrier moves each node's
+    /// observation in whole. Placement is a mirror this coordinator alone
+    /// keeps: read off the arena at a node's first barrier, then refreshed
+    /// by `place` for the nodes it touched.
     pub base: FleetView,
     learning: Option<LearningPhase>,
     placement: PlacementStats,
@@ -184,6 +189,7 @@ impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
                 .map(|index| NodeSlot::vacant(fleet.node_seed(index), Timestamp::ZERO))
                 .collect(),
             registry: NodeRegistry::new(config.nodes),
+            unobserved: (0..config.nodes).collect(),
             base: FleetView {
                 now: Timestamp::ZERO,
                 epoch: 0,
@@ -243,11 +249,12 @@ impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
         Ok(done)
     }
 
-    /// Collect phase: advances every live node to `boundary`, patches what
+    /// Collect phase: advances every live node to `boundary`, moves what
     /// the workers ship into the base view (and, on exchange rounds, the
-    /// learned-state mirror), and brings the registry and the view's stamps
-    /// up to date before the controller looks. Returns the draining nodes
-    /// observed empty, which retire in this barrier's lifecycle phase.
+    /// learned-state mirror), reads the placement of the nodes that just
+    /// reached their first barrier, and brings the registry and the view's
+    /// stamps up to date before the controller looks. Returns the draining
+    /// nodes observed empty, which retire in this barrier's lifecycle phase.
     pub fn collect(&mut self, epoch: u64, boundary: Timestamp) -> Result<Vec<usize>, RuntimeError> {
         let learn = self
             .learning
@@ -255,11 +262,11 @@ impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
             .is_some_and(|phase| phase.exchange.plane().is_learn_epoch(epoch));
         self.hand_off(Work::Epoch { boundary, collect: self.wants_view, learn })?;
         self.clock.charge(&mut self.profile.phases.hand_off_ns);
-        // One worker's list is patched in while the others still run.
+        // One worker's list is moved in while the others still run.
         for link in 0..self.links.len() {
             let Done::Epoch(mut changes) = self.answer(link)? else { return Err(died()) };
             self.clock.charge(&mut self.profile.phases.wait_ns);
-            changes.patch(&mut self.base.nodes);
+            changes.move_into(&mut self.base.nodes);
             self.clock.charge(&mut self.profile.phases.apply_ns);
             if let Some(phase) = self.learning.as_mut() {
                 // Patch the learned-state mirror before lifecycle events
@@ -269,6 +276,14 @@ impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
             }
             self.clock.charge(&mut self.profile.phases.absorb_ns);
             self.buffers.push(changes);
+        }
+        // Build-time residents show from a node's first barrier on; after
+        // that, placement changes only through `place`. A node that retired
+        // before its first barrier keeps its tombstone.
+        for node in self.unobserved.drain(..) {
+            if let Some(now) = self.arena[node].with_live(|shard| shard.runtime.placement()) {
+                self.base.nodes[node].placement = now;
+            }
         }
 
         // Registry bookkeeping from the fresh observations: nodes that
@@ -349,6 +364,7 @@ impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
                     let index = self.registry.join(epoch);
                     self.arena.push(NodeSlot::vacant(self.fleet.node_seed(index), boundary));
                     self.base.nodes.push(placeholder_view(index, NodeState::Joining));
+                    self.unobserved.push(index);
                     joined.push(index);
                     Ok(())
                 }
@@ -543,9 +559,10 @@ impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
             placed.push(if self.attach(home, unit) { Placed::RolledBack } else { Placed::Lost });
         }
 
-        // Placement changes only through the hooks above, so the mirror
-        // refresh re-reads truth for the touched nodes alone; every other
-        // node's mirrored placement is already exact.
+        // After a node's first barrier its placement changes only through
+        // the hooks above, so the mirror refresh re-reads truth for the
+        // touched nodes alone; every other node's mirrored placement is
+        // already exact.
         touched.sort_unstable();
         touched.dedup();
         for node in touched {

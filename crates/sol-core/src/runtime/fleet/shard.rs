@@ -14,10 +14,9 @@ use super::NodeSeed;
 use crate::runtime::builder::ScenarioRecipe;
 use crate::runtime::learning::NodeLearnedExport;
 use crate::runtime::node::{AgentId, NodeRuntime};
-use crate::runtime::placement::{AgentTelemetry, NodeInit, NodeView};
+use crate::runtime::placement::{AgentTelemetry, NodeView};
 use crate::runtime::profile::Lap;
 use crate::runtime::Environment;
-use crate::stats::AgentStats;
 use crate::time::Timestamp;
 
 /// One unit of epoch work: a node's slot in the shared arena. The node index
@@ -70,51 +69,38 @@ impl<T> TaskList<T> {
     }
 }
 
-/// What one worker observed at one barrier, across every node it claimed,
-/// flattened into four vectors keyed by node index: every agent counter and
-/// reading of every collected node, changed or not, since at every measured
-/// barrier every counter had moved (shares in the [module docs](super)).
-/// The coordinator moves
-/// the entries into its base view and hands the emptied list back with the
-/// next command, so the vectors keep their capacity and a steady barrier
-/// allocates nothing per node — on either side.
+/// One node's collected barrier observation: `(node, agent counters,
+/// readings)`, each whole.
+type Observation = (usize, Vec<AgentTelemetry>, Vec<(String, f64)>);
+
+/// What one worker observed at one barrier, across every node it claimed:
+/// on a collecting barrier, each node's agent counters and readings whole,
+/// and on an exchange round, the learned states that changed. The
+/// coordinator moves the entries into its base view and mirror and hands
+/// the emptied list back with the next command, so the outer vectors keep
+/// their capacity. A collecting barrier allocates per node the
+/// observation's two vectors, the agent names and whatever the recipe's
+/// telemetry closure builds. Without `collect` a worker ships and allocates
+/// no per-node observation; an exchange round still allocates each node's
+/// learned-state snapshots and the exports of those that changed.
 #[derive(Default)]
 pub struct ChangeList {
-    /// First full observations (and re-observations after a telemetry
-    /// layout change): one per node per run, as a rule.
-    inits: Vec<(usize, NodeInit)>,
-    /// Agent counters: `(node, registration position, stats)`.
-    agents: Vec<(usize, usize, AgentStats)>,
-    /// Telemetry readings: `(node, emission position, value)`.
-    telemetry: Vec<(usize, usize, f64)>,
+    /// Collected observations, one per claimed node.
+    views: Vec<Observation>,
     /// On exchange rounds, the learned states that changed since each
     /// node's last export.
     pub exports: Vec<NodeLearnedExport>,
 }
 
 impl ChangeList {
-    /// Moves the view changes into `nodes`, leaving those three vectors
-    /// empty. A node is claimed by one worker per barrier and ships either
-    /// an init or patches, so the order lists are patched in never shows.
-    /// A position out of range for the node's view is ignored, not grown
-    /// into: a patch only overwrites a counter or reading the view already
-    /// holds, and a new layout arrives as an init.
-    pub fn patch(&mut self, nodes: &mut [NodeView]) {
-        for (node, init) in self.inits.drain(..) {
+    /// Moves every collected observation into its node's entry of `nodes`,
+    /// replacing the entry's agents and readings whole, and leaves the list
+    /// empty.
+    pub fn move_into(&mut self, nodes: &mut [NodeView]) {
+        for (node, agents, telemetry) in self.views.drain(..) {
             let view = &mut nodes[node];
-            view.agents = init.agents;
-            view.telemetry = init.telemetry;
-            view.placement = init.placement;
-        }
-        for (node, role, stats) in self.agents.drain(..) {
-            if let Some(agent) = nodes[node].agents.get_mut(role) {
-                agent.stats = stats;
-            }
-        }
-        for (node, slot, value) in self.telemetry.drain(..) {
-            if let Some((_, reading)) = nodes[node].telemetry.get_mut(slot) {
-                *reading = value;
-            }
+            view.agents = agents;
+            view.telemetry = telemetry;
         }
     }
 }
@@ -122,10 +108,10 @@ impl ChangeList {
 /// What one barrier asks of the workers.
 #[derive(Clone, Copy)]
 pub enum Work {
-    /// Run every claimed node to `boundary`. `collect` asks for full barrier
-    /// observations (agent stats + telemetry deltas) — without it only each
-    /// node's first observation is shipped; `learn` marks a learning-plane
-    /// exchange round (nodes piggyback changed learned state).
+    /// Run every claimed node to `boundary`. `collect` asks for each node's
+    /// agent counters and readings, whole — without it no node ships an
+    /// observation; `learn` marks a learning-plane exchange round (nodes
+    /// piggyback changed learned state).
     Epoch { boundary: Timestamp, collect: bool, learn: bool },
     /// Summarize every claimed node and ship the reports home.
     Finish,
@@ -163,17 +149,12 @@ pub struct WorkerMsg {
 }
 
 /// One stamped node: its seed, its live runtime, the fleet time at which its
-/// local clock started (non-zero for nodes joined mid-run), the telemetry
-/// layout the coordinator's view of it has, and its learned-state export
-/// baseline.
+/// local clock started (non-zero for nodes joined mid-run), and its
+/// learned-state export baseline.
 pub struct ShardNode<E: Environment + 'static> {
     pub seed: NodeSeed,
     pub runtime: NodeRuntime<E>,
     start: Timestamp,
-    /// How many telemetry readings the last full observation shipped;
-    /// `None` until the first one. Barrier patches are positional, so a
-    /// reading count that differs from it re-ships the node in full.
-    telemetry_len: Option<usize>,
     /// Learned states as of the last learning-plane export (or coordinator
     /// import), indexed by agent slot; the exchange-round diff baseline.
     /// Empty until the first exchange round touches the node. Shared with
@@ -183,16 +164,9 @@ pub struct ShardNode<E: Environment + 'static> {
 }
 
 impl<E: Environment + 'static> ShardNode<E> {
-    /// Stamps the node out of the recipe. It ships a full observation at
-    /// its first barrier.
+    /// Stamps the node out of the recipe.
     fn stamp(recipe: &ScenarioRecipe<E>, seed: NodeSeed, start: Timestamp) -> Self {
-        ShardNode {
-            runtime: recipe.instantiate(&seed),
-            seed,
-            start,
-            telemetry_len: None,
-            learned_base: Vec::new(),
-        }
+        ShardNode { runtime: recipe.instantiate(&seed), seed, start, learned_base: Vec::new() }
     }
 
     /// Maps fleet time onto this node's local clock. A joined node starts a
@@ -214,55 +188,14 @@ impl<E: Environment + 'static> ShardNode<E> {
         self.runtime.run_until(until);
     }
 
-    /// Writes the barrier observation into `changes`. The first call ships
-    /// a full [`NodeInit`] (placement always, agent stats and telemetry only
-    /// when `collect`); later calls write nothing without `collect`, and
-    /// with it every role's stats and every reading, unchanged or not (no
-    /// measured workload has a quiet node; see the [module docs](super)).
-    fn observe(&mut self, recipe: &ScenarioRecipe<E>, collect: bool, changes: &mut ChangeList) {
-        let node = self.seed.index() as usize;
-        let Some(telemetry_len) = self.telemetry_len else {
-            changes.inits.push((node, self.full_observation(recipe, collect)));
-            return;
-        };
-        if !collect {
-            return;
-        }
+    /// Writes the node's barrier observation into `changes`: every agent's
+    /// counters and every reading, whole. Placement is not part of it: the
+    /// coordinator reads it off the arena.
+    fn observe(&self, recipe: &ScenarioRecipe<E>, changes: &mut ChangeList) {
+        let agents = self.runtime.agent_snapshots().into_iter();
+        let agents = agents.map(|(name, stats)| AgentTelemetry { name, stats }).collect();
         let readings = recipe.extract_telemetry(self.runtime.environment());
-        if readings.len() != telemetry_len {
-            // The telemetry shape changed; re-ship everything rather than
-            // patch positionally against a stale layout.
-            changes.inits.push((node, self.full_observation(recipe, collect)));
-            return;
-        }
-        for role in 0..self.runtime.agent_count() {
-            changes.agents.push((node, role, self.runtime.agent_stats(AgentId::from(role))));
-        }
-        changes
-            .telemetry
-            .extend(readings.into_iter().enumerate().map(|(slot, (_, value))| (node, slot, value)));
-    }
-
-    /// A full observation, recording its telemetry layout. Placement is
-    /// always exact (the coordinator mirrors it); agent stats and telemetry
-    /// are extracted only when some controller will read them.
-    fn full_observation(&mut self, recipe: &ScenarioRecipe<E>, collect: bool) -> NodeInit {
-        let mut init = NodeInit {
-            agents: Vec::new(),
-            telemetry: Vec::new(),
-            placement: self.runtime.placement(),
-        };
-        if collect {
-            init.agents = self
-                .runtime
-                .agent_snapshots()
-                .into_iter()
-                .map(|(name, stats)| AgentTelemetry { name, stats })
-                .collect();
-            init.telemetry = recipe.extract_telemetry(self.runtime.environment());
-        }
-        self.telemetry_len = Some(init.telemetry.len());
-        init
+        changes.views.push((self.seed.index() as usize, agents, readings));
     }
 
     /// The learning-plane export for this barrier: every agent's learned
@@ -369,9 +302,9 @@ impl<E: Environment + 'static> NodeSlot<E> {
     }
 
     /// Stamps the node if needed, advances it to the epoch boundary, and
-    /// writes its barrier observation delta plus — when `learn` marks an
-    /// exchange round — its learning-plane export into `changes` (nothing
-    /// for an unchanged node or a retired slot).
+    /// writes its barrier observation — when `collect` asks for one — and
+    /// its learning-plane export — when `learn` marks an exchange round and
+    /// a state changed — into `changes` (nothing for a retired slot).
     pub fn advance(
         &self,
         recipe: &ScenarioRecipe<E>,
@@ -383,7 +316,9 @@ impl<E: Environment + 'static> NodeSlot<E> {
         let mut guard = self.stamped(recipe);
         let Slot::Live(node) = &mut *guard else { return };
         node.run_to(boundary);
-        node.observe(recipe, collect, changes);
+        if collect {
+            node.observe(recipe, changes);
+        }
         if learn {
             changes.exports.extend(node.export_learned());
         }

@@ -244,10 +244,10 @@ pub struct FleetView {
     pub displaced: Vec<WorkloadUnit>,
 }
 
-/// A node's first full observation: everything a coordinator needs to seed
-/// its base [`NodeView`] for that node. Shipped once per node (at the first
-/// barrier the node reaches, and again if its telemetry layout changes);
-/// every later barrier patches the base positionally.
+/// A node's full observation: everything needed to seed a base
+/// [`NodeView`] for that node. Only [`NodeDelta`] carries it, as the
+/// wholesale replacement for a first view or a changed layout; the fleet
+/// runtime ships no `NodeInit`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct NodeInit {
     /// Per-agent names and counters, in registration order.
@@ -261,9 +261,9 @@ pub struct NodeInit {
 /// The changes in one node's [`NodeView`] between two epoch barriers.
 ///
 /// A codec for a consumer that keeps its own base [`FleetView`] and wants
-/// only what changed. The fleet runtime does not use it: its workers patch
-/// the coordinator's base with every counter and reading, because no
-/// measured workload has a node that stands still across a barrier. Agent
+/// only what changed. The fleet runtime does not use it: its workers ship
+/// each collected node's counters and readings whole, because no measured
+/// workload has a node that stands still across a barrier. Agent
 /// counters are keyed by registration position and telemetry readings by
 /// emission position — both orders are fixed for the lifetime of a node, so
 /// positions are stable keys and names never need to travel twice.

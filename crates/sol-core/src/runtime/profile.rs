@@ -27,7 +27,7 @@ pub struct PhaseProfile {
     /// Collect: blocked on worker replies — the only phase during which the
     /// workers compute, so everything else is serial coordinator time.
     pub wait_ns: u64,
-    /// Collect: patching the workers' change lists into the base view.
+    /// Collect: moving the workers' observations into the base view.
     pub apply_ns: u64,
     /// Collect: absorbing learned-state exports into the exchange mirror.
     pub absorb_ns: u64,

@@ -320,13 +320,14 @@ pub enum AggregationRule {
 
 impl AggregationRule {
     /// Combines one coordinate's values across peers. The slice is reordered
-    /// in place (the robust rules sort it). Inputs must be NaN-free —
-    /// guaranteed for values out of [`LearnedState`]s, whose construction
-    /// rejects non-finite values.
+    /// in place (the robust rules sort it). Inputs must be NaN-free for the
+    /// robust rules — guaranteed for values out of [`LearnedState`]s, whose
+    /// construction rejects non-finite values; `Mean` of a column holding
+    /// NaN is NaN.
     ///
     /// # Panics
     ///
-    /// Panics if `column` is empty or contains NaN.
+    /// Panics if `column` is empty, or if a robust rule meets NaN.
     pub fn combine(&self, column: &mut [f64]) -> f64 {
         assert!(!column.is_empty(), "cannot combine zero values");
         match *self {
@@ -541,6 +542,18 @@ mod tests {
     fn trimmed_mean_drops_extremes() {
         let mut col = [100.0, 1.0, 2.0, 3.0, -100.0];
         assert_eq!(AggregationRule::TrimmedMean { k: 1 }.combine(&mut col), 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "no NaN values")]
+    fn median_panics_on_a_nan_column() {
+        AggregationRule::CoordinateWiseMedian.combine(&mut [1.0, f64::NAN, 2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no NaN values")]
+    fn trimmed_mean_panics_on_a_nan_column() {
+        AggregationRule::TrimmedMean { k: 1 }.combine(&mut [1.0, 2.0, 3.0, f64::NAN]);
     }
 
     #[test]

@@ -205,16 +205,32 @@ fn imbalanced_fleet_reports_are_byte_identical_across_worker_thread_counts() {
 // The barrier wire format: flat change lists, a task list per live set
 // ---------------------------------------------------------------------------
 
-/// An environment whose one reading moves at every advance, so telemetry
-/// patches cross every barrier.
+/// An environment that counts its advances, so its reading differs at every
+/// barrier, and hosts units up to `capacity` placeable cores (none by
+/// default).
 #[derive(Default)]
 struct CountingEnv {
     advances: u64,
+    capacity: f64,
+    resident: Vec<WorkloadUnit>,
 }
 
 impl Environment for CountingEnv {
     fn advance_to(&mut self, _now: Timestamp) {
         self.advances += 1;
+    }
+
+    fn attach_workload(&mut self, unit: WorkloadUnit) -> Result<(), PlacementError> {
+        let free = self.placement().free();
+        if unit.cores > free {
+            return Err(PlacementError::CapacityExceeded { requested: unit.cores, free });
+        }
+        self.resident.push(unit);
+        Ok(())
+    }
+
+    fn placement(&self) -> NodePlacement {
+        NodePlacement { capacity: self.capacity, resident: self.resident.clone() }
     }
 }
 
@@ -258,34 +274,65 @@ impl Model for DriftModel {
     }
 }
 
-/// Two agents per node — a drifting learner and a quiet toy — over a
-/// counting environment whose advances are the node's telemetry.
+/// Two agents per node — a drifting learner and a quiet toy — over `env`.
+fn observed_builder(seed: &NodeSeed, env: CountingEnv) -> ScenarioBuilder<CountingEnv> {
+    let mut builder = NodeRuntime::builder(env);
+    let collect_ms = 40 + seed.stream(0) % 120;
+    let step = 1.0 + (seed.stream(1) % 7) as f64;
+    builder.agent("learner", DriftModel { weight: 0.0, step }, ToyActuator::default(), {
+        toy_schedule(collect_ms)
+    });
+    builder.agent("toy", ToyModel { value: 2.0 }, ToyActuator::default(), {
+        toy_schedule(collect_ms * 2)
+    });
+    builder
+}
+
+/// Observed nodes over a counting environment whose advances are the
+/// node's telemetry.
 fn observed_recipe() -> ScenarioRecipe<CountingEnv> {
+    ScenarioRecipe::new(|seed: &NodeSeed| observed_builder(seed, CountingEnv::default()).build())
+        .with_telemetry(|env: &CountingEnv| vec![("advances".into(), env.advances as f64)])
+}
+
+/// Observed nodes whose one reading is named after its value's parity, so
+/// a reading's name changes between barriers and a view must follow it.
+fn renamed_recipe() -> ScenarioRecipe<CountingEnv> {
+    observed_recipe().with_telemetry(|env: &CountingEnv| {
+        let name = if env.advances.is_multiple_of(2) { "even" } else { "odd" };
+        vec![(name.into(), env.advances as f64)]
+    })
+}
+
+/// Observed nodes on four placeable cores, each built with one resident
+/// unit of one to three cores.
+fn placeable_recipe() -> ScenarioRecipe<CountingEnv> {
     ScenarioRecipe::new(|seed: &NodeSeed| {
-        let mut builder = NodeRuntime::builder(CountingEnv::default());
-        let collect_ms = 40 + seed.stream(0) % 120;
-        let step = 1.0 + (seed.stream(1) % 7) as f64;
-        builder.agent("learner", DriftModel { weight: 0.0, step }, ToyActuator::default(), {
-            toy_schedule(collect_ms)
-        });
-        builder.agent("toy", ToyModel { value: 2.0 }, ToyActuator::default(), {
-            toy_schedule(collect_ms * 2)
-        });
+        let env = CountingEnv { capacity: 4.0, ..CountingEnv::default() };
+        let mut builder = observed_builder(seed, env);
+        let unit = WorkloadUnit::new(WorkloadId(seed.index()), 1.0 + (seed.stream(2) % 3) as f64);
+        builder.attach_workload(unit).unwrap();
         builder.build()
     })
     .with_telemetry(|env: &CountingEnv| vec![("advances".into(), env.advances as f64)])
 }
 
-/// Plans nothing; keeps a copy of every view it was shown.
+/// Plans nothing; keeps a copy of every view it was shown. A `blind` one
+/// declines the per-node agent counters and telemetry.
 #[derive(Default)]
 struct Recorder {
     views: Vec<FleetView>,
+    blind: bool,
 }
 
 impl FleetController for Recorder {
     fn plan(&mut self, view: &FleetView) -> PlacementPlan {
         self.views.push(view.clone());
         PlacementPlan::new()
+    }
+
+    fn wants_view(&self) -> bool {
+        !self.blind
     }
 }
 
@@ -383,44 +430,87 @@ fn quiet_recipe() -> ScenarioRecipe<NullEnvironment> {
     .with_telemetry(|_: &NullEnvironment| vec![("constant".into(), 1.0)])
 }
 
-/// The per-barrier view oracle, quiet nodes included: every node of every
-/// view the controller is shown equals what a standalone runtime stamped
-/// from the same seed reports when run to the same boundary.
-#[test]
-fn every_recorded_view_matches_a_standalone_node_at_its_boundary() {
-    const NODES: usize = 6;
+/// Runs `recipe` on `nodes` nodes under `faults` for 100 barriers, at 1 and
+/// 2 threads, behind a [`Recorder`] (`blind` or not), and checks every node
+/// of every view against a standalone runtime stamped from the same seed
+/// and run to the same boundary on its own clock, which for a joiner starts
+/// at its join boundary. Every node stays `Active`. Returns the views of the
+/// 2-thread run.
+fn assert_views_match_standalone_nodes<E: Environment + Send + 'static>(
+    recipe: &ScenarioRecipe<E>,
+    nodes: usize,
+    faults: &FaultPlan,
+    blind: bool,
+) -> Vec<FleetView> {
     let epoch = SimDuration::from_millis(100);
-    let recipe = quiet_recipe();
+    let mut views = Vec::new();
     for threads in [1, 2] {
-        let config = FleetConfig { nodes: NODES, threads, epoch, ..FleetConfig::default() };
+        let config = FleetConfig { nodes, threads, epoch, ..FleetConfig::default() };
         let fleet = FleetRuntime::new(recipe.clone(), config).unwrap();
-        let mut recorder = Recorder::default();
-        fleet.run_with(&mut recorder, SimDuration::from_secs(10)).unwrap();
-        assert_eq!(recorder.views.len(), 100);
-        let mut quiet = 0;
-        for node in 0..NODES {
+        let mut recorder = Recorder { blind, ..Recorder::default() };
+        fleet.run_with_faults(&mut recorder, faults.clone(), SimDuration::from_secs(10)).unwrap();
+        views = recorder.views;
+        assert_eq!(views.len(), 100);
+        for node in 0..views[99].nodes.len() {
+            // The first view showing the node comes one barrier after its
+            // clock started.
+            let first = views.iter().position(|view| view.nodes.len() > node).unwrap() as u64;
             let mut standalone = recipe.instantiate(&fleet.node_seed(node));
-            let mut last: Option<&NodeView> = None;
-            for view in &recorder.views {
-                standalone.run_until(Timestamp::ZERO + epoch * (view.epoch + 1));
-                let expected = NodeView {
+            for view in &views[first as usize..] {
+                standalone.run_until(Timestamp::ZERO + epoch * (view.epoch + 1 - first));
+                let mut expected = NodeView {
                     node,
-                    agents: standalone
-                        .agent_snapshots()
-                        .into_iter()
-                        .map(|(name, stats)| AgentTelemetry { name, stats })
-                        .collect(),
-                    telemetry: recipe.extract_telemetry(standalone.environment()),
+                    agents: Vec::new(),
+                    telemetry: Vec::new(),
                     placement: standalone.placement(),
                     state: NodeState::Active,
                 };
+                if !blind {
+                    expected.agents = standalone
+                        .agent_snapshots()
+                        .into_iter()
+                        .map(|(name, stats)| AgentTelemetry { name, stats })
+                        .collect();
+                    expected.telemetry = recipe.extract_telemetry(standalone.environment());
+                }
                 let seen = &view.nodes[node];
                 assert_eq!(seen, &expected, "{threads} threads, epoch {}", view.epoch);
-                quiet += usize::from(last == Some(seen));
-                last = Some(seen);
             }
         }
-        assert!(quiet > NODES * 50, "only {quiet} quiet node-barriers");
+    }
+    views
+}
+
+/// The per-barrier view oracle: every node of every view the controller is
+/// shown equals what a standalone runtime stamped from the same seed
+/// reports when run to the same boundary — for quiet nodes, for a reading
+/// whose name changes between barriers, and for nodes built with a
+/// resident unit, joiners included, whether or not the controller wants
+/// the view.
+#[test]
+fn every_recorded_view_matches_a_standalone_node_at_its_boundary() {
+    const NODES: usize = 6;
+    let steady = FaultPlan::empty();
+    let views = assert_views_match_standalone_nodes(&quiet_recipe(), NODES, &steady, false);
+    let quiet: usize = (0..NODES)
+        .map(|node| views.windows(2).filter(|w| w[0].nodes[node] == w[1].nodes[node]).count())
+        .sum();
+    assert!(quiet > NODES * 50, "only {quiet} quiet node-barriers");
+
+    let views = assert_views_match_standalone_nodes(&renamed_recipe(), NODES, &steady, false);
+    let names = views.iter().map(|view| view.nodes[0].telemetry[0].0.as_str());
+    assert_eq!(names.collect::<std::collections::HashSet<_>>().len(), 2, "the reading renamed");
+
+    let join = FaultPlan::from_events(vec![FaultEvent {
+        at: Timestamp::from_secs(2),
+        event: LifecycleEvent::Join,
+    }]);
+    for blind in [false, true] {
+        let views = assert_views_match_standalone_nodes(&placeable_recipe(), NODES, &join, blind);
+        let first = views.iter().find(|view| view.nodes.len() > NODES).unwrap();
+        let joiner = &first.nodes[NODES].placement;
+        assert_eq!((joiner.capacity, joiner.resident.len()), (4.0, 1), "blind: {blind}");
+        assert_eq!(views[0].nodes[0].placement.resident.len(), 1, "blind: {blind}");
     }
 }
 
