@@ -48,6 +48,8 @@ const STARVATION_FRACTION_THRESHOLD: f64 = 0.1;
 const STARVATION_WINDOW: usize = 40;
 /// How long a prediction stays valid.
 const PREDICTION_VALIDITY: SimDuration = SimDuration::from_millis(100);
+/// P99 vCPU wait-time threshold (milliseconds) for the Actuator safeguard.
+const WAIT_P99_THRESHOLD_MS: f64 = 0.2;
 
 /// Configuration for the SmartHarvest agent.
 #[derive(Debug, Clone)]
@@ -61,8 +63,6 @@ pub struct HarvestConfig {
     /// Fault injection: the model is broken and always predicts the minimum
     /// core demand (consistent under-prediction, paper §6.3).
     pub broken_model: bool,
-    /// P99 vCPU wait-time threshold (milliseconds) for the Actuator safeguard.
-    pub wait_p99_threshold_ms: f64,
 }
 
 impl Default for HarvestConfig {
@@ -72,7 +72,6 @@ impl Default for HarvestConfig {
             model_safeguard: true,
             actuator_safeguard: true,
             broken_model: false,
-            wait_p99_threshold_ms: 0.2,
         }
     }
 }
@@ -309,7 +308,7 @@ impl Actuator for HarvestActuator {
             return ActuatorAssessment::Acceptable;
         }
         let p99_wait = self.node.with(|n| n.p99_wait_ms());
-        ActuatorAssessment::from_acceptable(p99_wait <= self.config.wait_p99_threshold_ms)
+        ActuatorAssessment::from_acceptable(p99_wait <= WAIT_P99_THRESHOLD_MS)
     }
 
     fn mitigate(&mut self, _now: Timestamp) {

@@ -57,6 +57,15 @@ const COLD_AFTER: SimDuration = SimDuration::from_secs(180);
 const MITIGATION_BATCHES: usize = 100;
 /// How long a prediction stays valid.
 const PREDICTION_VALIDITY: SimDuration = SimDuration::from_secs(80);
+/// One batch in this many is ground-truth sampled at the maximum frequency
+/// for the model safeguard (a fraction of 0.1).
+const GROUND_TRUTH_EVERY: usize = 10;
+/// Missed-access fraction above which the model is deemed to be
+/// undersampling (0.25).
+const MISSED_ACCESS_THRESHOLD: f64 = 0.25;
+/// Fraction of the coldest batches offloaded by the conservative default
+/// prediction (0.05).
+const DEFAULT_OFFLOAD_FRACTION: f64 = 0.05;
 
 /// Configuration for the SmartMemory agent.
 #[derive(Debug, Clone)]
@@ -68,15 +77,6 @@ pub struct MemoryConfig {
     /// Target fraction of accesses that must stay local (0.8 in the paper,
     /// i.e. at most 20% remote).
     pub local_access_slo: f64,
-    /// Fraction of batches ground-truth sampled at the maximum frequency for
-    /// the model safeguard (0.1).
-    pub ground_truth_fraction: f64,
-    /// Missed-access fraction above which the model is deemed to be
-    /// undersampling (0.25).
-    pub missed_access_threshold: f64,
-    /// Fraction of the coldest batches offloaded by the conservative default
-    /// prediction (0.05).
-    pub default_offload_fraction: f64,
     /// RNG seed for the Thompson samplers.
     pub seed: u64,
 }
@@ -87,9 +87,6 @@ impl Default for MemoryConfig {
             model_safeguard: true,
             actuator_safeguard: true,
             local_access_slo: 0.8,
-            ground_truth_fraction: 0.1,
-            missed_access_threshold: 0.25,
-            default_offload_fraction: 0.05,
             seed: 23,
         }
     }
@@ -183,7 +180,6 @@ impl MemoryModel {
     /// Creates the model for a node handle.
     pub fn new(node: Shared<MemoryNode>, config: MemoryConfig) -> Self {
         let count = node.with(|n| n.batch_count());
-        let ground_truth_every = (1.0 / config.ground_truth_fraction.max(1e-6)).round() as usize;
         let batches = (0..count)
             .map(|i| BatchState {
                 bandit: ThompsonSampler::with_seed(SCAN_INTERVALS.len(), config.seed ^ i as u64),
@@ -195,7 +191,7 @@ impl MemoryModel {
                 set_scans_this_epoch: 0,
                 pages_seen_this_epoch: 0,
                 last_seen_accessed: Timestamp::ZERO,
-                ground_truth: ground_truth_every != 0 && i % ground_truth_every.max(1) == 0,
+                ground_truth: i % GROUND_TRUTH_EVERY == 0,
             })
             .collect();
         MemoryModel {
@@ -424,8 +420,7 @@ impl Model for MemoryModel {
         let rates = self.estimated_rates();
         let mut order: Vec<usize> = (0..rates.len()).collect();
         order.sort_by(|&a, &b| rates[a].partial_cmp(&rates[b]).expect("no NaN rates"));
-        let offload =
-            ((rates.len() as f64) * self.config.default_offload_fraction).floor() as usize;
+        let offload = ((rates.len() as f64) * DEFAULT_OFFLOAD_FRACTION).floor() as usize;
         let mut classes = vec![BatchClass::Hot; rates.len()];
         for &idx in order.iter().take(offload) {
             classes[idx] = BatchClass::Warm;
@@ -437,7 +432,7 @@ impl Model for MemoryModel {
         if !self.config.model_safeguard {
             return ModelAssessment::Healthy;
         }
-        if self.missed_fraction > self.config.missed_access_threshold {
+        if self.missed_fraction > MISSED_ACCESS_THRESHOLD {
             self.consecutive_missed_epochs += 1;
         } else {
             self.consecutive_missed_epochs = 0;

@@ -47,6 +47,8 @@ const REWARD_DELTA_WINDOW: usize = 10;
 /// Number of recent α observations considered by the Actuator safeguard
 /// (the paper uses the past 100 seconds with 1-second actions).
 const ALPHA_WINDOW: usize = 100;
+/// α threshold for the Actuator safeguard.
+const ALPHA_THRESHOLD: f64 = 0.05;
 /// How long a prediction stays valid.
 const PREDICTION_VALIDITY: SimDuration = SimDuration::from_secs(2);
 
@@ -64,8 +66,6 @@ pub struct OverclockConfig {
     pub broken_model: bool,
     /// ε-greedy exploration probability (0.1 in the paper).
     pub exploration: f64,
-    /// α threshold for the Actuator safeguard.
-    pub alpha_threshold: f64,
     /// RNG seed for the Q-learner.
     pub seed: u64,
 }
@@ -78,7 +78,6 @@ impl Default for OverclockConfig {
             actuator_safeguard: true,
             broken_model: false,
             exploration: 0.1,
-            alpha_threshold: 0.05,
             seed: 17,
         }
     }
@@ -347,7 +346,7 @@ impl Actuator for OverclockActuator {
         if !self.config.actuator_safeguard || !self.alpha_window.is_full() {
             return ActuatorAssessment::Acceptable;
         }
-        ActuatorAssessment::from_acceptable(self.alpha_p90() >= self.config.alpha_threshold)
+        ActuatorAssessment::from_acceptable(self.alpha_p90() >= ALPHA_THRESHOLD)
     }
 
     fn mitigate(&mut self, _now: Timestamp) {

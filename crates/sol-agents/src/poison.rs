@@ -330,19 +330,20 @@ const STREAM_LEARNER: u64 = 0;
 const STREAM_CPU_NODE: u64 = 1;
 const STREAM_POISON_SALT: u64 = 16;
 
+/// Workload hosted on every node of [`poisoned_overclock_recipe`]:
+/// [`OverclockWorkloadKind::DiskSpeed`] is the scenario where honest learners
+/// converge on *not* overclocking — so a poisoner pushing the aggregate
+/// toward overclocking is maximally harmful.
+const WORKLOAD: OverclockWorkloadKind = OverclockWorkloadKind::DiskSpeed;
+/// Cores per node.
+const CORES: usize = 8;
+/// Seed of the victim-selection plan (independent of the fleet seed so the
+/// same fleet can be re-run under different attacks).
+const POISON_SEED: u64 = 0xB105;
+
 /// Configuration for [`poisoned_overclock_recipe`].
 #[derive(Debug, Clone)]
 pub struct PoisonedOverclockConfig {
-    /// SmartOverclock agent configuration (the per-node learner seed is
-    /// derived from the fleet seed; the value here is ignored).
-    pub overclock: OverclockConfig,
-    /// Workload hosted on every node. The default,
-    /// [`OverclockWorkloadKind::DiskSpeed`], is the scenario where honest
-    /// learners converge on *not* overclocking — so a poisoner pushing the
-    /// aggregate toward overclocking is maximally harmful.
-    pub workload: OverclockWorkloadKind,
-    /// Cores per node.
-    pub cores: usize,
     /// Fleet size the victim plan is drawn over. Must match the
     /// `FleetConfig::nodes` the recipe is run with for the victim count to be
     /// exact (joined nodes beyond this range are always honest).
@@ -351,21 +352,14 @@ pub struct PoisonedOverclockConfig {
     pub victims: usize,
     /// Corruption applied on victim nodes.
     pub attack: PoisonAttack,
-    /// Seed of the victim-selection plan (independent of the fleet seed so
-    /// the same fleet can be re-run under different attacks).
-    pub poison_seed: u64,
 }
 
 impl Default for PoisonedOverclockConfig {
     fn default() -> Self {
         PoisonedOverclockConfig {
-            overclock: OverclockConfig::default(),
-            workload: OverclockWorkloadKind::DiskSpeed,
-            cores: 8,
             nodes: 8,
             victims: 0,
             attack: PoisonAttack::SignFlip { gain: 3.0 },
-            poison_seed: 0xB105,
         }
     }
 }
@@ -396,16 +390,16 @@ pub struct PoisonedOverclockRecipe {
 /// or trimmed mean the minority is voted down. The recipe reports
 /// `perf_score` and `avg_power_watts` as fleet metrics.
 pub fn poisoned_overclock_recipe(base: PoisonedOverclockConfig) -> PoisonedOverclockRecipe {
-    let plan = PoisonPlan::generate(base.poison_seed, base.nodes, base.victims);
+    let plan = PoisonPlan::generate(POISON_SEED, base.nodes, base.victims);
     let build_plan = plan.clone();
     let recipe = ScenarioRecipe::new(move |seed: &NodeSeed| {
         let node = Shared::new(CpuNode::new(
-            base.workload.build(base.cores),
-            CpuNodeConfig { cores: base.cores, ..CpuNodeConfig::default() }
+            WORKLOAD.build(CORES),
+            CpuNodeConfig { cores: CORES, ..CpuNodeConfig::default() }
                 .with_seed(seed.stream(STREAM_CPU_NODE)),
         ));
-        let mut config = base.overclock.clone();
-        config.seed = seed.stream(STREAM_LEARNER);
+        let config =
+            OverclockConfig { seed: seed.stream(STREAM_LEARNER), ..OverclockConfig::default() };
         let (model, actuator) = smart_overclock(&node, config);
         let attack = build_plan.attack_for(seed.index() as usize, base.attack);
         let model = PoisonedLearner::new(model, attack, seed.stream(STREAM_POISON_SALT));

@@ -250,11 +250,6 @@ impl<E: Environment + 'static> ScenarioBuilder<E> {
         self.runtime.environment()
     }
 
-    /// Mutable access to the environment being assembled.
-    pub fn environment_mut(&mut self) -> &mut E {
-        self.runtime.environment_mut()
-    }
-
     /// Finishes assembly and returns the runtime, ready to
     /// [`run_for`](NodeRuntime::run_for) (or to schedule interventions on
     /// first — the handles convert into [`AgentId`]s).

@@ -656,11 +656,6 @@ impl<E: Environment + 'static> NodeRuntime<E> {
         &self.environment
     }
 
-    /// Mutable access to the environment.
-    pub fn environment_mut(&mut self) -> &mut E {
-        &mut self.environment
-    }
-
     /// The current virtual time.
     pub fn now(&self) -> Timestamp {
         self.now

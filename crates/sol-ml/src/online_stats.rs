@@ -54,61 +54,6 @@ impl Ewma {
     }
 }
 
-/// Selects the `n`-th order statistic in place, leaving `s` partitioned
-/// around it (`s[..n]` ≤ `s[n]` ≤ `s[n+1..]`).
-///
-/// Quickselect with a *three-way* (fat) partition: all elements equal to the
-/// pivot are grouped in one pass, so the duplicate-heavy windows the
-/// simulation produces (wait times that are mostly zero, latencies that are
-/// mostly the base value) collapse in one or two passes instead of the many
-/// unbalanced passes a binary-partition introselect pays on them. Falls back
-/// to `select_nth_unstable_by` if an adversarial pattern keeps the recursion
-/// from shrinking. NaN samples are not supported (the windows hold physical
-/// readings).
-fn select_nth(mut s: &mut [f64], mut n: usize) -> f64 {
-    let mut rounds = 0;
-    loop {
-        if s.len() <= 16 {
-            s.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
-            return s[n];
-        }
-        rounds += 1;
-        if rounds > 64 {
-            let (_, &mut v, _) =
-                s.select_nth_unstable_by(n, |a, b| a.partial_cmp(b).expect("no NaN samples"));
-            return v;
-        }
-        // Median-of-three pivot: cheap, and exact on the constant-heavy
-        // windows where all three probes agree.
-        let (a, b, c) = (s[0], s[s.len() / 2], s[s.len() - 1]);
-        let pivot = a.max(b).min(a.min(b).max(c));
-        // Dutch-flag partition: s[..lt] < pivot, s[lt..gt] == pivot,
-        // s[gt..] > pivot.
-        let (mut lt, mut i, mut gt) = (0, 0, s.len());
-        while i < gt {
-            let v = s[i];
-            if v < pivot {
-                s.swap(lt, i);
-                lt += 1;
-                i += 1;
-            } else if v > pivot {
-                gt -= 1;
-                s.swap(i, gt);
-            } else {
-                i += 1;
-            }
-        }
-        if n < lt {
-            s = &mut s[..lt];
-        } else if n < gt {
-            return pivot;
-        } else {
-            s = &mut s[gt..];
-            n -= gt;
-        }
-    }
-}
-
 /// Exact quantile `q` in `[0, 1]` of `samples`, using linear interpolation
 /// between order statistics; 0 for no samples. Reorders `samples`.
 ///
@@ -123,15 +68,16 @@ pub fn quantile_in_place(samples: &mut [f64], q: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
-    // Selection, not a full sort: agents query one quantile per call on
-    // windows of thousands of samples, so an expected-O(n) selection
-    // replaces the O(n log n) sort the hot safeguard paths used to pay.
-    // The two order statistics interpolate exactly as a sorted array
-    // would, so results are bit-identical to the sorting implementation.
+    // Selection, not a full sort: callers query one quantile per call, so
+    // an expected-O(n) selection replaces an O(n log n) sort. The two
+    // order statistics interpolate exactly as a sorted array would, so
+    // results are bit-identical to the sorting implementation. NaN samples
+    // are not supported (the windows hold physical readings).
     let pos = q * (samples.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
-    let lo_v = select_nth(samples, lo);
+    let (_, &mut lo_v, _) =
+        samples.select_nth_unstable_by(lo, |a, b| a.partial_cmp(b).expect("no NaN samples"));
     if lo == hi {
         lo_v
     } else {
@@ -472,6 +418,15 @@ mod tests {
             (0..1000).map(|i| if i % 40 == 0 { 20.0 + i as f64 } else { 20.0 }).collect(),
             vec![1.0; 64],
             (0..333).map(|i| f64::from(i % 7)).collect(),
+            // SmartOverclock's α window: 100 samples, long idle runs of exact
+            // 0.0 between busy values in [0.92, 1.0], clamped 1.0 included.
+            (0..100)
+                .map(|i| match i {
+                    _ if (i / 10) % 3 == 1 => 0.0,
+                    _ if i % 7 == 0 => 1.0,
+                    _ => 0.92 + 0.08 * f64::from((i * 13) % 17) / 17.0,
+                })
+                .collect(),
         ];
         for data in distributions {
             let mut w = SlidingWindow::new(512);
@@ -482,7 +437,7 @@ mod tests {
             for q in [0.0, 0.01, 0.5, 0.9, 0.99, 1.0] {
                 let got = w.quantile(q);
                 let want = quantile_by_sort(&kept, q);
-                assert_eq!(got, want, "q={q} over {} samples", kept.len());
+                assert_eq!(got.to_bits(), want.to_bits(), "q={q} over {} samples", kept.len());
             }
         }
     }

@@ -13,6 +13,8 @@ use crate::exchange::{ExchangeError, LearnedExchange, LearnedState, StateKind};
 
 /// Initial Q-value for all state/action pairs.
 const INITIAL_VALUE: f64 = 0.0;
+/// Learning rate α in `(0, 1]`.
+const LEARNING_RATE: f64 = 0.5;
 
 /// Configuration for a [`QLearner`].
 #[derive(Debug, Clone, PartialEq)]
@@ -21,8 +23,6 @@ pub struct QConfig {
     pub states: usize,
     /// Number of discrete actions.
     pub actions: usize,
-    /// Learning rate α in `(0, 1]`.
-    pub learning_rate: f64,
     /// Discount factor γ in `[0, 1]`.
     pub discount: f64,
     /// Exploration probability ε in `[0, 1]` (the paper's agent uses 0.1).
@@ -33,16 +33,12 @@ impl QConfig {
     /// Creates a configuration with the paper's defaults (α = 0.5, γ = 0.6,
     /// ε = 0.1) for the given table size.
     pub fn new(states: usize, actions: usize) -> Self {
-        QConfig { states, actions, learning_rate: 0.5, discount: 0.6, exploration: 0.1 }
+        QConfig { states, actions, discount: 0.6, exploration: 0.1 }
     }
 
     fn validate(&self) {
         assert!(self.states > 0, "Q-table needs at least one state");
         assert!(self.actions > 0, "Q-table needs at least one action");
-        assert!(
-            self.learning_rate > 0.0 && self.learning_rate <= 1.0,
-            "learning rate must be in (0, 1]"
-        );
         assert!((0.0..=1.0).contains(&self.discount), "discount must be in [0, 1]");
         assert!((0.0..=1.0).contains(&self.exploration), "exploration must be in [0, 1]");
     }
@@ -185,7 +181,7 @@ impl QLearner {
         let idx = self.index(state, action);
         let old = self.table[idx];
         let target = reward + self.config.discount * best_next;
-        self.table[idx] = old + self.config.learning_rate * (target - old);
+        self.table[idx] = old + LEARNING_RATE * (target - old);
         self.updates += 1;
     }
 

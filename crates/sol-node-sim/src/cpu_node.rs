@@ -20,6 +20,8 @@ use crate::workload::{CpuWorkload, PerfReport};
 
 /// Instructions per cycle achieved by fully productive (non-stalled) cycles.
 const BASE_IPC: f64 = 2.0;
+/// Internal integration step.
+const STEP: SimDuration = SimDuration::from_millis(25);
 
 /// Configuration for a [`CpuNode`].
 #[derive(Debug, Clone)]
@@ -27,11 +29,6 @@ pub struct CpuNodeConfig {
     /// Number of physical cores visible to the VM (the paper's server has 26
     /// per socket).
     pub cores: usize,
-    /// Internal integration step.
-    pub step: SimDuration,
-    /// Probability that a counter sample returns an out-of-range IPS reading
-    /// (fault injection for Figure 2).
-    pub bad_ips_probability: f64,
     /// RNG seed for fault injection.
     pub seed: u64,
     /// Cores' worth of dynamically placeable workload slots (for fleet-level
@@ -47,13 +44,7 @@ pub struct CpuNodeConfig {
 
 impl Default for CpuNodeConfig {
     fn default() -> Self {
-        CpuNodeConfig {
-            cores: 26,
-            step: SimDuration::from_millis(25),
-            bad_ips_probability: 0.0,
-            seed: 42,
-            placeable_cores: 0.0,
-        }
+        CpuNodeConfig { cores: 26, seed: 42, placeable_cores: 0.0 }
     }
 }
 
@@ -99,6 +90,10 @@ pub struct CpuNode {
     energy: EnergyMeter,
     now: Timestamp,
     rng: rand::rngs::StdRng,
+    /// Probability that a counter sample returns an out-of-range IPS reading
+    /// (fault injection for Figure 2); only
+    /// [`set_bad_ips_probability`](Self::set_bad_ips_probability) moves it.
+    bad_ips_probability: f64,
     trace: Vec<CpuTracePoint>,
     trace_enabled: bool,
     last_alpha: f64,
@@ -123,15 +118,9 @@ impl CpuNode {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has no cores, a zero step, or a bad-IPS
-    /// probability outside `[0, 1]`.
+    /// Panics if the configuration has no cores.
     pub fn new(workload: Box<dyn CpuWorkload>, config: CpuNodeConfig) -> Self {
         assert!(config.cores > 0, "node needs at least one core");
-        assert!(!config.step.is_zero(), "step must be non-zero");
-        assert!(
-            (0.0..=1.0).contains(&config.bad_ips_probability),
-            "bad-IPS probability must be in [0, 1]"
-        );
         let rng = seeded_rng(config.seed);
         CpuNode {
             config,
@@ -143,6 +132,7 @@ impl CpuNode {
             energy: EnergyMeter::new(),
             now: Timestamp::ZERO,
             rng,
+            bad_ips_probability: 0.0,
             trace: Vec::new(),
             trace_enabled: false,
             last_alpha: 0.0,
@@ -262,7 +252,7 @@ impl CpuNode {
     /// Panics if `p` is outside `[0, 1]`.
     pub fn set_bad_ips_probability(&mut self, p: f64) {
         assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
-        self.config.bad_ips_probability = p;
+        self.bad_ips_probability = p;
     }
 
     /// Takes a counter sample covering the interval since the previous call.
@@ -280,9 +270,7 @@ impl CpuNode {
         self.last_sample_counters = self.counters;
         self.last_sample_at = self.now;
         let mut sample = CounterSample::from_delta(self.now, interval, &delta, self.current_ghz);
-        if self.config.bad_ips_probability > 0.0
-            && self.rng.gen::<f64>() < self.config.bad_ips_probability
-        {
+        if self.bad_ips_probability > 0.0 && self.rng.gen::<f64>() < self.bad_ips_probability {
             // A corrupted reading far outside the physically possible range
             // (max_freq * max_IPC * cores), as injected in paper §6.2.
             sample.ips = self.max_plausible_ips() * (10.0 + self.rng.gen::<f64>() * 10.0);
@@ -406,7 +394,7 @@ impl Environment for CpuNode {
     fn advance_to(&mut self, now: Timestamp) {
         while self.now < now {
             let remaining = now.duration_since(self.now);
-            let dt = remaining.min(self.config.step);
+            let dt = remaining.min(STEP);
             self.step_once(dt);
         }
     }
@@ -498,6 +486,18 @@ mod tests {
         n.advance_to(Timestamp::from_secs(1));
         let s = n.take_counter_sample().unwrap();
         assert!(s.ips > n.max_plausible_ips());
+    }
+
+    #[test]
+    #[should_panic(expected = "probability must be in [0, 1]")]
+    fn rejects_bad_ips_probability_above_one() {
+        node(OverclockWorkloadKind::Synthetic).set_bad_ips_probability(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "probability must be in [0, 1]")]
+    fn rejects_nan_bad_ips_probability() {
+        node(OverclockWorkloadKind::Synthetic).set_bad_ips_probability(f64::NAN);
     }
 
     #[test]

@@ -124,15 +124,16 @@ const MIN_PRIMARY_CORES: usize = 1;
 /// Window length for the P99 wait-time safeguard signal.
 const WAIT_WINDOW: usize = 2_000;
 
+/// Integration step (the paper samples usage every 50 µs; the simulator
+/// uses 1 ms, which preserves the burst dynamics at ~40× lower simulation
+/// cost).
+const STEP: SimDuration = SimDuration::from_millis(1);
+
 /// Configuration for a [`HarvestNode`].
 #[derive(Debug, Clone)]
 pub struct HarvestNodeConfig {
     /// Total physical cores shared by the primary VM and the ElasticVM.
     pub total_cores: usize,
-    /// Integration step (the paper samples usage every 50 µs; the simulator
-    /// defaults to 1 ms, which preserves the burst dynamics at ~40× lower
-    /// simulation cost).
-    pub step: SimDuration,
     /// Window length for the P99 request-latency signal. The default (4096)
     /// matches the historical hardcoded window. Both windows are
     /// [`RunWindow`]s — the simulated latency and wait time hold their value
@@ -142,11 +143,7 @@ pub struct HarvestNodeConfig {
 
 impl Default for HarvestNodeConfig {
     fn default() -> Self {
-        HarvestNodeConfig {
-            total_cores: 8,
-            step: SimDuration::from_millis(1),
-            latency_window: 4_096,
-        }
+        HarvestNodeConfig { total_cores: 8, latency_window: 4_096 }
     }
 }
 
@@ -184,11 +181,9 @@ impl HarvestNode {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is degenerate (fewer cores than
-    /// `MIN_PRIMARY_CORES`, or a zero step).
+    /// Panics if the configuration has fewer cores than `MIN_PRIMARY_CORES`.
     pub fn new(service: BurstyService, config: HarvestNodeConfig) -> Self {
         assert!(config.total_cores >= MIN_PRIMARY_CORES, "node needs cores");
-        assert!(!config.step.is_zero(), "step must be non-zero");
         let primary = config.total_cores;
         HarvestNode {
             latencies: RunWindow::new(config.latency_window),
@@ -376,7 +371,7 @@ impl Environment for HarvestNode {
     fn advance_to(&mut self, now: Timestamp) {
         while self.now < now {
             let remaining = now.duration_since(self.now);
-            let dt = remaining.min(self.config.step);
+            let dt = remaining.min(STEP);
             self.step_once(dt);
         }
     }

@@ -44,7 +44,6 @@ fn run(
         victims,
         attack: PoisonAttack::SignFlip { gain: 4.0 },
         nodes: NODES,
-        ..PoisonedOverclockConfig::default()
     });
     let fleet = FleetRuntime::new(preset.recipe, fleet_config(learning))?;
     Ok(fleet.run(SimDuration::from_secs(HORIZON_SECS))?)

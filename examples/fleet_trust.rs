@@ -36,7 +36,6 @@ fn run(victims: usize) -> Result<(FleetReport, PoisonPlan), Box<dyn std::error::
         victims,
         attack: PoisonAttack::SignFlip { gain: 4.0 },
         nodes: NODES,
-        ..PoisonedOverclockConfig::default()
     });
     let config = FleetConfig {
         nodes: NODES,

@@ -115,13 +115,13 @@ fn assert_pinned(footprints: &[Footprint], heap_built: isize, heap_ran: isize, c
 #[test]
 fn two_agent_node_stays_under_10_kb_on_every_seed() {
     let preset = colocated_recipe(ColocationConfig::default());
-    assert_pinned(&footprints(&preset.recipe), 3_884, 13_880, 8_800);
+    assert_pinned(&footprints(&preset.recipe), 3_820, 13_816, 8_800);
 }
 
 #[test]
 fn three_agent_node_stays_under_90_kb_on_every_seed() {
     let preset = three_agents_recipe(ThreeAgentConfig::default());
-    assert_pinned(&footprints(&preset.recipe), 39_792, 118_300, 84_700);
+    assert_pinned(&footprints(&preset.recipe), 39_680, 118_188, 84_700);
 }
 
 /// The live heap a node built by `build` holds after a virtual minute.
@@ -188,7 +188,7 @@ fn smart_overclock_alone_holds_a_pinned_heap_on_every_seed() {
             builder.register(overclock_blueprint(node, config.overclock.clone()));
         },
     );
-    assert_agent_pinned(&heaps, 2_687);
+    assert_agent_pinned(&heaps, 2_663);
 }
 
 #[test]
@@ -207,7 +207,7 @@ fn smart_harvest_alone_holds_a_pinned_heap_on_every_seed() {
             builder.register(harvest_blueprint(node, config.harvest.clone()));
         },
     );
-    assert_agent_pinned(&heaps, 2_893);
+    assert_agent_pinned(&heaps, 2_869);
 }
 
 #[test]
@@ -218,5 +218,5 @@ fn smart_memory_alone_holds_a_pinned_heap_on_every_seed() {
             builder.register(memory_blueprint(node, config.memory.clone()));
         },
     );
-    assert_agent_pinned(&heaps, 28_788);
+    assert_agent_pinned(&heaps, 28_740);
 }

@@ -211,7 +211,6 @@ fn poisoned_fleet(
         victims,
         attack: PoisonAttack::SignFlip { gain: 4.0 },
         nodes: NODES,
-        ..PoisonedOverclockConfig::default()
     });
     let config =
         FleetConfig { nodes: NODES, threads, seed: FLEET_SEED, learning, ..FleetConfig::default() };

@@ -44,7 +44,6 @@ fn trusted_fleet(
         victims,
         attack: PoisonAttack::SignFlip { gain: 4.0 },
         nodes: NODES,
-        ..PoisonedOverclockConfig::default()
     });
     let config = FleetConfig {
         nodes: NODES,
