@@ -48,7 +48,7 @@
 //! [`GreedyPacker`](crate::runtime::placement::GreedyPacker)) skips
 //! per-node extraction entirely: its workers ship and allocate no per-node
 //! observation. Exchange rounds still allocate each node's learned-state
-//! snapshots and the exports of those that changed, viewing or not.
+//! snapshots, viewing or not; the worker frees them itself.
 //! Placement is not part of an observation: the coordinator reads a
 //! node's placement off the arena at its first barrier and afterwards
 //! re-reads only the nodes its own placement phase touched. The task list the
@@ -70,20 +70,21 @@
 //! the controller's plan, *lifecycle*, *learn*, *place* — and one *fold* of
 //! all node reports into the [`FleetReport`] when the last barrier is
 //! through. Each phase returns what it decided as a value — the nodes that
-//! joined and retired, the fault events skipped, the nodes a trust round
+//! joined, the units crashes displaced, the fault events skipped, the nodes a trust round
 //! quarantined, one outcome per placement command — and one *tally* per
 //! barrier folds those values into the run's counters.
 //!
 //! The barrier is also the fleet's model-exchange point: with a
-//! [`LearningPlane`] configured ([`FleetConfig::learning`]), nodes piggyback
-//! changed [`LearnedState`] snapshots of their learners on the change list
-//! they already send (quiet learners ship nothing), and
-//! the coordinator robustly aggregates and redistributes them between the
-//! lifecycle and placement phases — see the
-//! [`learning`](crate::runtime::learning) module. A state is immutable once
-//! exported and crosses the barrier by reference: the node's next diff
-//! baseline and the coordinator's mirror row share one `Arc`, and a
-//! `Replace` round hands the whole fleet one aggregate allocation.
+//! [`LearningPlane`] configured ([`FleetConfig::learning`]), each node keeps
+//! one [`LearnedState`] per learner, its export baseline, which its worker
+//! overwrites in place with every snapshot that changed (quiet learners
+//! change nothing) and which is the fleet's only copy of it: the change
+//! list carries two counters, and the coordinator reads the baselines on
+//! the arena, robustly aggregates them and writes the blends back between
+//! the lifecycle and placement phases — see the
+//! [`learning`](crate::runtime::learning) module. After a slot's first
+//! round no learned state crosses a thread by allocation: the aggregate is
+//! copied into each node's baseline and model.
 //!
 //! Where a run's wall time went — per coordinator phase, per worker — comes
 //! back *beside* the report from [`FleetRuntime::run_profiled`] as a
@@ -821,11 +822,14 @@ mod tests {
         }
     }
 
-    /// Three stamped `DriftModel` nodes taken through one exchange round at
-    /// `boundary` under `blend`, the way `collect` and `learn` take a fleet.
+    /// Three stamped `DriftModel` nodes (node `i` learning `1 + i` a model
+    /// update) taken through one exchange round at 2 s under `blend`, the
+    /// way `collect` and `learn` take a fleet. Returns the recipe, the
+    /// arena, the exchange and each node's export before the round.
     fn one_round(
         blend: BlendPolicy,
-    ) -> (ScenarioRecipe<StepEnv>, Vec<NodeTask<StepEnv>>, LearningExchange) {
+    ) -> (ScenarioRecipe<StepEnv>, Vec<NodeTask<StepEnv>>, LearningExchange, Vec<LearnedState>)
+    {
         let recipe = ScenarioRecipe::new(|seed: &NodeSeed| {
             let mut builder = NodeRuntime::builder(StepEnv::default());
             let model = DriftModel { weight: 0.0, step: 1.0 + seed.index() as f64 };
@@ -836,68 +840,78 @@ mod tests {
             .map(|index| NodeSlot::vacant(NodeSeed::derive(7, index), Timestamp::ZERO))
             .collect();
         let plane = LearningPlane { blend, ..LearningPlane::default() };
-        let mut exchange = LearningExchange::new(plane, arena.len());
+        let mut exchange = LearningExchange::new(plane);
         let mut changes = ChangeList::default();
         for slot in &arena {
             slot.advance(&recipe, Timestamp::from_secs(2), false, true, &mut changes);
         }
-        assert_eq!(changes.exports.len(), 3, "every node learned something to export");
-        exchange.absorb(changes.exports.drain(..));
-        exchange.round(&[0, 1, 2]);
-        exchange.redistribute(&[0, 1, 2], |node, slot, state| {
-            arena[node].with_live(|shard| shard.import_learned(slot, state)).unwrap_or(false)
-        });
-        (recipe, arena, exchange)
+        let (participants, bytes) = changes.take_learned();
+        assert_eq!((participants, bytes), (3, 3 * 8), "every node learned something to export");
+        exchange.absorb(participants, bytes);
+        let exports: Vec<LearnedState> = arena.iter().map(baseline).collect();
+        {
+            let baselines: Vec<_> = arena.iter().map(|slot| slot.baseline()).collect();
+            let rows: Vec<_> =
+                baselines.iter().enumerate().map(|(node, base)| (node, base.states())).collect();
+            exchange.round(&rows);
+        }
+        for slot in &arena {
+            slot.with_live(|shard| exchange.redistribute(shard.learner()));
+        }
+        (recipe, arena, exchange, exports)
     }
 
-    fn baseline(slot: &NodeTask<StepEnv>) -> Arc<LearnedState> {
+    fn baseline(slot: &NodeTask<StepEnv>) -> LearnedState {
         slot.with_live(|shard| shard.learned_base[0].clone()).flatten().expect("a baseline")
     }
 
-    /// After a `Replace` round the median node already holds the aggregate's
-    /// value and keeps its own export; every *other* node's baseline and
-    /// mirror row are the aggregate's very allocation. A node that learns on
-    /// exports a fresh state and disturbs neither its peers nor the
-    /// aggregate.
-    #[test]
-    fn a_replace_round_shares_one_aggregate_allocation_across_the_fleet() {
-        let (recipe, arena, mut exchange) = one_round(BlendPolicy::Replace);
-        let aggregate = Arc::clone(exchange.aggregates()[0].as_ref().unwrap());
-        for node in [0, 2] {
-            assert!(Arc::ptr_eq(exchange.local(node, 0).unwrap(), &aggregate), "mirror {node}");
-            assert!(Arc::ptr_eq(&baseline(&arena[node]), &aggregate), "baseline {node}");
-        }
-        // The median node's export equalled the aggregate: nothing shipped,
-        // and node and mirror still share the node's own export.
-        assert_eq!(**exchange.local(1, 0).unwrap(), *aggregate);
-        assert!(Arc::ptr_eq(exchange.local(1, 0).unwrap(), &baseline(&arena[1])));
-
-        let before = (*aggregate).clone();
-        let mut changes = ChangeList::default();
-        arena[0].advance(&recipe, Timestamp::from_secs(4), false, true, &mut changes);
-        exchange.absorb(changes.exports.drain(..));
-        let fresh = exchange.local(0, 0).unwrap();
-        assert_ne!(**fresh, before, "node 0 kept learning");
-        assert!(Arc::ptr_eq(fresh, &baseline(&arena[0])), "an export is one shared allocation");
-        assert_eq!(*aggregate, before, "shared states are never written through");
-        assert!(Arc::ptr_eq(exchange.local(2, 0).unwrap(), &aggregate));
-        assert!(Arc::ptr_eq(&baseline(&arena[2]), &aggregate));
-        assert!(Arc::ptr_eq(exchange.aggregates()[0].as_ref().unwrap(), &aggregate));
+    fn weight(slot: &NodeTask<StepEnv>) -> f64 {
+        let state = slot.with_live(|shard| shard.runtime.learned_snapshots().remove(0));
+        state.flatten().expect("an exportable model").values()[0]
     }
 
-    /// A `Mix` blend differs per node, so no two holders share it — but each
-    /// node still shares its own blend with its mirror row.
+    /// After a `Replace` round every baseline — and every model — holds the
+    /// aggregate, the median node's own export: it was offered nothing. A
+    /// node that learns on counts as a participant again and overwrites its
+    /// own baseline alone; its peers' baselines and the aggregate stay put.
+    #[test]
+    fn a_replace_round_leaves_every_baseline_equal_to_the_aggregate() {
+        let (recipe, arena, exchange, exports) = one_round(BlendPolicy::Replace);
+        let aggregate = exchange.aggregates()[0].clone().unwrap();
+        assert_eq!(aggregate, exports[1], "the median of three is the middle node's export");
+        for slot in &arena {
+            assert_eq!(baseline(slot), aggregate);
+            assert_eq!(weight(slot), aggregate.values()[0]);
+        }
+        let stats = exchange.stats();
+        assert_eq!(stats.redistributed, 2, "the median node shipped nothing");
+        assert_eq!(stats.bytes_redistributed, 2 * 8);
+
+        let mut changes = ChangeList::default();
+        arena[0].advance(&recipe, Timestamp::from_secs(4), false, true, &mut changes);
+        assert_eq!(changes.take_learned(), (1, 8), "node 0 re-exports what it learned");
+        assert_ne!(baseline(&arena[0]), aggregate, "node 0 kept learning");
+        assert_eq!(baseline(&arena[0]).values()[0], weight(&arena[0]));
+        for slot in &arena[1..] {
+            assert_eq!(baseline(slot), aggregate, "a peer's baseline moves only with its node");
+        }
+        assert_eq!(exchange.aggregates()[0].as_ref(), Some(&aggregate));
+    }
+
+    /// A `Mix` blend differs per node: each baseline, and each model, holds
+    /// that node's own convex mix of its export and the aggregate.
     #[test]
     fn a_mix_round_gives_every_node_its_own_blend() {
-        let (_, arena, exchange) = one_round(BlendPolicy::Mix { weight: 0.5 });
+        let mix = BlendPolicy::Mix { weight: 0.5 };
+        let (_, arena, exchange, exports) = one_round(mix);
         let aggregate = exchange.aggregates()[0].as_ref().unwrap();
-        for node in [0, 2] {
-            let local = exchange.local(node, 0).unwrap();
-            assert!(!Arc::ptr_eq(local, aggregate), "node {node} holds a blend of its own");
-            assert_ne!(**local, **aggregate);
-            assert!(Arc::ptr_eq(local, &baseline(&arena[node])));
+        for (slot, export) in arena.iter().zip(&exports) {
+            let blend = mix.blend(export, aggregate).unwrap();
+            assert_eq!(baseline(slot), blend);
+            assert_eq!(weight(slot), blend.values()[0]);
         }
-        assert!(!Arc::ptr_eq(exchange.local(0, 0).unwrap(), exchange.local(2, 0).unwrap()));
+        assert_ne!(baseline(&arena[0]), baseline(&arena[2]));
+        assert_ne!(baseline(&arena[0]), *aggregate);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use super::shard::{
 };
 use super::FleetRuntime;
 use crate::error::RuntimeError;
-use crate::runtime::learning::LearningExchange;
+use crate::runtime::learning::{LearningExchange, Row};
 use crate::runtime::lifecycle::{
     FaultPlan, LifecycleError, LifecycleEvent, NodeRegistry, NodeState,
 };
@@ -48,8 +48,8 @@ fn placeholder_view(node: usize, state: NodeState) -> NodeView {
 /// The coordinator's learning state. The trust engine scores the exchange's
 /// rounds, so it never exists without one (config validation guarantees it).
 struct LearningPhase {
-    /// The per-node learned-state mirror, the latest per-role aggregates,
-    /// and the run's counters.
+    /// The latest per-role aggregates and the run's counters. The nodes'
+    /// learned states stay in their export baselines, on the arena.
     exchange: LearningExchange,
     trust: Option<TrustPlane>,
 }
@@ -78,8 +78,6 @@ pub struct Lifecycle {
     issued: usize,
     /// Nodes stamped at this barrier, in join order.
     joined: Vec<usize>,
-    /// Nodes that crashed or finished draining, in node order.
-    retired: Vec<usize>,
     /// Workload units the crashed nodes left in the displaced pool.
     displaced: usize,
     /// Fault-plan events whose node had already left.
@@ -199,7 +197,7 @@ impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
                 displaced: Vec::new(),
             },
             learning: config.learning.map(|plane| LearningPhase {
-                exchange: LearningExchange::new(plane, config.nodes),
+                exchange: LearningExchange::new(plane),
                 trust: config.trust.map(|policy| TrustPlane::new(policy, config.nodes)),
             }),
             placement: PlacementStats::default(),
@@ -250,8 +248,8 @@ impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
     }
 
     /// Collect phase: advances every live node to `boundary`, moves what
-    /// the workers ship into the base view (and, on exchange rounds, the
-    /// learned-state mirror), reads the placement of the nodes that just
+    /// the workers ship into the base view (and, on exchange rounds, books
+    /// their export counters), reads the placement of the nodes that just
     /// reached their first barrier, and brings the registry and the view's
     /// stamps up to date before the controller looks. Returns the draining
     /// nodes observed empty, which retire in this barrier's lifecycle phase.
@@ -267,14 +265,11 @@ impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
             let Done::Epoch(mut changes) = self.answer(link)? else { return Err(died()) };
             self.clock.charge(&mut self.profile.phases.wait_ns);
             changes.move_into(&mut self.base.nodes);
-            self.clock.charge(&mut self.profile.phases.apply_ns);
+            let (participants, bytes) = changes.take_learned();
             if let Some(phase) = self.learning.as_mut() {
-                // Patch the learned-state mirror before lifecycle events
-                // retire anyone: the exports describe the boundary every
-                // node just reached.
-                phase.exchange.absorb(changes.exports.drain(..));
+                phase.exchange.absorb(participants, bytes);
             }
-            self.clock.charge(&mut self.profile.phases.absorb_ns);
+            self.clock.charge(&mut self.profile.phases.apply_ns);
             self.buffers.push(changes);
         }
         // Build-time residents show from a node's first barrier on; after
@@ -423,15 +418,15 @@ impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
             *view = placeholder_view(node, view.state);
         }
         let displaced = self.base.displaced.len() - pooled;
-        Ok(Lifecycle { issued, joined, retired, displaced, skipped })
+        Ok(Lifecycle { issued, joined, displaced, skipped })
     }
 
-    /// Learning phase, between lifecycle and placement: the nodes that
-    /// retired at this barrier leave the exchange and those that joined
-    /// get rows; on exchange rounds, fold the live nodes' mirrored states
-    /// into per-role aggregates, score the round, and import the blended
-    /// aggregate back into every live node; nodes that joined warm-start
-    /// from the latest aggregates either way. Everything runs
+    /// Learning phase, between lifecycle and placement: on exchange rounds,
+    /// fold the live nodes' export baselines into per-role aggregates, score
+    /// the round, and import the blended aggregate back into every live
+    /// node; nodes that joined warm-start from the latest aggregates either
+    /// way. Nodes that retired at this barrier are no longer live, so their
+    /// states drop out of the fold with them. Everything runs
     /// coordinator-side, keyed by node index in ascending order, so the
     /// learning plane inherits the thread-count determinism of the rest of
     /// the barrier. Returns the nodes the round quarantined, in ascending
@@ -441,53 +436,54 @@ impl<'f, E: Environment + Send + 'static> Coordinator<'f, E> {
         let mut quarantines = Vec::new();
         let Some(phase) = self.learning.as_mut() else { return quarantines };
         let (arena, recipe) = (&self.arena, &self.fleet.recipe);
-        for &node in &lifecycle.retired {
-            // A crashed node's final export was absorbed in the collect
-            // phase; dropping its row here removes it before this
-            // barrier's round folds.
-            phase.exchange.forget(node);
-        }
-        phase.exchange.grow(self.registry.len());
         if let Some(trust) = phase.trust.as_mut() {
             trust.grow(self.registry.len());
         }
         if phase.exchange.plane().is_learn_epoch(epoch) {
-            let records = self.registry.records().iter();
-            let live: Vec<usize> =
-                records.filter(|record| record.state.is_live()).map(|record| record.node).collect();
+            let records = self.registry.records();
+            let mut live = Vec::with_capacity(records.len());
+            live.extend(records.iter().filter(|record| record.state.is_live()).map(|r| r.node));
+            // The baselines are read in place, under the live slots' locks:
+            // the workers are idle until the next hand-off, so the locks are
+            // uncontended, and they are released before redistribution
+            // writes the baselines back.
+            let baselines: Vec<_> = live.iter().map(|&node| arena[node].baseline()).collect();
+            let rows: Vec<Row<'_>> =
+                live.iter().zip(&baselines).map(|(&node, base)| (node, base.states())).collect();
             // Trust gate: suspects' and quarantined nodes' exports are
             // withheld from the fold. Verdicts are the ones standing at the
             // start of the round, so exclusion is a pure function of earlier
             // rounds.
             match phase.trust.as_mut() {
-                Some(trust) => phase.exchange.round(&trust.participants(&live)),
-                None => phase.exchange.round(&live),
+                Some(trust) => phase.exchange.round(&trust.participants(&rows)),
+                None => phase.exchange.round(&rows),
             }
             self.clock.charge(&mut self.profile.phases.round_ns);
-            // Score the round: every live node's mirrored export (withheld
-            // ones included — measured against the consensus they no longer
-            // vote on) against the fresh aggregates, in node-index order.
+            // Score the round: every live node's export (withheld ones
+            // included — measured against the consensus they no longer vote
+            // on) against the fresh aggregates, in node-index order.
             if let Some(trust) = phase.trust.as_mut() {
-                for action in trust.evaluate(epoch, &live, &phase.exchange) {
+                for action in trust.evaluate(epoch, &rows, phase.exchange.aggregates()) {
                     if let TrustAction::Quarantine { node, .. } = action {
                         quarantines.push(node);
                     }
                 }
             }
             self.clock.charge(&mut self.profile.phases.score_ns);
-            phase.exchange.redistribute(&live, |node, slot, state| {
-                arena[node].with_live(|shard| shard.import_learned(slot, state)).unwrap_or(false)
-            });
+            drop(rows);
+            drop(baselines);
+            for &node in &live {
+                arena[node].with_live(|shard| phase.exchange.redistribute(shard.learner()));
+            }
         }
-        for &node in &lifecycle.joined {
-            // Stamping here is byte-identical to the lazy stamp a worker
-            // would perform at the node's first epoch — it is a pure
-            // function of the recipe and the slot's seed.
-            phase.exchange.warm_start(node, |slot, state| {
+        if phase.exchange.aggregates().iter().any(Option::is_some) {
+            for &node in &lifecycle.joined {
+                // Stamping here is byte-identical to the lazy stamp a worker
+                // would perform at the node's first epoch — it is a pure
+                // function of the recipe and the slot's seed.
                 arena[node]
-                    .with_stamped(recipe, |shard| shard.import_learned(slot, state))
-                    .unwrap_or(false)
-            });
+                    .with_stamped(recipe, |shard| phase.exchange.warm_start(shard.learner()));
+            }
         }
         self.clock.charge(&mut self.profile.phases.redistribute_ns);
         quarantines

@@ -12,7 +12,7 @@ use sol_ml::exchange::LearnedState;
 use super::report::{summarize, FleetNodeReport};
 use super::NodeSeed;
 use crate::runtime::builder::ScenarioRecipe;
-use crate::runtime::learning::NodeLearnedExport;
+use crate::runtime::learning::Learner;
 use crate::runtime::node::{AgentId, NodeRuntime};
 use crate::runtime::placement::{AgentTelemetry, NodeView};
 use crate::runtime::profile::Lap;
@@ -75,24 +75,33 @@ type Observation = (usize, Vec<AgentTelemetry>, Vec<(String, f64)>);
 
 /// What one worker observed at one barrier, across every node it claimed:
 /// on a collecting barrier, each node's agent counters and readings whole,
-/// and on an exchange round, the learned states that changed. The
-/// coordinator moves the entries into its base view and mirror and hands
-/// the emptied list back with the next command, so the outer vectors keep
-/// their capacity. A collecting barrier allocates per node the
-/// observation's two vectors, the agent names and whatever the recipe's
-/// telemetry closure builds. Without `collect` a worker ships and allocates
-/// no per-node observation; an exchange round still allocates each node's
-/// learned-state snapshots and the exports of those that changed.
+/// and on an exchange round, two counters of the learned states that
+/// changed (the states stay in the nodes' export baselines). The
+/// coordinator moves the entries into its base view and hands the emptied
+/// list back with the next command, so the outer vector keeps its capacity.
+/// A collecting barrier allocates per node the observation's two vectors,
+/// the agent names and whatever the recipe's telemetry closure builds.
+/// Without `collect` a worker ships and allocates no per-node observation;
+/// an exchange round still allocates each node's learned-state snapshots,
+/// which the worker frees itself.
 #[derive(Default)]
 pub struct ChangeList {
     /// Collected observations, one per claimed node.
     views: Vec<Observation>,
-    /// On exchange rounds, the learned states that changed since each
-    /// node's last export.
-    pub exports: Vec<NodeLearnedExport>,
+    /// On exchange rounds, the claimed nodes with at least one learned state
+    /// changed since their last export or import.
+    participants: u64,
+    /// On exchange rounds, the bytes of the states those nodes changed.
+    bytes_exchanged: u64,
 }
 
 impl ChangeList {
+    /// Takes the exchange round's `(participants, bytes exchanged)`,
+    /// leaving both zero for the list's next barrier.
+    pub fn take_learned(&mut self) -> (u64, u64) {
+        (std::mem::take(&mut self.participants), std::mem::take(&mut self.bytes_exchanged))
+    }
+
     /// Moves every collected observation into its node's entry of `nodes`,
     /// replacing the entry's agents and readings whole, and leaves the list
     /// empty.
@@ -155,12 +164,13 @@ pub struct ShardNode<E: Environment + 'static> {
     pub seed: NodeSeed,
     pub runtime: NodeRuntime<E>,
     start: Timestamp,
-    /// Learned states as of the last learning-plane export (or coordinator
-    /// import), indexed by agent slot; the exchange-round diff baseline.
-    /// Empty until the first exchange round touches the node. Shared with
-    /// the coordinator's mirror — and, after a `Replace` round, with every
-    /// other node — never written through.
-    pub learned_base: Vec<Option<Arc<LearnedState>>>,
+    /// Learned states as of the last learning-plane export or import,
+    /// indexed by agent slot: the exchange-round diff baseline, and the
+    /// fleet's only copy of them (the coordinator keeps no mirror). Empty
+    /// until the first exchange round or warm start touches the node, then
+    /// written in place: by the worker when a snapshot differs, and by the
+    /// coordinator when the node imports a blend of the fleet aggregate.
+    pub learned_base: Vec<Option<LearnedState>>,
 }
 
 impl<E: Environment + 'static> ShardNode<E> {
@@ -198,56 +208,62 @@ impl<E: Environment + 'static> ShardNode<E> {
         changes.views.push((self.seed.index() as usize, agents, readings));
     }
 
-    /// The learning-plane export for this barrier: every agent's learned
-    /// state that changed since the node's last export or import (the first
-    /// exchange round ships every exportable state). `None` when nothing
-    /// changed — the quiet-learner case, costing the coordinator nothing.
+    /// The learning-plane export for this barrier: overwrites the baseline
+    /// entry of every agent whose learned state changed since the node's
+    /// last export or import (the first exchange round takes every
+    /// exportable state), and counts the node and the changed bytes into
+    /// `changes`. A node with nothing new counts nothing — the
+    /// quiet-learner case.
     ///
     /// Unlike the per-node view diff deleted after 0 of 29.8 M `fleet-control`
     /// node-barriers were quiet, this diff fires: one `fleet-control` run
     /// (seed 1) found 226 of 213,113 learned-state snapshots unchanged since
-    /// the node's last export or import. Shipping them would move
-    /// `LearningStats::{participants, bytes_exchanged}`, so the baseline
+    /// the node's last export or import. Counting them would move
+    /// `LearningStats::{participants, bytes_exchanged}`, so the comparison
     /// stays (`unchanged_learned_states_are_exported_once` pins it).
-    fn export_learned(&mut self) -> Option<NodeLearnedExport> {
+    fn export_learned(&mut self, changes: &mut ChangeList) {
         let snapshots = self.runtime.learned_snapshots();
         self.learned_base.resize(snapshots.len(), None);
-        let mut states = Vec::new();
-        for (slot, snapshot) in snapshots.into_iter().enumerate() {
+        let mut changed = false;
+        for (base, snapshot) in self.learned_base.iter_mut().zip(snapshots) {
             let Some(state) = snapshot else { continue };
-            if self.learned_base[slot].as_deref() == Some(&state) {
+            if base.as_ref() == Some(&state) {
                 continue;
             }
-            // One allocation, two holders: this node's next diff baseline
-            // and the coordinator's mirror row.
-            let state = Arc::new(state);
-            self.learned_base[slot] = Some(Arc::clone(&state));
-            states.push((slot, state));
+            changed = true;
+            changes.bytes_exchanged += state.byte_len() as u64;
+            // In place whenever kind and shape hold, which is every round
+            // after a slot's first.
+            if base.as_mut().is_none_or(|held| held.assign_from(&state).is_err()) {
+                *base = Some(state);
+            }
         }
-        if states.is_empty() {
-            None
-        } else {
-            Some(NodeLearnedExport { node: self.seed.index() as usize, states })
-        }
+        changes.participants += u64::from(changed);
     }
 
-    /// Imports a (blended) fleet aggregate into agent `slot`'s model,
-    /// refreshing the export baseline so the next exchange round does not
-    /// re-ship what the coordinator already knows. The model copies the
-    /// values out; the baseline keeps a handle on the shared state. Returns
-    /// whether the model accepted the state.
-    pub fn import_learned(&mut self, slot: usize, state: &Arc<LearnedState>) -> bool {
-        if slot >= self.runtime.agent_count() {
-            return false;
+    /// The node as redistribution and warm starts take it: its export
+    /// baseline beside the import into its models.
+    pub fn learner(&mut self) -> Learner<'_, impl FnMut(usize, &LearnedState) -> bool + '_> {
+        let runtime = &mut self.runtime;
+        let import = move |slot: usize, state: &LearnedState| {
+            slot < runtime.agent_count()
+                && runtime.driver_mut(AgentId::from(slot)).import_learned(state).is_ok()
+        };
+        (&mut self.learned_base, import)
+    }
+}
+
+/// A locked slot's export baseline, as an exchange round reads it while the
+/// workers are idle: the node's learned states, or none for a node not
+/// stamped yet (one that joined at this very barrier).
+pub struct Baseline<'a, E: Environment + 'static>(MutexGuard<'a, Slot<E>>);
+
+impl<E: Environment + 'static> Baseline<'_, E> {
+    pub fn states(&self) -> &[Option<LearnedState>] {
+        match &*self.0 {
+            Slot::Live(node) => &node.learned_base,
+            _ => &[],
         }
-        if self.runtime.driver_mut(AgentId::from(slot)).import_learned(state).is_err() {
-            return false;
-        }
-        if self.learned_base.len() <= slot {
-            self.learned_base.resize(slot + 1, None);
-        }
-        self.learned_base[slot] = Some(Arc::clone(state));
-        true
     }
 }
 
@@ -301,10 +317,10 @@ impl<E: Environment + 'static> NodeSlot<E> {
         guard
     }
 
-    /// Stamps the node if needed, advances it to the epoch boundary, and
-    /// writes its barrier observation — when `collect` asks for one — and
-    /// its learning-plane export — when `learn` marks an exchange round and
-    /// a state changed — into `changes` (nothing for a retired slot).
+    /// Stamps the node if needed, advances it to the epoch boundary, writes
+    /// its barrier observation into `changes` when `collect` asks for one,
+    /// and on an exchange round (`learn`) refreshes its export baseline and
+    /// counts what changed into `changes` (nothing for a retired slot).
     pub fn advance(
         &self,
         recipe: &ScenarioRecipe<E>,
@@ -320,8 +336,13 @@ impl<E: Environment + 'static> NodeSlot<E> {
             node.observe(recipe, changes);
         }
         if learn {
-            changes.exports.extend(node.export_learned());
+            node.export_learned(changes);
         }
+    }
+
+    /// Locks the slot for an exchange round to read its export baseline.
+    pub fn baseline(&self) -> Baseline<'_, E> {
+        Baseline(self.lock())
     }
 
     /// Takes the node out for good, leaving the slot `Retired` (`None` if it

@@ -3,11 +3,14 @@
 //!
 //! SOL's agents learn on-node, but a fleet of thousands of nodes learns the
 //! same task thousands of times over. The learning plane turns the fleet's
-//! epoch barrier into a periodic model-exchange point: nodes piggyback
-//! [`LearnedState`] snapshots of their learners on the barrier observations
-//! they already ship (a node ships only the states that changed since it last
-//! exported or imported them, so quiet learners ship nothing), the coordinator
-//! folds the per-role states with a robust [`AggregationRule`] —
+//! epoch barrier into a periodic model-exchange point. Each node keeps one
+//! [`LearnedState`] per learner, its export baseline, and that baseline is
+//! the fleet's view of the node: at an exchange round the node's worker
+//! overwrites in place the entries whose snapshot changed since the node
+//! last exported or imported them, and answers the barrier with two
+//! counters (quiet learners count nothing). The coordinator then reads the
+//! baselines while the workers are idle, folds the per-role states with a
+//! robust [`AggregationRule`] —
 //! coordinate-wise median and trimmed mean tolerate a bounded number of
 //! poisoned or faulty contributions, where a plain mean does not — and
 //! redistributes the aggregate under a [`BlendPolicy`]. Nodes
@@ -19,8 +22,6 @@
 //! counts — the determinism contract of
 //! [`FleetRuntime`](crate::runtime::fleet::FleetRuntime) extends to the
 //! learning plane unchanged.
-
-use std::sync::Arc;
 
 use sol_ml::exchange::{AggregationRule, BlendPolicy, LearnedState};
 
@@ -124,110 +125,73 @@ pub struct LearningStats {
     pub warm_starts: u64,
 }
 
-/// One node's learning-plane payload for a barrier: the learned states that
-/// changed since the node's last export, keyed by agent slot (registration
-/// order). Piggybacks on the change list the worker answers the barrier with.
-#[derive(Debug, Clone)]
-pub(crate) struct NodeLearnedExport {
-    /// The exporting node's fleet index.
-    pub(crate) node: usize,
-    /// `(agent slot, state)` pairs, in slot order. Never empty — a node with
-    /// nothing new ships no export at all. The node keeps a handle on each
-    /// state as its next export's diff baseline, so an export is one
-    /// allocation shared by the node and the coordinator's mirror.
-    pub(crate) states: Vec<(usize, Arc<LearnedState>)>,
-}
+/// A node as redistribution takes it: its export baseline (learned states
+/// indexed by agent slot) beside `import(slot, state)`, which hands a state
+/// to that agent's model and reports whether the model took it.
+pub(crate) type Learner<'a, I> = (&'a mut Vec<Option<LearnedState>>, I);
 
-/// The coordinator's half of the learning plane: a per-node mirror of the
-/// last known learned states (patched from exports, which carry only the
-/// states a node changed since its last export or import), the latest per-slot
-/// fleet aggregates (kept for warm-starting joiners between rounds), and the
-/// run's cumulative [`LearningStats`].
+/// One live node's learned states as an exchange round reads them, in
+/// place: its fleet index and its export baseline.
+pub(crate) type Row<'a> = (usize, &'a [Option<LearnedState>]);
+
+/// The coordinator's half of the learning plane: the latest per-slot fleet
+/// aggregates (kept for warm-starting joiners between rounds) and the run's
+/// cumulative [`LearningStats`].
 ///
-/// States are immutable once exported, so every holder — a node's export
-/// baseline, its mirror row, the aggregates — shares them by `Arc`: after a
-/// [`BlendPolicy::Replace`] round the whole fleet points at *one* aggregate
-/// allocation, and a node that learns on simply exports a fresh one.
+/// Each node keeps exactly one copy of its learned states, its export
+/// baseline, written in place: by the node's worker when an exchange round
+/// finds a snapshot that differs from it, and by
+/// [`redistribute`](Self::redistribute) when the node imports a blend. A
+/// worker ships only two counters per barrier (nodes that changed, bytes
+/// they changed), [`round`](Self::round) reads the baselines as [`Row`]s,
+/// and redistribution writes them back. Per exchange round a node
+/// allocates only its models' snapshots, and the coordinator only the
+/// aggregates.
 ///
 /// All methods are deterministic functions of their inputs; callers must
-/// feed them node indices in ascending order where order matters (`round`
+/// feed them nodes in ascending index order where order matters (`round`
 /// and `redistribute` do), which the fleet coordinator guarantees by
 /// iterating the registry in index order.
 pub(crate) struct LearningExchange {
     plane: LearningPlane,
-    /// `mirror[node][slot]` is the last state node `node`'s agent `slot`
-    /// exported (or had imported), `None` before its first export. Retired
-    /// nodes' rows are cleared so they stop contributing to aggregates.
-    mirror: Vec<Vec<Option<Arc<LearnedState>>>>,
     /// Latest per-slot aggregates, refreshed by [`round`](Self::round).
-    aggregates: Vec<Option<Arc<LearnedState>>>,
+    aggregates: Vec<Option<LearnedState>>,
     stats: LearningStats,
 }
 
 impl LearningExchange {
-    pub(crate) fn new(plane: LearningPlane, nodes: usize) -> Self {
-        LearningExchange {
-            plane,
-            mirror: vec![Vec::new(); nodes],
-            aggregates: Vec::new(),
-            stats: LearningStats::default(),
-        }
+    pub(crate) fn new(plane: LearningPlane) -> Self {
+        LearningExchange { plane, aggregates: Vec::new(), stats: LearningStats::default() }
     }
 
     pub(crate) fn plane(&self) -> &LearningPlane {
         &self.plane
     }
 
-    /// Grows the mirror to `nodes` rows (joined nodes extend the fleet; the
-    /// mirror must extend with it before their first export).
-    pub(crate) fn grow(&mut self, nodes: usize) {
-        if nodes > self.mirror.len() {
-            self.mirror.resize(nodes, Vec::new());
-        }
+    /// Books one worker's share of a barrier's exports: `participants`
+    /// nodes shipped at least one changed state, `bytes` of them in all.
+    /// Both are sums, so arrival order (which depends on worker scheduling)
+    /// never affects the result.
+    pub(crate) fn absorb(&mut self, participants: u64, bytes: u64) {
+        self.stats.participants += participants;
+        self.stats.bytes_exchanged += bytes;
     }
 
-    /// Clears a retired node's mirror row: crashed and drained nodes stop
-    /// contributing to aggregates from the barrier they retire at.
-    pub(crate) fn forget(&mut self, node: usize) {
-        if let Some(row) = self.mirror.get_mut(node) {
-            row.clear();
-        }
-    }
-
-    /// Absorbs a barrier's exports into the mirror. Exports are keyed by
-    /// node index and the counters are sums, so arrival order (which depends
-    /// on worker scheduling) never affects the result.
-    pub(crate) fn absorb(&mut self, exports: impl IntoIterator<Item = NodeLearnedExport>) {
-        for export in exports {
-            debug_assert!(!export.states.is_empty(), "quiet nodes ship no export");
-            self.stats.participants += 1;
-            let row = &mut self.mirror[export.node];
-            for (slot, state) in export.states {
-                if row.len() <= slot {
-                    row.resize(slot + 1, None);
-                }
-                self.stats.bytes_exchanged += state.byte_len() as u64;
-                row[slot] = Some(state);
-            }
-        }
-    }
-
-    /// Runs one exchange round: folds the mirrored states of `live` (node
-    /// indices in ascending order) into per-slot aggregates under the
-    /// plane's rule. The first live node holding a state for a slot is that
-    /// slot's reference; states of other nodes that disagree with it in kind
-    /// or shape are excluded and counted as rejected. Slots nobody exported
-    /// aggregate to `None`.
-    pub(crate) fn round(&mut self, live: &[usize]) {
+    /// Runs one exchange round: folds the baselines of `rows` (in ascending
+    /// node order) into per-slot aggregates under the plane's rule. The
+    /// first row holding a state for a slot is that slot's reference;
+    /// states of other nodes that disagree with it in kind or shape are
+    /// excluded and counted as rejected. Slots nobody exported aggregate to
+    /// `None`.
+    pub(crate) fn round(&mut self, rows: &[Row<'_>]) {
         self.stats.rounds += 1;
-        let slots = live.iter().map(|&node| self.mirror[node].len()).max().unwrap_or(0);
-        let mut aggregates: Vec<Option<Arc<LearnedState>>> = Vec::with_capacity(slots);
+        let slots = rows.iter().map(|(_, row)| row.len()).max().unwrap_or(0);
+        let mut aggregates = Vec::with_capacity(slots);
+        let mut column: Vec<&LearnedState> = Vec::with_capacity(rows.len());
         for slot in 0..slots {
-            let mut column: Vec<&LearnedState> = Vec::with_capacity(live.len());
-            for &node in live {
-                let Some(state) = self.mirror[node].get(slot).and_then(Option::as_deref) else {
-                    continue;
-                };
+            column.clear();
+            for (_, row) in rows {
+                let Some(state) = row.get(slot).and_then(Option::as_ref) else { continue };
                 match column.first() {
                     Some(reference) if reference.compatible_with(state).is_err() => {
                         self.stats.rejected += 1;
@@ -238,85 +202,79 @@ impl LearningExchange {
             // A fold of finite states can still overflow to infinity (e.g. a
             // mean of huge poisoned values); such a round yields no aggregate
             // for the slot rather than poisoning every node with it.
-            aggregates.push(self.plane.rule.aggregate_refs(&column).ok().map(Arc::new));
+            aggregates.push(self.plane.rule.aggregate_refs(&column).ok());
         }
         self.aggregates = aggregates;
     }
 
     /// The latest per-slot aggregates (empty before the first round).
-    pub(crate) fn aggregates(&self) -> &[Option<Arc<LearnedState>>] {
+    pub(crate) fn aggregates(&self) -> &[Option<LearnedState>] {
         &self.aggregates
     }
 
-    /// The mirrored local state of `(node, slot)`, if any.
-    pub(crate) fn local(&self, node: usize, slot: usize) -> Option<&Arc<LearnedState>> {
-        self.mirror.get(node)?.get(slot)?.as_ref()
-    }
-
-    /// Redistributes the latest aggregates to `live` (node indices in
-    /// ascending order): every mirrored local state is blended with its
-    /// slot's aggregate under the plane's [`BlendPolicy`] and offered to
-    /// `import(node, slot, blended)`, which hands it to the node's model and
-    /// reports whether the model took it. Under [`BlendPolicy::Replace`] the
-    /// blend *is* the aggregate, so every node is offered — and every mirror
-    /// row then holds — the same allocation. The exchange never touches a
-    /// node itself — the closure is the only way in — so it stays a pure
-    /// function of its inputs.
-    pub(crate) fn redistribute(
-        &mut self,
-        live: &[usize],
-        mut import: impl FnMut(usize, usize, &Arc<LearnedState>) -> bool,
-    ) {
-        for &node in live {
-            for slot in 0..self.aggregates.len() {
-                let Some(aggregate) = &self.aggregates[slot] else { continue };
-                // A node whose state was rejected from the round (or that
-                // never exported this slot) keeps its local state untouched.
-                let Some(local) = self.local(node, slot) else { continue };
-                if local.compatible_with(aggregate).is_err() {
-                    continue;
-                }
-                let blended = match self.plane.blend {
-                    BlendPolicy::Replace => Arc::clone(aggregate),
-                    mix => match mix.blend(local, aggregate) {
-                        Ok(mixed) => Arc::new(mixed),
-                        Err(_) => {
-                            self.stats.rejected += 1;
-                            continue;
-                        }
-                    },
-                };
-                if Arc::ptr_eq(&blended, local) || *blended == **local {
-                    // Nothing to ship — the common case for `Replace` on a
-                    // converged (or one-node) fleet, and what keeps a
-                    // learning fleet of one byte-identical to `run_node`.
-                    continue;
-                }
-                if import(node, slot, &blended) {
-                    self.imported(node, slot, blended);
-                } else {
-                    // The receiving model refused the state: dropped, loudly.
-                    self.stats.rejected += 1;
-                }
+    /// Redistributes the latest aggregates to one live node (callers visit
+    /// them in ascending index order), given its export baseline `base` and
+    /// its models' `import`. Each slot's aggregate is blended with the
+    /// baseline under the plane's [`BlendPolicy`]. A slot the node never
+    /// exported, or holds in another kind or shape, keeps its state; a blend
+    /// equal to the baseline is not offered — the common case for `Replace`
+    /// on a converged (or one-node) fleet, and what keeps a learning fleet
+    /// of one byte-identical to `run_node`. An imported blend overwrites the
+    /// baseline in place; a refused one is dropped, loudly.
+    pub(crate) fn redistribute<I>(&mut self, (base, mut import): Learner<'_, I>)
+    where
+        I: FnMut(usize, &LearnedState) -> bool,
+    {
+        for (slot, aggregate) in self.aggregates.iter().enumerate() {
+            let Some(aggregate) = aggregate else { continue };
+            let Some(local) = base.get_mut(slot).and_then(Option::as_mut) else { continue };
+            if local.compatible_with(aggregate).is_err() {
+                continue;
+            }
+            let mixed;
+            let blended = match self.plane.blend {
+                BlendPolicy::Replace => aggregate,
+                mix => match mix.blend(local, aggregate) {
+                    Ok(state) => {
+                        mixed = state;
+                        &mixed
+                    }
+                    Err(_) => {
+                        self.stats.rejected += 1;
+                        continue;
+                    }
+                },
+            };
+            if *blended == *local {
+                continue;
+            }
+            if import(slot, blended) {
+                local.assign_from(blended).expect("a blend keeps the baseline's kind and shape");
+                self.stats.imported(blended);
+            } else {
+                self.stats.rejected += 1;
             }
         }
     }
 
-    /// Warm-starts joiner `node` from the latest aggregates (whether or not
-    /// this barrier was an exchange round) instead of leaving it to learn
-    /// from scratch: each aggregate is offered to `import(slot, aggregate)`.
-    /// Counted once per node, however many of its slots took an aggregate.
-    pub(crate) fn warm_start(
-        &mut self,
-        node: usize,
-        mut import: impl FnMut(usize, &Arc<LearnedState>) -> bool,
-    ) {
+    /// Warm-starts a joiner from the latest aggregates (whether or not this
+    /// barrier was an exchange round) instead of leaving it to learn from
+    /// scratch: each aggregate is offered to the node's `import` and, once
+    /// taken, becomes the slot's baseline. Counted once per node, however
+    /// many of its slots took an aggregate.
+    pub(crate) fn warm_start<I>(&mut self, (base, mut import): Learner<'_, I>)
+    where
+        I: FnMut(usize, &LearnedState) -> bool,
+    {
         let mut warmed = false;
-        for slot in 0..self.aggregates.len() {
-            let Some(aggregate) = &self.aggregates[slot] else { continue };
+        for (slot, aggregate) in self.aggregates.iter().enumerate() {
+            let Some(aggregate) = aggregate else { continue };
             if import(slot, aggregate) {
-                let state = Arc::clone(aggregate);
-                self.imported(node, slot, state);
+                if base.len() <= slot {
+                    base.resize(slot + 1, None);
+                }
+                base[slot] = Some(aggregate.clone());
+                self.stats.imported(aggregate);
                 warmed = true;
             }
         }
@@ -325,22 +283,18 @@ impl LearningExchange {
         }
     }
 
-    /// Books a successful import into a running node, updating the mirror so
-    /// the next diff baselines against what the node now actually holds.
-    fn imported(&mut self, node: usize, slot: usize, state: Arc<LearnedState>) {
-        self.stats.redistributed += 1;
-        self.stats.bytes_exchanged += state.byte_len() as u64;
-        self.stats.bytes_redistributed += state.byte_len() as u64;
-        let row = &mut self.mirror[node];
-        if row.len() <= slot {
-            row.resize(slot + 1, None);
-        }
-        row[slot] = Some(state);
-    }
-
     /// The run's cumulative counters.
     pub(crate) fn stats(&self) -> LearningStats {
         self.stats
+    }
+}
+
+impl LearningStats {
+    /// Books a state imported into a running node or a joiner.
+    fn imported(&mut self, state: &LearnedState) {
+        self.redistributed += 1;
+        self.bytes_exchanged += state.byte_len() as u64;
+        self.bytes_redistributed += state.byte_len() as u64;
     }
 }
 
@@ -353,8 +307,16 @@ mod tests {
         LearnedState::new(StateKind::LinearWeights, vec![values.len()], values.to_vec()).unwrap()
     }
 
-    fn export(node: usize, slot: usize, values: &[f64]) -> NodeLearnedExport {
-        NodeLearnedExport { node, states: vec![(slot, Arc::new(state(values)))] }
+    /// A baseline holding `values` in agent slot `slot` alone.
+    fn row(slot: usize, values: &[f64]) -> Vec<Option<LearnedState>> {
+        let mut row = vec![None; slot + 1];
+        row[slot] = Some(state(values));
+        row
+    }
+
+    /// The rows of `baselines`, node `i` holding `baselines[i]`.
+    fn rows(baselines: &[Vec<Option<LearnedState>>]) -> Vec<Row<'_>> {
+        baselines.iter().enumerate().map(|(node, row)| (node, row.as_slice())).collect()
     }
 
     #[test]
@@ -383,14 +345,12 @@ mod tests {
 
     #[test]
     fn absorb_then_round_aggregates_in_node_order() {
-        let mut exchange = LearningExchange::new(LearningPlane::default(), 3);
-        // Deliver out of order, as a racing worker pool would.
-        exchange.absorb(vec![
-            export(2, 0, &[3.0, 30.0]),
-            export(0, 0, &[1.0, 10.0]),
-            export(1, 0, &[2.0, 20.0]),
-        ]);
-        exchange.round(&[0, 1, 2]);
+        let mut exchange = LearningExchange::new(LearningPlane::default());
+        // Two workers' counters, in whichever order they answered: sums.
+        exchange.absorb(2, 2 * 2 * 8);
+        exchange.absorb(1, 2 * 8);
+        let baselines = [row(0, &[1.0, 10.0]), row(0, &[3.0, 30.0]), row(0, &[2.0, 20.0])];
+        exchange.round(&rows(&baselines));
         let aggregate = exchange.aggregates()[0].as_ref().unwrap();
         assert_eq!(aggregate.values(), &[2.0, 20.0]);
         let stats = exchange.stats();
@@ -402,14 +362,14 @@ mod tests {
 
     #[test]
     fn incompatible_states_are_rejected_against_the_first_seen_reference() {
-        let mut exchange = LearningExchange::new(LearningPlane::default(), 3);
-        exchange.absorb(vec![
-            export(0, 0, &[1.0, 10.0]),
+        let mut exchange = LearningExchange::new(LearningPlane::default());
+        let baselines = [
+            row(0, &[1.0, 10.0]),
             // Wrong shape for the slot: excluded, counted, and harmless.
-            export(1, 0, &[5.0, 5.0, 5.0]),
-            export(2, 0, &[3.0, 30.0]),
-        ]);
-        exchange.round(&[0, 1, 2]);
+            row(0, &[5.0, 5.0, 5.0]),
+            row(0, &[3.0, 30.0]),
+        ];
+        exchange.round(&rows(&baselines));
         let aggregate = exchange.aggregates()[0].as_ref().unwrap();
         assert_eq!(aggregate.shape(), &[2]);
         assert_eq!(aggregate.values(), &[2.0, 20.0]);
@@ -417,41 +377,36 @@ mod tests {
     }
 
     #[test]
-    fn forgotten_nodes_stop_contributing() {
-        let mut exchange = LearningExchange::new(LearningPlane::default(), 2);
-        exchange.absorb(vec![export(0, 0, &[1.0]), export(1, 0, &[9.0])]);
-        exchange.forget(1);
-        exchange.round(&[0, 1]);
-        assert_eq!(exchange.aggregates()[0].as_ref().unwrap().values(), &[1.0]);
-        assert!(exchange.local(1, 0).is_none());
-    }
-
-    #[test]
     fn unexported_slots_aggregate_to_none() {
-        let mut exchange = LearningExchange::new(LearningPlane::default(), 2);
-        exchange.absorb(vec![export(0, 1, &[4.0])]);
-        exchange.round(&[0, 1]);
+        let mut exchange = LearningExchange::new(LearningPlane::default());
+        // Node 1 never exported: its baseline is empty.
+        exchange.round(&rows(&[row(1, &[4.0]), Vec::new()]));
         assert_eq!(exchange.aggregates().len(), 2);
         assert!(exchange.aggregates()[0].is_none());
         assert_eq!(exchange.aggregates()[1].as_ref().unwrap().values(), &[4.0]);
     }
 
+    /// The baseline is the plane's only mirror of a node: an import writes
+    /// it in place, a refusal leaves it alone, and both byte counters move.
     #[test]
     fn imports_update_the_mirror_and_count_bytes_both_ways() {
         let plane = LearningPlane { rule: AggregationRule::Mean, ..LearningPlane::default() };
-        let mut exchange = LearningExchange::new(plane, 2);
-        exchange.absorb(vec![export(0, 0, &[1.0, 2.0]), export(1, 0, &[5.0, 6.0])]);
-        exchange.round(&[0, 1]);
+        let mut exchange = LearningExchange::new(plane);
+        exchange.absorb(2, 2 * 2 * 8);
+        let mut baselines = [row(0, &[1.0, 2.0]), row(0, &[5.0, 6.0])];
+        exchange.round(&rows(&baselines));
         let mut offered = Vec::new();
-        exchange.redistribute(&[0, 1], |node, slot, state| {
-            offered.push((node, slot, state.values().to_vec()));
-            // Node 1's model refuses the state.
-            node == 0
-        });
+        for (node, base) in baselines.iter_mut().enumerate() {
+            exchange.redistribute((base, |slot, state: &LearnedState| {
+                offered.push((node, slot, state.values().to_vec()));
+                // Node 1's model refuses the state.
+                node == 0
+            }));
+        }
         assert_eq!(offered, vec![(0, 0, vec![3.0, 4.0]), (1, 0, vec![3.0, 4.0])]);
-        assert_eq!(exchange.local(0, 0).unwrap().values(), &[3.0, 4.0]);
+        assert_eq!(baselines[0][0].as_ref().unwrap().values(), &[3.0, 4.0]);
         assert_eq!(
-            exchange.local(1, 0).unwrap().values(),
+            baselines[1][0].as_ref().unwrap().values(),
             &[5.0, 6.0],
             "a refusal changes nothing"
         );
@@ -462,30 +417,28 @@ mod tests {
         assert_eq!(stats.bytes_redistributed, 2 * 8);
 
         // Node 0 now holds the aggregate: a second pass has nothing to ship it.
-        exchange.round(&[0]);
-        exchange.redistribute(&[0], |_, _, _| panic!("an unchanged blend is never offered"));
+        exchange.round(&rows(&baselines[..1]));
+        let unchanged = |_, _: &LearnedState| panic!("an unchanged blend is never offered");
+        exchange.redistribute((&mut baselines[0], unchanged));
     }
 
     #[test]
     fn joiners_warm_start_from_the_latest_aggregates() {
-        let mut exchange = LearningExchange::new(LearningPlane::default(), 1);
-        exchange.warm_start(0, |_, _| panic!("no aggregate exists before the first round"));
-        exchange.absorb(vec![export(0, 1, &[7.0])]);
-        exchange.round(&[0]);
-        exchange.grow(3);
-        exchange.warm_start(1, |slot, state| slot == 1 && state.values() == [7.0]);
-        exchange.warm_start(2, |_, _| false);
-        assert_eq!(exchange.local(1, 1).unwrap().values(), &[7.0]);
-        assert!(exchange.local(2, 1).is_none());
+        let mut exchange = LearningExchange::new(LearningPlane::default());
+        let mut early = Vec::new();
+        let early_import =
+            |_, _: &LearnedState| panic!("no aggregate exists before the first round");
+        exchange.warm_start((&mut early, early_import));
+        exchange.round(&rows(&[row(1, &[7.0])]));
+        let (mut warm, mut cold) = (Vec::new(), Vec::new());
+        exchange.warm_start((&mut warm, |slot, state: &LearnedState| {
+            slot == 1 && state.values() == [7.0]
+        }));
+        exchange.warm_start((&mut cold, |_, _: &LearnedState| false));
+        assert!(warm[0].is_none());
+        assert_eq!(warm[1].as_ref().unwrap().values(), &[7.0]);
+        assert!(cold.is_empty(), "a refused warm start leaves no baseline");
         let stats = exchange.stats();
         assert_eq!((stats.warm_starts, stats.redistributed, stats.bytes_redistributed), (1, 1, 8));
-    }
-
-    #[test]
-    fn grow_extends_the_mirror_for_joiners() {
-        let mut exchange = LearningExchange::new(LearningPlane::default(), 1);
-        exchange.grow(3);
-        exchange.absorb(vec![export(2, 0, &[7.0])]);
-        assert_eq!(exchange.local(2, 0).unwrap().values(), &[7.0]);
     }
 }

@@ -27,10 +27,9 @@ pub struct PhaseProfile {
     /// Collect: blocked on worker replies — the only phase during which the
     /// workers compute, so everything else is serial coordinator time.
     pub wait_ns: u64,
-    /// Collect: moving the workers' observations into the base view.
+    /// Collect: moving the workers' observations into the base view and
+    /// adding up their learned-state export counters.
     pub apply_ns: u64,
-    /// Collect: absorbing learned-state exports into the exchange mirror.
-    pub absorb_ns: u64,
     /// Collect: registry transitions, view stamps and occupancy booking.
     pub bookkeeping_ns: u64,
     /// The [`FleetController`](crate::runtime::placement::FleetController)'s
@@ -38,13 +37,15 @@ pub struct PhaseProfile {
     pub plan_ns: u64,
     /// Lifecycle events, quarantine drains and node retirement.
     pub lifecycle_ns: u64,
-    /// Learn: the exchange's row upkeep for nodes that retired or joined,
-    /// then the robust aggregation round. Between rounds the upkeep lands in
+    /// Learn: the trust plane's record upkeep for nodes that joined, then
+    /// locking the live nodes' export baselines and the robust aggregation
+    /// round over them. Between rounds the upkeep lands in
     /// [`redistribute_ns`](Self::redistribute_ns).
     pub round_ns: u64,
     /// Learn: trust scoring of the round.
     pub score_ns: u64,
-    /// Learn: redistributing the aggregates (and warm-starting joiners).
+    /// Learn: releasing the baselines, redistributing the aggregates into
+    /// them and the models (and warm-starting joiners).
     pub redistribute_ns: u64,
     /// Applying the plan's placement commands, and the tally of what the
     /// barrier's phases decided.
@@ -55,12 +56,11 @@ pub struct PhaseProfile {
 
 impl PhaseProfile {
     /// Every phase with its name, in barrier order.
-    pub fn rows(&self) -> [(&'static str, u64); 12] {
+    pub fn rows(&self) -> [(&'static str, u64); 11] {
         [
             ("collect/hand-off", self.hand_off_ns),
             ("collect/wait", self.wait_ns),
             ("collect/apply", self.apply_ns),
-            ("collect/absorb", self.absorb_ns),
             ("collect/bookkeeping", self.bookkeeping_ns),
             ("plan", self.plan_ns),
             ("lifecycle", self.lifecycle_ns),

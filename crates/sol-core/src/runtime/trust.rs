@@ -8,7 +8,7 @@
 //! forever. The trust plane closes that loop, after the detect-and-evict
 //! pairing of Byzantine-robust distributed learning systems (SABLE; Dong et
 //! al.): on every exchange round the coordinator scores each participant's
-//! mirrored export against the post-aggregation consensus
+//! latest export (its export baseline) against the post-aggregation consensus
 //! ([`LearnedState::l2_distance`] per agent slot, turned into a
 //! coordinate-wise robust z-score across the round's participants via
 //! [`robust_z_scores`], with the scale floored at a small fraction of the
@@ -42,9 +42,9 @@
 //! [`LearnedState::l2_distance`]: sol_ml::exchange::LearnedState::l2_distance
 //! [`robust_z_scores`]: sol_ml::exchange::robust_z_scores
 
-use sol_ml::exchange::robust_z_scores;
+use sol_ml::exchange::{robust_z_scores, LearnedState};
 
-use crate::runtime::learning::LearningExchange;
+use crate::runtime::learning::Row;
 
 /// Configuration of the fleet trust plane
 /// ([`FleetConfig::trust`](crate::runtime::fleet::FleetConfig::trust)).
@@ -192,8 +192,8 @@ pub struct NodeTrustRecord {
     /// fraction of the consensus magnitude, so the score stays finite (and
     /// meaningful) even when the honest spread collapses to zero.
     pub last_divergence: f64,
-    /// Exchange rounds that scored this node (it was live and had a
-    /// mirrored export compatible with the round's consensus).
+    /// Exchange rounds that scored this node (it was live and its latest
+    /// export was compatible with the round's consensus).
     pub rounds_scored: u64,
     /// Scored rounds whose divergence reached
     /// [`TrustPolicy::divergence_z`].
@@ -280,16 +280,16 @@ impl TrustPlane {
         }
     }
 
-    /// Filters `live` (node indices in ascending order) down to the nodes
-    /// whose exports may participate in this round's aggregation, counting
-    /// the withheld ones. Exclusion is based on verdicts standing at the
-    /// start of the round, so a node's own round-`k` export can never vote
-    /// on its round-`k` verdict.
-    pub(crate) fn participants(&mut self, live: &[usize]) -> Vec<usize> {
-        let mut kept = Vec::with_capacity(live.len());
-        for &node in live {
+    /// Filters the live nodes' `rows` (in ascending node order) down to the
+    /// nodes whose exports may participate in this round's aggregation,
+    /// counting the withheld ones. Exclusion is based on verdicts standing
+    /// at the start of the round, so a node's own round-`k` export can never
+    /// vote on its round-`k` verdict.
+    pub(crate) fn participants<'a>(&mut self, rows: &[Row<'a>]) -> Vec<Row<'a>> {
+        let mut kept = Vec::with_capacity(rows.len());
+        for &(node, row) in rows {
             if self.records[node].verdict == TrustVerdict::Trusted {
-                kept.push(node);
+                kept.push((node, row));
             } else {
                 self.stats.excluded += 1;
             }
@@ -300,8 +300,9 @@ impl TrustPlane {
     /// Scores one exchange round and folds the evidence into the trust
     /// state, returning the verdict transitions in node-index order.
     ///
-    /// Per agent slot, every live non-quarantined node with a mirrored
-    /// export compatible with the slot's aggregate gets an L2 distance to
+    /// Per agent slot, every live non-quarantined node (one of `rows`, in
+    /// ascending node order) whose export baseline holds a state compatible
+    /// with the slot's `aggregates` entry gets an L2 distance to
     /// the consensus; the distances are normalized into robust z-scores
     /// across the slot's column (so the honest spread sets the scale), and a
     /// node's round divergence is its worst slot. Suspect nodes are still
@@ -311,21 +312,21 @@ impl TrustPlane {
     pub(crate) fn evaluate(
         &mut self,
         epoch: u64,
-        live: &[usize],
-        exchange: &LearningExchange,
+        rows: &[Row<'_>],
+        aggregates: &[Option<LearnedState>],
     ) -> Vec<TrustAction> {
         self.stats.rounds_scored += 1;
         // Worst-slot divergence per node this round; `None` = not scorable.
         let mut divergence: Vec<Option<f64>> = vec![None; self.records.len()];
-        for (slot, aggregate) in exchange.aggregates().iter().enumerate() {
+        for (slot, aggregate) in aggregates.iter().enumerate() {
             let Some(aggregate) = aggregate else { continue };
-            let mut column_nodes: Vec<usize> = Vec::with_capacity(live.len());
-            let mut distances: Vec<f64> = Vec::with_capacity(live.len());
-            for &node in live {
+            let mut column_nodes: Vec<usize> = Vec::with_capacity(rows.len());
+            let mut distances: Vec<f64> = Vec::with_capacity(rows.len());
+            for &(node, row) in rows {
                 if self.records[node].verdict == TrustVerdict::Quarantined {
                     continue;
                 }
-                let Some(local) = exchange.local(node, slot) else { continue };
+                let Some(local) = row.get(slot).and_then(Option::as_ref) else { continue };
                 // Kind/shape dissent was already counted as rejected by the
                 // round fold; it is not divergence evidence.
                 let Ok(distance) = local.l2_distance(aggregate) else { continue };
@@ -341,7 +342,7 @@ impl TrustPlane {
         }
 
         let mut actions = Vec::new();
-        for &node in live {
+        for &(node, _) in rows {
             let record = &mut self.records[node];
             if record.verdict == TrustVerdict::Quarantined {
                 continue;
@@ -391,28 +392,48 @@ impl TrustPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::learning::{LearningExchange, LearningPlane, NodeLearnedExport};
-    use sol_ml::exchange::{LearnedState, StateKind};
-    use std::sync::Arc;
+    use crate::runtime::learning::{LearningExchange, LearningPlane};
+    use sol_ml::exchange::StateKind;
 
     fn state(values: &[f64]) -> LearnedState {
         LearnedState::new(StateKind::QTable, vec![values.len()], values.to_vec()).unwrap()
     }
 
-    /// An exchange whose round already folded: `honest.len() + flipped.len()`
-    /// nodes exporting one slot, the tail `flipped` of them sign-flipped with
-    /// the given gain.
-    fn folded_exchange(honest: usize, flipped: usize, gain: f64) -> (LearningExchange, Vec<usize>) {
-        let nodes = honest + flipped;
-        let mut exchange = LearningExchange::new(LearningPlane::default(), nodes);
-        exchange.absorb((0..nodes).map(|node| {
-            let base = [1.0 + 0.01 * node as f64, 2.0 - 0.01 * node as f64];
-            let values = if node >= honest { [-gain * base[0], -gain * base[1]] } else { base };
-            NodeLearnedExport { node, states: vec![(0, Arc::new(state(&values)))] }
-        }));
-        let live: Vec<usize> = (0..nodes).collect();
-        exchange.round(&live);
-        (exchange, live)
+    /// One round's baselines and its folded aggregates:
+    /// `honest.len() + flipped.len()` nodes exporting one slot, the tail
+    /// `flipped` of them sign-flipped with the given gain.
+    struct Folded {
+        baselines: Vec<Vec<Option<LearnedState>>>,
+        aggregates: Vec<Option<LearnedState>>,
+    }
+
+    impl Folded {
+        fn new(honest: usize, flipped: usize, gain: f64) -> Self {
+            let baselines: Vec<Vec<Option<LearnedState>>> = (0..honest + flipped)
+                .map(|node| {
+                    let base = [1.0 + 0.01 * node as f64, 2.0 - 0.01 * node as f64];
+                    let values =
+                        if node >= honest { [-gain * base[0], -gain * base[1]] } else { base };
+                    vec![Some(state(&values))]
+                })
+                .collect();
+            let mut exchange = LearningExchange::new(LearningPlane::default());
+            exchange.round(&Folded::rows_of(&baselines));
+            Folded { aggregates: exchange.aggregates().to_vec(), baselines }
+        }
+
+        fn rows_of(baselines: &[Vec<Option<LearnedState>>]) -> Vec<Row<'_>> {
+            baselines.iter().enumerate().map(|(node, row)| (node, row.as_slice())).collect()
+        }
+
+        /// Every node's row: the whole fleet is live.
+        fn rows(&self) -> Vec<Row<'_>> {
+            Folded::rows_of(&self.baselines)
+        }
+
+        fn evaluate(&self, trust: &mut TrustPlane, epoch: u64) -> Vec<TrustAction> {
+            trust.evaluate(epoch, &self.rows(), &self.aggregates)
+        }
     }
 
     #[test]
@@ -432,27 +453,28 @@ mod tests {
 
     #[test]
     fn persistent_divergence_escalates_suspect_then_quarantine() {
-        let (exchange, live) = folded_exchange(6, 2, 4.0);
-        let mut trust = TrustPlane::new(TrustPolicy::default(), live.len());
+        let round = Folded::new(6, 2, 4.0);
+        let mut trust = TrustPlane::new(TrustPolicy::default(), 8);
 
         // Round 1: evidence accumulates, nobody crosses a threshold.
-        assert!(trust.evaluate(0, &live, &exchange).is_empty());
+        assert!(round.evaluate(&mut trust, 0).is_empty());
         assert_eq!(trust.record(6).verdict, TrustVerdict::Trusted);
         assert_eq!(trust.record(6).divergent_rounds, 1);
 
         // Round 2: both poisoners cross into Suspect, in index order.
-        let actions = trust.evaluate(1, &live, &exchange);
+        let actions = round.evaluate(&mut trust, 1);
         assert_eq!(actions.len(), 2);
         assert!(matches!(actions[0], TrustAction::Suspect { node: 6, .. }));
         assert!(matches!(actions[1], TrustAction::Suspect { node: 7, .. }));
 
         // Their exports are now withheld from aggregation.
-        let participants = trust.participants(&live);
-        assert_eq!(participants, vec![0, 1, 2, 3, 4, 5]);
+        let participants = trust.participants(&round.rows());
+        let kept: Vec<usize> = participants.iter().map(|&(node, _)| node).collect();
+        assert_eq!(kept, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(trust.stats().excluded, 2);
 
         // Round 3: still diverging against the honest consensus → Quarantine.
-        let actions = trust.evaluate(2, &live, &exchange);
+        let actions = round.evaluate(&mut trust, 2);
         assert_eq!(actions.len(), 2);
         assert!(matches!(actions[0], TrustAction::Quarantine { node: 6, .. }));
         assert!(matches!(actions[1], TrustAction::Quarantine { node: 7, .. }));
@@ -460,7 +482,7 @@ mod tests {
 
         // Quarantined nodes are no longer scored, and never re-emit.
         let before = trust.record(6).rounds_scored;
-        assert!(trust.evaluate(3, &live, &exchange).is_empty());
+        assert!(round.evaluate(&mut trust, 3).is_empty());
         assert_eq!(trust.record(6).rounds_scored, before);
 
         let stats = trust.stats();
@@ -480,17 +502,17 @@ mod tests {
         let policy = TrustPolicy::default();
         let mut trust = TrustPlane::new(policy, 8);
 
-        let (noisy, live) = folded_exchange(7, 1, 4.0);
-        assert!(trust.evaluate(0, &live, &noisy).is_empty());
+        let noisy = Folded::new(7, 1, 4.0);
+        assert!(noisy.evaluate(&mut trust, 0).is_empty());
         assert_eq!(trust.record(7).score, 1.0);
         assert_eq!(trust.record(7).verdict, TrustVerdict::Trusted);
 
         // The node behaves from round 2 on: suspicion halves every round and
         // the verdict never leaves Trusted.
-        let (clean, _) = folded_exchange(8, 0, 0.0);
-        trust.evaluate(1, &live, &clean);
+        let clean = Folded::new(8, 0, 0.0);
+        clean.evaluate(&mut trust, 1);
         assert_eq!(trust.record(7).score, 0.5);
-        trust.evaluate(2, &live, &clean);
+        clean.evaluate(&mut trust, 2);
         assert_eq!(trust.record(7).score, 0.25);
         assert_eq!(trust.record(7).verdict, TrustVerdict::Trusted);
         assert_eq!(trust.stats().suspects, 0);
@@ -499,10 +521,10 @@ mod tests {
 
     #[test]
     fn a_clean_fleet_accumulates_nothing() {
-        let (exchange, live) = folded_exchange(8, 0, 0.0);
-        let mut trust = TrustPlane::new(TrustPolicy::default(), live.len());
+        let round = Folded::new(8, 0, 0.0);
+        let mut trust = TrustPlane::new(TrustPolicy::default(), 8);
         for epoch in 0..10 {
-            assert!(trust.evaluate(epoch, &live, &exchange).is_empty());
+            assert!(round.evaluate(&mut trust, epoch).is_empty());
         }
         let stats = trust.stats();
         assert_eq!(stats.divergent, 0);
@@ -510,7 +532,7 @@ mod tests {
         assert_eq!(stats.quarantines, 0);
         assert_eq!(stats.excluded, 0);
         assert_eq!(stats.nodes_scored, 8 * 10);
-        assert_eq!(trust.participants(&live), live);
+        assert_eq!(trust.participants(&round.rows()), round.rows());
     }
 
     #[test]

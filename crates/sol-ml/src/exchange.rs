@@ -189,6 +189,20 @@ impl LearnedState {
         Ok(())
     }
 
+    /// Overwrites `self`'s values with `other`'s in place, allocating
+    /// nothing: how a holder that refreshes one state every round (a fleet
+    /// node's export baseline) avoids a clone.
+    ///
+    /// # Errors
+    ///
+    /// The [`compatible_with`](Self::compatible_with) error, with `self`
+    /// unchanged, when the two states disagree in kind or shape.
+    pub fn assign_from(&mut self, other: &LearnedState) -> Result<(), ExchangeError> {
+        self.compatible_with(other)?;
+        self.values.copy_from_slice(&other.values);
+        Ok(())
+    }
+
     /// Euclidean (L2) distance between `self` and `other`, the trust plane's
     /// raw per-node divergence measure: how far one node's export sits from
     /// the post-aggregation consensus, summed over every coordinate. Finite
@@ -375,8 +389,8 @@ impl AggregationRule {
     }
 
     /// [`aggregate`](Self::aggregate) over borrowed states: what a caller
-    /// holding its states behind `Arc`s or in rows of a larger table passes,
-    /// instead of cloning every state into one slice first.
+    /// holding its states in rows of a larger table (one row per fleet node)
+    /// passes, instead of cloning every state into one slice first.
     ///
     /// The values are gathered column-major into one scratch buffer, a block
     /// of coordinates at a time — every state is read in contiguous runs
@@ -685,6 +699,20 @@ mod tests {
     fn byte_len_counts_f64_wire_size() {
         assert_eq!(state(vec![0.0; 7]).byte_len(), 56);
         assert!(state(vec![]).is_empty());
+    }
+
+    #[test]
+    fn assign_from_copies_values_of_a_compatible_state_only() {
+        let mut held = state(vec![1.0, 2.0]);
+        held.assign_from(&state(vec![3.0, -4.0])).unwrap();
+        assert_eq!(held, state(vec![3.0, -4.0]));
+        assert!(matches!(
+            held.assign_from(&state(vec![5.0])).unwrap_err(),
+            ExchangeError::ShapeMismatch { .. }
+        ));
+        let beta = LearnedState::new(StateKind::BetaPosteriors, vec![2], vec![1.0; 2]).unwrap();
+        assert!(matches!(held.assign_from(&beta).unwrap_err(), ExchangeError::KindMismatch { .. }));
+        assert_eq!(held.values(), &[3.0, -4.0], "a refused state changes nothing");
     }
 
     #[test]

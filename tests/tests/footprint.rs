@@ -22,12 +22,18 @@
 //! `NodeRuntime` value itself, which lives on the caller's stack. Per agent,
 //! each blueprint alone on its own substrate adds 2,687 B (SmartOverclock),
 //! 2,893 B (SmartHarvest) and 28,788 B (SmartMemory) after the minute.
+//!
+//! The same allocator also counts calls, on the threads one test enrols:
+//! a fleet's learning plane adds at most three per participating
+//! node-round, plus stated constants.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use sol_agents::prelude::*;
 use sol_core::prelude::*;
+use sol_ml::exchange::{AggregationRule, BlendPolicy};
 use sol_node_sim::multi_node::MultiNode;
 use sol_node_sim::prelude::*;
 
@@ -35,12 +41,26 @@ thread_local! {
     /// Heap bytes this thread allocated and has not freed yet. Per thread,
     /// so tests running in parallel do not mix their counts.
     static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
+    /// Whether this thread's allocator calls count into [`CALLS`]. Only the
+    /// allocation pin sets it: on its own thread, and on the fleet worker
+    /// its recipe stamps nodes on.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
 }
+
+/// Allocator calls made on counted threads, process-wide: a fleet's worker
+/// is a thread of its own.
+static CALLS: AtomicU64 = AtomicU64::new(0);
 
 fn count(delta: isize) {
     // `try_with`: the allocator also runs while a thread's locals are torn
     // down, when there is nothing left to count into.
     let _ = LIVE_BYTES.try_with(|live| live.set(live.get() + delta));
+}
+
+fn count_call() {
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 fn live_bytes() -> isize {
@@ -59,6 +79,7 @@ unsafe impl GlobalAlloc for Counting {
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
             count(layout.size() as isize);
+            count_call();
         }
         ptr
     }
@@ -219,4 +240,73 @@ fn smart_memory_alone_holds_a_pinned_heap_on_every_seed() {
         },
     );
     assert_agent_pinned(&heaps, 28_740);
+}
+
+/// Allocator calls a one-worker fleet of 64 SmartOverclock nodes (no
+/// poisoner) makes over 30 one-second barriers under `learning`, on the
+/// calling thread (the coordinator) and on the worker, with the run's
+/// learning counters.
+fn fleet_calls(learning: Option<LearningPlane>) -> (u64, LearningStats) {
+    let preset = poisoned_overclock_recipe(PoisonedOverclockConfig {
+        nodes: 64,
+        victims: 0,
+        ..PoisonedOverclockConfig::default()
+    });
+    let inner = preset.recipe;
+    // The worker stamps every node at its first barrier, so its calls count
+    // from the first stamp on: every barrier's work, in either run.
+    let recipe = ScenarioRecipe::new(move |seed: &NodeSeed| {
+        COUNTED.with(|counted| counted.set(true));
+        inner.instantiate(seed)
+    });
+    let config = FleetConfig { nodes: 64, threads: 1, learning, ..FleetConfig::default() };
+    let fleet = FleetRuntime::new(recipe, config).unwrap();
+    COUNTED.with(|counted| counted.set(true));
+    let before = CALLS.load(Ordering::Relaxed);
+    let report = fleet.run(SimDuration::from_secs(30)).unwrap();
+    let calls = CALLS.load(Ordering::Relaxed) - before;
+    COUNTED.with(|counted| counted.set(false));
+    (calls, report.learning)
+}
+
+/// The learning plane's allocator traffic, pinned: against the same fleet
+/// with no plane, a median/`Replace` plane exchanging at every barrier adds
+/// at most three allocator calls per participating node-round — the
+/// SmartOverclock model's snapshot (its shape and values vectors) and
+/// `learned_snapshots`' vector, compared with the node's export baseline
+/// and freed on the worker — plus, per round, a constant for the
+/// coordinator's aggregate and, per node, its baseline vector once. Nothing
+/// else crosses the barrier by allocation: no shared handle, no export list,
+/// no coordinator copy of a node's state.
+#[test]
+fn an_exchange_round_allocates_three_calls_per_participant_and_a_constant() {
+    /// Per round, on the coordinator: the live-node list, the locked
+    /// baselines, their rows, the aggregates vector, one slot's column of
+    /// states, the aggregation's gather buffer, and the aggregate's values
+    /// and shape. Measured: 8.
+    const PER_ROUND: u64 = 8;
+    /// Per node, once: its export baseline vector, at its first export.
+    const PER_NODE: u64 = 1;
+    /// std's channels allocate their wake-up bookkeeping lazily, the first
+    /// time a thread blocks on one: up to one call per channel (two) and one
+    /// for a fresh worker thread, in either run, depending on timing.
+    const WAKE_UPS: u64 = 3;
+
+    // Lazy one-time allocations of the calling thread land here.
+    fleet_calls(None);
+    let (off, quiet) = fleet_calls(None);
+    assert_eq!(quiet, LearningStats::default());
+    let (on, learning) = fleet_calls(Some(LearningPlane {
+        exchange_every: 1,
+        rule: AggregationRule::CoordinateWiseMedian,
+        blend: BlendPolicy::Replace,
+    }));
+    assert_eq!((learning.rounds, learning.participants), (30, 64 * 30), "{learning:?}");
+    let extra = on.saturating_sub(off);
+    let bound = 3 * learning.participants + PER_ROUND * learning.rounds + PER_NODE * 64 + WAKE_UPS;
+    assert!(
+        extra <= bound,
+        "the plane added {extra} allocator calls ({off} → {on}), over {bound}: more than 3 per \
+         node-round, {PER_ROUND} per round and {PER_NODE} per node"
+    );
 }
