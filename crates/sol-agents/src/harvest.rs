@@ -29,7 +29,6 @@ use sol_core::prediction::Prediction;
 use sol_core::schedule::Schedule;
 use sol_core::time::{SimDuration, Timestamp};
 use sol_ml::cost_sensitive::{CostSensitiveClassifier, CostSensitiveExample};
-use sol_ml::exchange::{ExchangeError, LearnedExchange, LearnedState};
 use sol_ml::features::DistributionalFeatures;
 use sol_node_sim::harvest_node::{HarvestNode, UsageSample};
 use sol_node_sim::shared::Shared;
@@ -261,14 +260,6 @@ impl Model for HarvestModel {
         } else {
             ModelAssessment::Healthy
         }
-    }
-
-    fn export_learned(&self) -> Option<LearnedState> {
-        Some(self.classifier.export_learned())
-    }
-
-    fn import_learned(&mut self, state: &LearnedState) -> Result<(), ExchangeError> {
-        self.classifier.import_learned(state)
     }
 }
 

@@ -28,7 +28,6 @@ use sol_core::model::{Model, ModelAssessment};
 use sol_core::prediction::Prediction;
 use sol_core::schedule::Schedule;
 use sol_core::time::{SimDuration, Timestamp};
-use sol_ml::exchange::{ExchangeError, LearnedExchange, LearnedState, StateKind};
 use sol_ml::thompson::ThompsonSampler;
 use sol_node_sim::memory_node::MemoryNode;
 use sol_node_sim::shared::Shared;
@@ -442,56 +441,6 @@ impl Model for MemoryModel {
         } else {
             ModelAssessment::Healthy
         }
-    }
-
-    /// Exports every batch's scan-interval posteriors as one state of shape
-    /// `[batches * arms, 2]`: batch `i`'s arms occupy rows
-    /// `i * arms .. (i + 1) * arms`.
-    fn export_learned(&self) -> Option<LearnedState> {
-        if self.batches.is_empty() {
-            return None;
-        }
-        let arms = SCAN_INTERVALS.len();
-        let values: Vec<f64> = self
-            .batches
-            .iter()
-            .flat_map(|batch| batch.bandit.export_learned().values().to_vec())
-            .collect();
-        let state = LearnedState::new(
-            StateKind::BetaPosteriors,
-            vec![self.batches.len() * arms, 2],
-            values,
-        )
-        .expect("Beta parameters are finite");
-        Some(state)
-    }
-
-    fn import_learned(&mut self, state: &LearnedState) -> Result<(), ExchangeError> {
-        let arms = SCAN_INTERVALS.len();
-        if state.kind() != StateKind::BetaPosteriors {
-            return Err(ExchangeError::KindMismatch {
-                expected: StateKind::BetaPosteriors,
-                found: state.kind(),
-            });
-        }
-        let expected = vec![self.batches.len() * arms, 2];
-        if state.shape() != expected {
-            return Err(ExchangeError::ShapeMismatch { expected, found: state.shape().to_vec() });
-        }
-        // Validate every parameter up front so a bad tail batch cannot leave
-        // the model half-imported.
-        if let Some(index) = state.values().iter().position(|&v| v <= 0.0) {
-            return Err(ExchangeError::InvalidValue {
-                index,
-                reason: "Beta parameters must be strictly positive",
-            });
-        }
-        for (batch, chunk) in self.batches.iter_mut().zip(state.values().chunks_exact(arms * 2)) {
-            let slice = LearnedState::new(StateKind::BetaPosteriors, vec![arms, 2], chunk.to_vec())
-                .expect("validated above");
-            batch.bandit.import_learned(&slice)?;
-        }
-        Ok(())
     }
 }
 

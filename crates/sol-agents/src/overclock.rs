@@ -26,7 +26,7 @@ use sol_core::model::{Model, ModelAssessment};
 use sol_core::prediction::Prediction;
 use sol_core::schedule::Schedule;
 use sol_core::time::{SimDuration, Timestamp};
-use sol_ml::exchange::{ExchangeError, LearnedExchange, LearnedState};
+use sol_ml::exchange::{ExchangeError, LearnedState};
 use sol_ml::online_stats::SlidingWindow;
 use sol_ml::qlearning::{QConfig, QLearner};
 use sol_node_sim::counters::CounterSample;

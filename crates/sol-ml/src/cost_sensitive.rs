@@ -9,7 +9,6 @@
 //! under-prediction (starving the primary VM) far more expensive than
 //! over-prediction (harvesting fewer cores).
 
-use crate::exchange::{ExchangeError, LearnedExchange, LearnedState, StateKind};
 use crate::linear::OnlineLinearRegression;
 
 /// A labeled training example: the feature vector plus the cost of predicting
@@ -136,56 +135,6 @@ impl CostSensitiveClassifier {
         }
         self.updates += 1;
     }
-
-    /// Resets all per-class regressors.
-    pub fn reset(&mut self) {
-        for r in &mut self.regressors {
-            r.reset();
-        }
-        self.updates = 0;
-    }
-}
-
-impl LearnedExchange for CostSensitiveClassifier {
-    /// Exports all per-class regressors as [`StateKind::LinearWeights`] with
-    /// shape `[classes, features + 1]`: each row is one class's
-    /// `weights ++ [bias]`.
-    fn export_learned(&self) -> LearnedState {
-        let values = self
-            .regressors
-            .iter()
-            .flat_map(|r| r.weights().iter().copied().chain([r.bias()]))
-            .collect();
-        LearnedState::new(
-            StateKind::LinearWeights,
-            vec![self.regressors.len(), self.features + 1],
-            values,
-        )
-        .expect("regressor parameters are finite")
-    }
-
-    /// Overwrites every per-class regressor's weights and bias. Learning
-    /// rates and the update counter are untouched.
-    fn import_learned(&mut self, state: &LearnedState) -> Result<(), ExchangeError> {
-        if state.kind() != StateKind::LinearWeights {
-            return Err(ExchangeError::KindMismatch {
-                expected: StateKind::LinearWeights,
-                found: state.kind(),
-            });
-        }
-        let row = self.features + 1;
-        let expected = [self.regressors.len(), row];
-        if state.shape() != expected {
-            return Err(ExchangeError::ShapeMismatch {
-                expected: expected.to_vec(),
-                found: state.shape().to_vec(),
-            });
-        }
-        for (regressor, row) in self.regressors.iter_mut().zip(state.values().chunks_exact(row)) {
-            regressor.load_row(row);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -244,15 +193,5 @@ mod tests {
     fn rejects_wrong_cost_length() {
         let mut clf = CostSensitiveClassifier::new(1, 3, 0.1);
         clf.update(&CostSensitiveExample::new(vec![1.0], vec![0.0, 1.0]));
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut clf = CostSensitiveClassifier::new(1, 2, 0.1);
-        clf.update(&CostSensitiveExample::new(vec![1.0], vec![5.0, 0.0]));
-        assert_eq!(clf.predict(&[1.0]), 1);
-        clf.reset();
-        assert_eq!(clf.updates(), 0);
-        assert_eq!(clf.predict(&[1.0]), 0, "untrained costs tie: the first class");
     }
 }

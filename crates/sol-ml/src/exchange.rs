@@ -1,15 +1,19 @@
-//! Learned-state exchange: a uniform export/import surface over every learner
-//! plus the robust aggregation rules a fleet needs to combine them.
+//! Learned-state exchange: the state a fleet's learners trade, plus the
+//! robust aggregation rules a fleet needs to combine them.
 //!
 //! SOL's agents learn strictly per node; once nodes are mortal (crash, join,
 //! drain) that isolation throws experience away. This module is the sol-ml
-//! half of the fleet learning plane: each learner can export its mutable
+//! half of the fleet learning plane: a learner exports its mutable
 //! parameters as a [`LearnedState`] — a tagged, flat `f64` vector with shape
-//! metadata — and import one back. Peers' states are combined with an
-//! [`AggregationRule`]; the Byzantine-robust rules (coordinate-wise median,
-//! trimmed mean, after SABLE and Dong et al.) bound the influence any single
-//! poisoned node can exert on the fleet aggregate. A [`BlendPolicy`] decides
-//! how much of the aggregate a node adopts.
+//! metadata — and imports one back. The Q-learner alone does
+//! ([`QLearner::export_learned`](crate::qlearning::QLearner::export_learned)):
+//! SmartOverclock is the one agent any workload exchanges, and a learner that
+//! joins the plane adds its export together with the workload that first
+//! runs it. Peers' states are combined with an [`AggregationRule`]; the
+//! Byzantine-robust rules (coordinate-wise median, trimmed mean, after SABLE
+//! and Dong et al.) bound the influence any single poisoned node can exert
+//! on the fleet aggregate. A [`BlendPolicy`] decides how much of the
+//! aggregate a node adopts.
 //!
 //! Exports capture *values only* — never RNG state, update counters, or
 //! configuration — so importing a state cannot perturb a learner's exploration
@@ -62,14 +66,6 @@ pub enum ExchangeError {
         /// Flat index of the offending value.
         index: usize,
     },
-    /// A value is finite but semantically invalid for the target learner
-    /// (e.g. a non-positive Beta parameter, a negative sample count).
-    InvalidValue {
-        /// Flat index of the offending value.
-        index: usize,
-        /// Human-readable constraint that was violated.
-        reason: &'static str,
-    },
     /// [`AggregationRule::aggregate`] was called with zero states.
     EmptyAggregation,
     /// The receiver has no learned state to exchange (e.g. a model without
@@ -88,9 +84,6 @@ impl fmt::Display for ExchangeError {
             }
             ExchangeError::NonFinite { index } => {
                 write!(f, "non-finite value at flat index {index}")
-            }
-            ExchangeError::InvalidValue { index, reason } => {
-                write!(f, "invalid value at flat index {index}: {reason}")
             }
             ExchangeError::EmptyAggregation => f.write_str("cannot aggregate zero states"),
             ExchangeError::Unsupported => f.write_str("receiver has no learned state"),
@@ -500,20 +493,6 @@ impl BlendPolicy {
     }
 }
 
-/// The export/import surface every exchangeable learner implements.
-///
-/// Implementations exchange *parameter values only*: importing a state must
-/// not touch RNG streams, update counters, or configuration, so a node's
-/// decision sequence stays deterministic modulo the imported values.
-pub trait LearnedExchange {
-    /// Snapshots the learner's parameters.
-    fn export_learned(&self) -> LearnedState;
-
-    /// Overwrites the learner's parameters from `state`, validating kind,
-    /// shape, and value constraints first. On error the learner is unchanged.
-    fn import_learned(&mut self, state: &LearnedState) -> Result<(), ExchangeError>;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -777,7 +756,7 @@ mod tests {
         }
         .to_string();
         assert!(text.contains("q-table") && text.contains("beta-posteriors"));
-        let text = ExchangeError::InvalidValue { index: 3, reason: "must be positive" }.to_string();
-        assert!(text.contains('3') && text.contains("must be positive"));
+        let text = ExchangeError::NonFinite { index: 3 }.to_string();
+        assert!(text.contains('3') && text.contains("non-finite"));
     }
 }

@@ -16,9 +16,11 @@
 //! distributional feature extraction ([`features`]), deterministic sampling
 //! utilities ([`sampling`]), memory accounting for large fleet grids
 //! ([`footprint`]), and the fleet learning plane's exchange surface
-//! ([`exchange`]): every learner exports/imports its parameters as a tagged
+//! ([`exchange`]): the Q-learner exports/imports its table as a tagged
 //! flat-`f64` [`exchange::LearnedState`] that robust aggregation rules
-//! (coordinate-wise median, trimmed mean) can combine across nodes.
+//! (coordinate-wise median, trimmed mean) can combine across nodes. It is the
+//! one learner any workload exchanges; a learner that joins the plane adds its
+//! export together with the workload that first runs it.
 //!
 //! Everything is deterministic given a seed, allocation-light, and designed to
 //! run inside resource-constrained agent control loops.
@@ -41,7 +43,7 @@ pub mod thompson;
 pub mod prelude {
     pub use crate::cost_sensitive::{CostSensitiveClassifier, CostSensitiveExample};
     pub use crate::exchange::{
-        AggregationRule, BlendPolicy, ExchangeError, LearnedExchange, LearnedState, StateKind,
+        AggregationRule, BlendPolicy, ExchangeError, LearnedState, StateKind,
     };
     pub use crate::features::{DistributionalFeatures, FeatureVector};
     pub use crate::footprint::MemoryFootprint;

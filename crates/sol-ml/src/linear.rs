@@ -4,8 +4,6 @@
 //! ([`crate::cost_sensitive`]), mirroring the squared-loss regressors that
 //! VowpalWabbit's `csoaa` reduction uses internally.
 
-use crate::exchange::{ExchangeError, LearnedExchange, LearnedState, StateKind};
-
 /// An online least-squares linear model `y ≈ w·x + b` trained by SGD.
 ///
 /// # Examples
@@ -26,7 +24,6 @@ pub struct OnlineLinearRegression {
     weights: Vec<f64>,
     bias: f64,
     learning_rate: f64,
-    l2: f64,
     updates: u64,
 }
 
@@ -37,24 +34,12 @@ impl OnlineLinearRegression {
     ///
     /// Panics if `features` is zero or `learning_rate` is not positive.
     pub fn new(features: usize, learning_rate: f64) -> Self {
-        Self::with_regularization(features, learning_rate, 0.0)
-    }
-
-    /// Creates a model with L2 regularization strength `l2`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features` is zero, `learning_rate` is not positive, or `l2`
-    /// is negative.
-    pub fn with_regularization(features: usize, learning_rate: f64, l2: f64) -> Self {
         assert!(features > 0, "model needs at least one feature");
         assert!(learning_rate > 0.0, "learning rate must be positive");
-        assert!(l2 >= 0.0, "l2 must be non-negative");
         OnlineLinearRegression {
             weights: vec![0.0; features],
             bias: 0.0,
             learning_rate,
-            l2,
             updates: 0,
         }
     }
@@ -72,11 +57,6 @@ impl OnlineLinearRegression {
     /// Current weight vector.
     pub fn weights(&self) -> &[f64] {
         &self.weights
-    }
-
-    /// Current bias term.
-    pub fn bias(&self) -> f64 {
-        self.bias
     }
 
     /// Predicts the target for `x`.
@@ -103,60 +83,11 @@ impl OnlineLinearRegression {
         // on-node data can be noisy even after validation.
         let step = (self.learning_rate * error).clamp(-1e3, 1e3);
         for (w, xi) in self.weights.iter_mut().zip(x) {
-            *w += step * xi - self.learning_rate * self.l2 * *w;
+            *w += step * xi;
         }
         self.bias += step;
         self.updates += 1;
         error
-    }
-
-    /// Resets weights and bias to zero.
-    pub fn reset(&mut self) {
-        for w in &mut self.weights {
-            *w = 0.0;
-        }
-        self.bias = 0.0;
-        self.updates = 0;
-    }
-
-    /// Overwrites the model's parameters from one `weights ++ [bias]` row.
-    /// Used by the exchange impls here and in
-    /// [`crate::cost_sensitive::CostSensitiveClassifier`].
-    pub(crate) fn load_row(&mut self, row: &[f64]) {
-        let (bias, weights) = row.split_last().expect("row holds at least the bias");
-        self.weights.copy_from_slice(weights);
-        self.bias = *bias;
-    }
-}
-
-impl LearnedExchange for OnlineLinearRegression {
-    /// Exports `weights ++ [bias]` as [`StateKind::LinearWeights`] with shape
-    /// `[features + 1]`.
-    fn export_learned(&self) -> LearnedState {
-        let mut values = self.weights.clone();
-        values.push(self.bias);
-        LearnedState::new(StateKind::LinearWeights, vec![self.weights.len() + 1], values)
-            .expect("model parameters are finite")
-    }
-
-    /// Overwrites weights and bias. Learning rate, regularization, and the
-    /// update counter are untouched.
-    fn import_learned(&mut self, state: &LearnedState) -> Result<(), ExchangeError> {
-        if state.kind() != StateKind::LinearWeights {
-            return Err(ExchangeError::KindMismatch {
-                expected: StateKind::LinearWeights,
-                found: state.kind(),
-            });
-        }
-        let expected = [self.weights.len() + 1];
-        if state.shape() != expected {
-            return Err(ExchangeError::ShapeMismatch {
-                expected: expected.to_vec(),
-                found: state.shape().to_vec(),
-            });
-        }
-        self.load_row(state.values());
-        Ok(())
     }
 }
 
@@ -186,26 +117,6 @@ mod tests {
         }
         let later = m.update(&[1.0], 10.0).abs();
         assert!(later < first / 10.0);
-    }
-
-    #[test]
-    fn regularization_shrinks_weights() {
-        let mut plain = OnlineLinearRegression::new(1, 0.05);
-        let mut reg = OnlineLinearRegression::with_regularization(1, 0.05, 0.1);
-        for _ in 0..500 {
-            plain.update(&[1.0], 5.0);
-            reg.update(&[1.0], 5.0);
-        }
-        assert!(reg.weights()[0].abs() < plain.weights()[0].abs());
-    }
-
-    #[test]
-    fn reset_returns_to_zero() {
-        let mut m = OnlineLinearRegression::new(1, 0.1);
-        m.update(&[1.0], 1.0);
-        m.reset();
-        assert_eq!(m.predict(&[1.0]), 0.0);
-        assert_eq!(m.updates(), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::exchange::{ExchangeError, LearnedExchange, LearnedState, StateKind};
+use crate::exchange::{ExchangeError, LearnedState, StateKind};
 
 /// Initial Q-value for all state/action pairs.
 const INITIAL_VALUE: f64 = 0.0;
@@ -185,25 +185,9 @@ impl QLearner {
         self.updates += 1;
     }
 
-    /// Resets all Q-values to the initial value, keeping the RNG state.
-    pub fn reset(&mut self) {
-        for v in &mut self.table {
-            *v = INITIAL_VALUE;
-        }
-        self.updates = 0;
-    }
-
-    fn index(&self, state: usize, action: usize) -> usize {
-        assert!(state < self.config.states, "state out of range");
-        assert!(action < self.config.actions, "action out of range");
-        state * self.config.actions + action
-    }
-}
-
-impl LearnedExchange for QLearner {
     /// Exports the Q-table as [`StateKind::QTable`] with shape
     /// `[states, actions]`.
-    fn export_learned(&self) -> LearnedState {
+    pub fn export_learned(&self) -> LearnedState {
         LearnedState::new(
             StateKind::QTable,
             vec![self.config.states, self.config.actions],
@@ -213,8 +197,9 @@ impl LearnedExchange for QLearner {
     }
 
     /// Overwrites the Q-table. RNG state, update counter, and configuration
-    /// are untouched, so the exploration stream is unperturbed.
-    fn import_learned(&mut self, state: &LearnedState) -> Result<(), ExchangeError> {
+    /// are untouched, so the exploration stream is unperturbed. A state of
+    /// another kind or shape is refused and leaves the table unchanged.
+    pub fn import_learned(&mut self, state: &LearnedState) -> Result<(), ExchangeError> {
         if state.kind() != StateKind::QTable {
             return Err(ExchangeError::KindMismatch {
                 expected: StateKind::QTable,
@@ -230,6 +215,12 @@ impl LearnedExchange for QLearner {
         }
         self.table.copy_from_slice(state.values());
         Ok(())
+    }
+
+    fn index(&self, state: usize, action: usize) -> usize {
+        assert!(state < self.config.states, "state out of range");
+        assert!(action < self.config.actions, "action out of range");
+        state * self.config.actions + action
     }
 }
 
@@ -298,16 +289,6 @@ mod tests {
             assert_eq!(c.kind, ActionKind::Exploit);
             assert_eq!(c.action, 1);
         }
-    }
-
-    #[test]
-    fn reset_clears_learning() {
-        let mut q = QLearner::with_seed(QConfig::new(1, 2), 5);
-        q.update(0, 1, 10.0, 0);
-        assert!(q.q_value(0, 1) > 0.0);
-        q.reset();
-        assert_eq!(q.q_value(0, 1), 0.0);
-        assert_eq!(q.updates(), 0);
     }
 
     #[test]

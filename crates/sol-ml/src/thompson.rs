@@ -9,8 +9,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::exchange::{ExchangeError, LearnedExchange, LearnedState, StateKind};
-
 /// Posterior state of one arm: a Beta(α, β) distribution over its success
 /// probability.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,17 +46,6 @@ impl BetaArm {
     /// Records a failure (reward 0).
     pub fn record_failure(&mut self) {
         self.beta += 1.0;
-    }
-
-    /// Records a fractional reward in `[0, 1]`, splitting it between α and β.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reward` is outside `[0, 1]`.
-    pub fn record_reward(&mut self, reward: f64) {
-        assert!((0.0..=1.0).contains(&reward), "reward must be in [0, 1]");
-        self.alpha += reward;
-        self.beta += 1.0 - reward;
     }
 
     /// Draws one sample from the posterior.
@@ -176,15 +163,6 @@ impl ThompsonSampler {
         }
     }
 
-    /// Records a fractional reward in `[0, 1]` for `arm`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arm` is out of range or `reward` is outside `[0, 1]`.
-    pub fn record_reward(&mut self, arm: usize, reward: f64) {
-        self.arms[arm].record_reward(reward);
-    }
-
     /// The arm with the highest posterior mean (no sampling).
     pub fn best_arm(&self) -> usize {
         self.arms
@@ -193,54 +171,6 @@ impl ThompsonSampler {
             .max_by(|a, b| a.1.mean().partial_cmp(&b.1.mean()).expect("no NaN means"))
             .map(|(i, _)| i)
             .expect("at least one arm")
-    }
-
-    /// Resets every arm to the uniform prior, keeping the RNG state.
-    pub fn reset(&mut self) {
-        for arm in &mut self.arms {
-            *arm = BetaArm::uniform();
-        }
-        self.selections = 0;
-    }
-}
-
-impl LearnedExchange for ThompsonSampler {
-    /// Exports the posteriors as [`StateKind::BetaPosteriors`] with shape
-    /// `[arms, 2]`: each row is one arm's `(α, β)` pair.
-    fn export_learned(&self) -> LearnedState {
-        let values = self.arms.iter().flat_map(|a| [a.alpha, a.beta]).collect();
-        LearnedState::new(StateKind::BetaPosteriors, vec![self.arms.len(), 2], values)
-            .expect("Beta parameters are finite")
-    }
-
-    /// Overwrites every arm's posterior, requiring all parameters to be
-    /// strictly positive (a Beta distribution is undefined otherwise). RNG
-    /// state and the selection counter are untouched.
-    fn import_learned(&mut self, state: &LearnedState) -> Result<(), ExchangeError> {
-        if state.kind() != StateKind::BetaPosteriors {
-            return Err(ExchangeError::KindMismatch {
-                expected: StateKind::BetaPosteriors,
-                found: state.kind(),
-            });
-        }
-        let expected = [self.arms.len(), 2];
-        if state.shape() != expected {
-            return Err(ExchangeError::ShapeMismatch {
-                expected: expected.to_vec(),
-                found: state.shape().to_vec(),
-            });
-        }
-        if let Some(index) = state.values().iter().position(|&v| v <= 0.0) {
-            return Err(ExchangeError::InvalidValue {
-                index,
-                reason: "Beta parameters must be strictly positive",
-            });
-        }
-        for (arm, pair) in self.arms.iter_mut().zip(state.values().chunks_exact(2)) {
-            arm.alpha = pair[0];
-            arm.beta = pair[1];
-        }
-        Ok(())
     }
 }
 
@@ -297,14 +227,6 @@ mod tests {
         }
         // Posterior mean of Beta(9, 3) = 0.75.
         assert!((arm.mean() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fractional_rewards_accumulate() {
-        let mut arm = BetaArm::uniform();
-        arm.record_reward(0.25);
-        assert!((arm.alpha() - 1.25).abs() < 1e-12);
-        assert!((arm.beta() - 1.75).abs() < 1e-12);
     }
 
     #[test]
@@ -368,16 +290,6 @@ mod tests {
             picks
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn reset_restores_uniform_prior() {
-        let mut b = ThompsonSampler::with_seed(2, 5);
-        b.record(0, true);
-        b.record(0, true);
-        b.reset();
-        assert!((b.arm(0).mean() - 0.5).abs() < 1e-12);
-        assert_eq!(b.selections(), 0);
     }
 
     #[test]

@@ -305,11 +305,6 @@ impl CpuNode {
         self.workload.performance()
     }
 
-    /// Name of the hosted workload.
-    pub fn workload_name(&self) -> &'static str {
-        self.workload.name()
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> Timestamp {
         self.now

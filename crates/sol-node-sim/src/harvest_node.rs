@@ -13,6 +13,11 @@ use sol_core::time::{SimDuration, Timestamp};
 use sol_ml::footprint::MemoryFootprint;
 use sol_ml::online_stats::RunWindow;
 
+/// How long demand takes to ramp from the baseline to the burst level.
+/// Real services ramp up as requests queue; the ramp is also what makes
+/// the next-epoch demand learnable from short-horizon telemetry.
+const RAMP: SimDuration = SimDuration::from_millis(400);
+
 /// A latency-sensitive service with bursty CPU demand, standing in for the
 /// TailBench workloads (`image-dnn`, `moses`) the paper uses as primary VMs.
 ///
@@ -69,15 +74,10 @@ impl BurstyService {
         self.name
     }
 
-    /// How long demand takes to ramp from the baseline to the burst level.
-    /// Real services ramp up as requests queue; the ramp is also what makes
-    /// the next-epoch demand learnable from short-horizon telemetry.
-    pub const RAMP: SimDuration = SimDuration::from_millis(400);
-
     /// CPU demand (cores) at `now`.
     pub fn demand(&self, now: Timestamp) -> f64 {
         let phase = now.as_nanos() % self.burst_period.as_nanos().max(1);
-        let ramp = Self::RAMP.as_nanos();
+        let ramp = RAMP.as_nanos();
         if phase < self.burst_length.as_nanos() {
             if phase < ramp {
                 let progress = phase as f64 / ramp as f64;
@@ -88,12 +88,6 @@ impl BurstyService {
         } else {
             self.baseline_cores
         }
-    }
-
-    /// Whether a burst (including its ramp) is in progress at `now`.
-    pub fn in_burst(&self, now: Timestamp) -> bool {
-        let phase = now.as_nanos() % self.burst_period.as_nanos().max(1);
-        phase < self.burst_length.as_nanos()
     }
 }
 
@@ -157,11 +151,6 @@ pub struct HarvestNode {
     /// overclocking agent raises the frequency, the same work occupies fewer
     /// core-seconds, so the primary VM's core demand shrinks by this factor.
     core_speed_factor: f64,
-    /// Multiplier on the primary VM's service time (1.0 = nominal). Memory
-    /// pressure from a co-located tiered-memory substrate inflates it: work
-    /// stalled on remote accesses holds its cores longer and its requests
-    /// take longer.
-    service_time_factor: f64,
     primary_cores: usize,
     now: Timestamp,
     last_used_cores: f64,
@@ -191,7 +180,6 @@ impl HarvestNode {
             config,
             service,
             core_speed_factor: 1.0,
-            service_time_factor: 1.0,
             primary_cores: primary,
             now: Timestamp::ZERO,
             last_used_cores: 0.0,
@@ -217,11 +205,6 @@ impl HarvestNode {
     /// Cores currently loaned to the ElasticVM.
     pub fn harvested_cores(&self) -> usize {
         self.config.total_cores - self.primary_cores
-    }
-
-    /// The primary workload's name.
-    pub fn workload_name(&self) -> &'static str {
-        self.service.name()
     }
 
     /// Assigns `cores` to the primary VM (the rest go to the ElasticVM).
@@ -252,28 +235,6 @@ impl HarvestNode {
     /// The current relative core speed.
     pub fn core_speed_factor(&self) -> f64 {
         self.core_speed_factor
-    }
-
-    /// Sets the service-time multiplier (1.0 = nominal), clamped to
-    /// `[1.0, 10.0]`.
-    ///
-    /// Co-location plumbing for the memory-pressure→latency coupling: when a
-    /// co-located tiered-memory substrate serves a growing fraction of
-    /// accesses from the remote tier, the primary VM's work stalls longer
-    /// per request, inflating both its core demand and its request latency
-    /// by this factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not finite.
-    pub fn set_service_time_factor(&mut self, factor: f64) {
-        assert!(factor.is_finite(), "service time factor must be finite");
-        self.service_time_factor = factor.clamp(1.0, 10.0);
-    }
-
-    /// The current service-time multiplier.
-    pub fn service_time_factor(&self) -> f64 {
-        self.service_time_factor
     }
 
     /// Takes one hypervisor usage sample for the primary VM.
@@ -332,7 +293,7 @@ impl HarvestNode {
 
     fn step_once(&mut self, dt: SimDuration) {
         let now = self.now;
-        let demand = self.service.demand(now) * self.service_time_factor / self.core_speed_factor;
+        let demand = self.service.demand(now) / self.core_speed_factor;
         let allocated = self.primary_cores as f64;
         let used = demand.min(allocated);
         let shortfall = (demand - allocated).max(0.0);
@@ -349,12 +310,10 @@ impl HarvestNode {
             self.total_wait += SimDuration::from_secs_f64(wait_ms / 1e3);
         }
 
-        // Request latency inflates when the VM is starved during a burst and
-        // with memory pressure (remote accesses stretch every request).
+        // Request latency inflates when the VM is starved during a burst.
         let starvation = if demand > 0.0 { shortfall / demand } else { 0.0 };
-        let latency = self.service.base_latency_ms
-            * self.service_time_factor
-            * (1.0 + self.service.starvation_penalty * starvation);
+        let latency =
+            self.service.base_latency_ms * (1.0 + self.service.starvation_penalty * starvation);
         self.latencies.push(latency);
         self.latency_sum += latency;
         self.latency_count += 1;
@@ -401,11 +360,9 @@ mod tests {
         let ramping = s.demand(Timestamp::from_millis(75));
         assert!(ramping > s.baseline_cores && ramping < s.burst_cores);
         assert_eq!(s.demand(Timestamp::from_millis(500)), 6.0);
-        assert!(s.in_burst(Timestamp::from_millis(500)));
         assert_eq!(s.demand(Timestamp::from_millis(1_000)), 1.5);
-        assert!(!s.in_burst(Timestamp::from_millis(1_000)));
         // Periodic: the next burst starts one period later.
-        assert!(s.in_burst(Timestamp::from_millis(2_300)));
+        assert_eq!(s.demand(Timestamp::from_millis(2_500)), 6.0);
     }
 
     #[test]
@@ -483,36 +440,6 @@ mod tests {
         // A nonsense factor is clamped, not applied raw.
         fast.set_core_speed_factor(1e9);
         assert_eq!(fast.core_speed_factor(), 10.0);
-    }
-
-    #[test]
-    fn memory_pressure_inflates_demand_and_latency() {
-        let mut nominal =
-            HarvestNode::new(BurstyService::image_dnn(), HarvestNodeConfig::default());
-        let mut pressured =
-            HarvestNode::new(BurstyService::image_dnn(), HarvestNodeConfig::default());
-        pressured.set_service_time_factor(2.0);
-        // Give both only 4 cores: at nominal speed bursts need 6 cores, under
-        // 2x memory pressure they need 12 — the pressured node starves more.
-        nominal.set_primary_cores(4);
-        pressured.set_primary_cores(4);
-        nominal.advance_to(Timestamp::from_secs(20));
-        pressured.advance_to(Timestamp::from_secs(20));
-        assert!(pressured.p99_latency_ms() > nominal.p99_latency_ms());
-        assert!(pressured.total_wait() > nominal.total_wait());
-        // Even unstarved (moses bursts need 5 * 1.5 = 7.5 of 8 cores), the
-        // base latency scales with the factor.
-        let mut roomy = HarvestNode::new(BurstyService::moses(), HarvestNodeConfig::default());
-        roomy.set_service_time_factor(1.5);
-        roomy.advance_to(Timestamp::from_secs(5));
-        assert!(
-            (roomy.p99_latency_ms() - 1.5 * BurstyService::moses().base_latency_ms).abs() < 1e-9
-        );
-        // Out-of-range factors clamp instead of applying raw.
-        roomy.set_service_time_factor(0.0);
-        assert_eq!(roomy.service_time_factor(), 1.0);
-        roomy.set_service_time_factor(1e9);
-        assert_eq!(roomy.service_time_factor(), 10.0);
     }
 
     #[test]

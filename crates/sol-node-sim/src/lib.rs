@@ -49,9 +49,7 @@ pub mod prelude {
     pub use crate::memory_node::{
         MemoryNode, MemoryNodeConfig, MemoryWorkloadKind, RemoteFractionSample, ScanResult, Tier,
     };
-    pub use crate::multi_node::{
-        Coupling, MultiNode, MultiNodeBuilder, MEMORY_PRESSURE_LATENCY_GAIN,
-    };
+    pub use crate::multi_node::{Coupling, MultiNode, MultiNodeBuilder};
     pub use crate::power::{EnergyMeter, FREQUENCY_LEVELS_GHZ, NOMINAL_FREQUENCY_GHZ};
     pub use crate::shared::Shared;
     pub use crate::workload::{

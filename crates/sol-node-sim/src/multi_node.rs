@@ -91,26 +91,13 @@ pub enum Coupling {
     /// Core frequency → memory access rate: overclocked cores issue more
     /// memory accesses per second. Requires the CPU and memory substrates.
     FrequencyToMemoryBandwidth,
-    /// Memory pressure → primary VM service time: the larger the fraction of
-    /// recent accesses served from the slow remote tier, the longer the
-    /// harvest-side primary VM's work stalls per request (its service time
-    /// scales by `1 + GAIN · remote_fraction`, see
-    /// [`MEMORY_PRESSURE_LATENCY_GAIN`]). Requires the memory and harvest
-    /// substrates.
-    MemoryPressureToLatency,
 }
-
-/// Gain of [`Coupling::MemoryPressureToLatency`]: remote accesses are a few
-/// times slower than local ones, so fully remote traffic (remote fraction 1)
-/// triples the primary VM's service time.
-pub const MEMORY_PRESSURE_LATENCY_GAIN: f64 = 2.0;
 
 impl Coupling {
     fn name(self) -> &'static str {
         match self {
             Coupling::FrequencyToDemand => "frequency→demand",
             Coupling::FrequencyToMemoryBandwidth => "frequency→memory-bandwidth",
-            Coupling::MemoryPressureToLatency => "memory-pressure→latency",
         }
     }
 }
@@ -167,9 +154,6 @@ impl MultiNodeBuilder {
             let satisfied = match coupling {
                 Coupling::FrequencyToDemand => self.cpu.is_some() && self.harvest.is_some(),
                 Coupling::FrequencyToMemoryBandwidth => self.cpu.is_some() && self.memory.is_some(),
-                Coupling::MemoryPressureToLatency => {
-                    self.memory.is_some() && self.harvest.is_some()
-                }
             };
             if !satisfied {
                 return Err(RuntimeError::InvalidConfig(format!(
@@ -264,14 +248,6 @@ impl MultiNode {
                 Coupling::FrequencyToMemoryBandwidth => {
                     if let (Some(factor), Some(memory)) = (freq_factor, &self.memory) {
                         memory.with(|m| m.set_bandwidth_factor(factor));
-                    }
-                }
-                Coupling::MemoryPressureToLatency => {
-                    if let (Some(memory), Some(harvest)) = (&self.memory, &self.harvest) {
-                        let remote = memory.with(|m| m.recent_remote_fraction());
-                        harvest.with(|h| {
-                            h.set_service_time_factor(1.0 + MEMORY_PRESSURE_LATENCY_GAIN * remote)
-                        });
                     }
                 }
             }
@@ -449,51 +425,6 @@ mod tests {
         let err =
             MultiNode::builder().cpu(cpu()).coupling(Coupling::FrequencyToMemoryBandwidth).build();
         assert!(matches!(err, Err(RuntimeError::InvalidConfig(_))));
-        // MemoryPressureToLatency needs both the memory and the harvest
-        // substrates — a CPU alone (or either half alone) is rejected.
-        for builder in [
-            MultiNode::builder().cpu(cpu()),
-            MultiNode::builder().memory(memory()),
-            MultiNode::builder().harvest(harvest()),
-        ] {
-            let err = builder.coupling(Coupling::MemoryPressureToLatency).build();
-            assert!(matches!(err, Err(RuntimeError::InvalidConfig(_))));
-        }
-    }
-
-    #[test]
-    fn memory_pressure_coupling_inflates_primary_service_time() {
-        let run = |coupled: bool| {
-            let (h, m) = (harvest(), memory());
-            let mut builder = MultiNode::builder().harvest(h.clone()).memory(m.clone());
-            if coupled {
-                builder = builder.coupling(Coupling::MemoryPressureToLatency);
-            }
-            let mut node = builder.build().unwrap();
-            // Warm up, then push the entire hot set to the remote tier so the
-            // remote-access ratio climbs.
-            node.advance_to(Timestamp::from_secs(5));
-            let hot: Vec<usize> = m.with(|n| n.hottest_batches());
-            m.with(|n| {
-                for &b in hot.iter().take(32) {
-                    n.migrate_to_remote(b);
-                }
-            });
-            // Advance in steps, as a runtime would: couplings are re-applied
-            // before every advance, tracking the rising remote fraction.
-            for secs in 6..=30 {
-                node.advance_to(Timestamp::from_secs(secs));
-            }
-            (h.with(|n| n.service_time_factor()), h.with(|n| n.mean_latency_ms()))
-        };
-        let (coupled_factor, coupled_latency) = run(true);
-        let (uncoupled_factor, uncoupled_latency) = run(false);
-        assert_eq!(uncoupled_factor, 1.0);
-        assert!(
-            coupled_factor > 1.3,
-            "remote pressure must inflate service time: {coupled_factor}"
-        );
-        assert!(coupled_latency > uncoupled_latency);
     }
 
     #[test]

@@ -68,7 +68,6 @@ pub fn node_power_watts(freq_ghz: f64, utilization: f64, cores: usize) -> f64 {
 pub struct EnergyMeter {
     joules: f64,
     elapsed: SimDuration,
-    peak_watts: f64,
 }
 
 impl EnergyMeter {
@@ -81,9 +80,6 @@ impl EnergyMeter {
     pub fn record(&mut self, watts: f64, dt: SimDuration) {
         self.joules += watts * dt.as_secs_f64();
         self.elapsed += dt;
-        if watts > self.peak_watts {
-            self.peak_watts = watts;
-        }
     }
 
     /// Total energy consumed in joules.
@@ -99,11 +95,6 @@ impl EnergyMeter {
         } else {
             self.joules / secs
         }
-    }
-
-    /// Highest instantaneous power recorded.
-    pub fn peak_watts(&self) -> f64 {
-        self.peak_watts
     }
 
     /// Total time covered by the recordings.
@@ -146,7 +137,6 @@ mod tests {
         meter.record(50.0, SimDuration::from_secs(2));
         assert!((meter.joules() - 300.0).abs() < 1e-9);
         assert!((meter.average_watts() - 75.0).abs() < 1e-9);
-        assert_eq!(meter.peak_watts(), 100.0);
         assert_eq!(meter.elapsed(), SimDuration::from_secs(4));
     }
 

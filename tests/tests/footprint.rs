@@ -8,7 +8,7 @@
 //! both halves: the footprint stays under its ceiling, and it is one number
 //! whatever the node's seed, so `mem_bytes_per_node` can carry a tight bound
 //! in the benchmark. The ceilings (tighter than the round figures in the test
-//! names) sit just above today's 8,732 B and 84,548 B: a node that starts
+//! names) sit just above today's 8,700 B and 84,516 B: a node that starts
 //! keeping a hundred bytes more, or a latency window that outgrows its
 //! reserved runs on some seed, fails them.
 //!
@@ -17,11 +17,11 @@
 //! measures the truth. Its global allocator counts, per thread, the heap
 //! bytes allocated and not yet freed, and each test pins the live heap a node
 //! holds after `instantiate` and after a virtual minute beside `mem_bytes()`:
-//! 3,884 B and 13,880 B for the two-agent node, 39,792 B and 118,300 B for
+//! 3,732 B and 13,728 B for the two-agent node, 39,592 B and 118,100 B for
 //! the three-agent one, one value on every seed. The heap excludes the
 //! `NodeRuntime` value itself, which lives on the caller's stack. Per agent,
-//! each blueprint alone on its own substrate adds 2,687 B (SmartOverclock),
-//! 2,893 B (SmartHarvest) and 28,788 B (SmartMemory) after the minute.
+//! each blueprint alone on its own substrate adds 2,663 B (SmartOverclock),
+//! 2,797 B (SmartHarvest) and 28,740 B (SmartMemory) after the minute.
 //!
 //! The same allocator also counts calls, on the threads one test enrols:
 //! a fleet's learning plane adds at most three per participating
@@ -136,13 +136,13 @@ fn assert_pinned(footprints: &[Footprint], heap_built: isize, heap_ran: isize, c
 #[test]
 fn two_agent_node_stays_under_10_kb_on_every_seed() {
     let preset = colocated_recipe(ColocationConfig::default());
-    assert_pinned(&footprints(&preset.recipe), 3_820, 13_816, 8_800);
+    assert_pinned(&footprints(&preset.recipe), 3_732, 13_728, 8_800);
 }
 
 #[test]
 fn three_agent_node_stays_under_90_kb_on_every_seed() {
     let preset = three_agents_recipe(ThreeAgentConfig::default());
-    assert_pinned(&footprints(&preset.recipe), 39_680, 118_188, 84_700);
+    assert_pinned(&footprints(&preset.recipe), 39_592, 118_100, 84_700);
 }
 
 /// The live heap a node built by `build` holds after a virtual minute.
@@ -228,7 +228,7 @@ fn smart_harvest_alone_holds_a_pinned_heap_on_every_seed() {
             builder.register(harvest_blueprint(node, config.harvest.clone()));
         },
     );
-    assert_agent_pinned(&heaps, 2_869);
+    assert_agent_pinned(&heaps, 2_797);
 }
 
 #[test]

@@ -2,8 +2,10 @@
 //!
 //! * The robust aggregation rules must match straightforward scalar
 //!   references, coordinate by coordinate, for any peer count and shape.
-//! * Export → import must round-trip byte-identically for every exchangeable
-//!   learner: a warm-started node computes exactly what the exporter knew.
+//! * Export → import must round-trip byte-identically for the Q-learner, the
+//!   one learner any workload exchanges: a warm-started node computes exactly
+//!   what the exporter knew. On the paper's three-agent node its Q-table is
+//!   the only state that travels.
 //! * A poisoned fleet under churn must stay a pure function of its seeds:
 //!   byte-identical `FleetReport`s across 1, 2, and 8 worker threads.
 //! * The headline claims are pinned: sign-flip poisoning degrades a
@@ -12,15 +14,12 @@
 
 use proptest::prelude::*;
 
+use sol_agents::colocation::{three_agents, three_agents_recipe, ThreeAgentConfig};
 use sol_agents::poison::{poisoned_overclock_recipe, PoisonAttack, PoisonedOverclockConfig};
 use sol_core::error::DataError;
 use sol_core::prelude::*;
-use sol_ml::exchange::{
-    AggregationRule, BlendPolicy, ExchangeError, LearnedExchange, LearnedState, StateKind,
-};
-use sol_ml::linear::OnlineLinearRegression;
+use sol_ml::exchange::{AggregationRule, BlendPolicy, ExchangeError, LearnedState, StateKind};
 use sol_ml::qlearning::{QConfig, QLearner};
-use sol_ml::thompson::ThompsonSampler;
 
 // ---------------------------------------------------------------------------
 // Aggregation rules vs scalar references
@@ -151,14 +150,14 @@ proptest! {
         prop_assert_eq!(aggregate.values()[0], value);
     }
 
-    /// Export → import → export round-trips byte-identically for all three
-    /// exchangeable learners, after arbitrary training histories.
+    /// Export → import → export round-trips byte-identically for the
+    /// Q-learner, after arbitrary training histories.
     #[test]
     fn exports_round_trip_byte_identically(
         seed in any::<u64>(),
         rewards in prop::collection::vec(-1.0f64..1.0, 1..40),
     ) {
-        // Q-learner: train on a random reward stream.
+        // Train on a random reward stream.
         let config = QConfig::new(3, 4);
         let mut q = QLearner::with_seed(config.clone(), seed);
         for (i, r) in rewards.iter().enumerate() {
@@ -168,26 +167,6 @@ proptest! {
         }
         let exported = q.export_learned();
         let mut fresh = QLearner::with_seed(config, seed.wrapping_add(1));
-        fresh.import_learned(&exported).unwrap();
-        prop_assert_eq!(fresh.export_learned(), exported);
-
-        // Online linear regression.
-        let mut lin = OnlineLinearRegression::new(3, 0.05);
-        for (i, r) in rewards.iter().enumerate() {
-            lin.update(&[i as f64 % 5.0, *r, 1.0 - r], r * 2.0);
-        }
-        let exported = lin.export_learned();
-        let mut fresh = OnlineLinearRegression::new(3, 0.05);
-        fresh.import_learned(&exported).unwrap();
-        prop_assert_eq!(fresh.export_learned(), exported);
-
-        // Thompson sampler.
-        let mut ts = ThompsonSampler::with_seed(4, seed);
-        for (i, r) in rewards.iter().enumerate() {
-            ts.record(i % 4, *r > 0.0);
-        }
-        let exported = ts.export_learned();
-        let mut fresh = ThompsonSampler::with_seed(4, seed.wrapping_add(1));
         fresh.import_learned(&exported).unwrap();
         prop_assert_eq!(fresh.export_learned(), exported);
     }
@@ -262,6 +241,43 @@ fn robust_rules_contain_poisoning_where_mean_degrades() {
             "{label} must stay near the clean baseline: {robust} vs clean {clean}"
         );
     }
+}
+
+/// The paper's three-agent node on a learning plane: SmartOverclock's
+/// Q-table is the only state that travels, while SmartHarvest's classifier
+/// and SmartMemory's posteriors stay on their node. Four nodes exchange at
+/// every one-second barrier for ten seconds, and the report is the same at
+/// one and two worker threads.
+#[test]
+fn a_three_agent_fleet_exchanges_the_q_table_alone() {
+    let snapshots = three_agents(ThreeAgentConfig::default()).runtime.learned_snapshots();
+    let q_table = snapshots[0].as_ref().expect("SmartOverclock exports its Q-table");
+    assert_eq!(q_table.kind(), StateKind::QTable);
+    let q_bytes = q_table.byte_len() as u64;
+    let run = |threads: usize| {
+        let preset = three_agents_recipe(ThreeAgentConfig::default());
+        let config = FleetConfig {
+            nodes: 4,
+            threads,
+            epoch: SimDuration::from_secs(1),
+            learning: Some(LearningPlane {
+                exchange_every: 1,
+                rule: AggregationRule::CoordinateWiseMedian,
+                blend: BlendPolicy::Replace,
+            }),
+            ..FleetConfig::default()
+        };
+        FleetRuntime::new(preset.recipe, config).unwrap().run(SimDuration::from_secs(10)).unwrap()
+    };
+    let report = run(1);
+    let learning = report.learning;
+    assert_eq!(learning.rounds, 10, "one round per barrier: {learning:?}");
+    assert!(learning.redistributed > 0, "aggregates must reach the nodes: {learning:?}");
+    assert_eq!(learning.bytes_redistributed, learning.redistributed * q_bytes, "{learning:?}");
+    let exported = learning.bytes_exchanged - learning.bytes_redistributed;
+    assert!(exported <= learning.participants * q_bytes, "{learning:?}");
+    assert_eq!(learning.rejected, 0, "{learning:?}");
+    assert_eq!(format!("{report:#?}"), format!("{:#?}", run(2)));
 }
 
 fn three_joins() -> FaultPlan {
